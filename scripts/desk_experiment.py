@@ -3,8 +3,8 @@
 
 Synthesizes a lattice city, trains the desk model, generates with skip-step
 sampling, and scores the output against a held-out split next to the
-uniform-noise and Gaussian-perturbation baselines. Artifacts land in the
-working directory given by --workdir.
+Gaussian-perturbation (GP), random-perturbation (RP) and uniform-noise
+baselines. Artifacts land in the working directory given by --workdir.
 """
 
 import argparse
@@ -60,19 +60,21 @@ def main():
         "--steps", args.sample_steps, "--eta", 0, "--omega", 0,
         "--cond-file", train_file, "--seed", args.seed, "--workers", 4)
 
-    # baselines: gaussian-perturbed training data and uniform noise,
-    # both at the model length
+    # baselines: gaussian- and uniformly perturbed training data and uniform
+    # noise, all at the model length
     from trajdiff.rng import stream
     from trajdiff.trajdata import (RawTrajectory, load_dataset, perturb_gaussian,
-                                   resample, save_dataset)
+                                   perturb_random, resample, save_dataset)
 
     train_trajs = load_dataset(train_file).trajectories
     rng = stream(args.seed, 0xBA5E)
     idx = rng.integers(0, len(train_trajs), size=args.gen_n)
-    gp = [perturb_gaussian(RawTrajectory(id=f"gp-{k:05d}",
-                                         points=resample(train_trajs[i].points, 64),
-                                         t0=train_trajs[i].t0), 0.01, rng)
-          for k, i in enumerate(idx)]
+
+    def drawn_training_trajs(prefix):
+        return [RawTrajectory(id=f"{prefix}-{k:05d}", points=resample(train_trajs[i].points, 64),
+                              t0=train_trajs[i].t0) for k, i in enumerate(idx)]
+
+    gp = [perturb_gaussian(t, 0.01, rng) for t in drawn_training_trajs("gp")]
     gp_file = wd / "baseline_gp.jsonl"
     save_dataset(gp_file, gp)
 
@@ -85,8 +87,12 @@ def main():
     uni_file = wd / "baseline_uniform.jsonl"
     save_dataset(uni_file, uni)
 
+    rp = [perturb_random(t, 0.01, rng) for t in drawn_training_trajs("rp")]
+    rp_file = wd / "baseline_rp.jsonl"
+    save_dataset(rp_file, rp)
+
     results = {}
-    for name, path in (("model", gen), ("gp", gp_file), ("uniform", uni_file)):
+    for name, path in (("model", gen), ("gp", gp_file), ("rp", rp_file), ("uniform", uni_file)):
         report = wd / f"report_{name}.json"
         run("eval", "--gen", path, "--real", heldout_file, "--out", report,
             "--length", 64)

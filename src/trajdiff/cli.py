@@ -27,10 +27,10 @@ from .metrics import evaluate
 from .rng import stream
 from .schedule import linear_beta_schedule
 from .svgplot import plot_heatmap, plot_lines
-from .trajdata import (CitySpec, GridSpec, NormStats, RawTrajectory,
-                       batch_to_points, extract_condition_batch, load_dataset,
-                       make_batch, resample, save_dataset, synth_city)
-from .unet import ConditionBatch, TrajUNet, TrajUNetConfig
+from .trajdata import (SLOT_SECONDS, CitySpec, ConditionBatch, GridSpec, NormStats,
+                       RawTrajectory, batch_to_points, extract_condition_batch,
+                       load_dataset, make_batch, resample, save_dataset, synth_city)
+from .unet import TrajUNet, TrajUNetConfig
 
 log = logging.getLogger(__name__)
 
@@ -233,7 +233,10 @@ def cmd_generate(args) -> int:
     env_cap = os.environ.get("TRAJDIFF_THREADS")
     workers = cfg["workers"]
     if env_cap is not None:
-        workers = max(1, min(workers, int(env_cap)))
+        try:
+            workers = max(1, min(workers, int(env_cap)))
+        except ValueError as e:
+            raise UsageError(f"TRAJDIFF_THREADS must be an integer, got {env_cap!r}") from e
 
     sampler = SamplerConfig(total_steps=sched.T, sample_steps=steps, eta=cfg["eta"],
                             guidance_scale=cfg["omega"], seed=cfg["seed"])
@@ -245,7 +248,7 @@ def cmd_generate(args) -> int:
     out_trajs = []
     for i, pts in enumerate(point_lists):
         slot = int(conds.slot[i]) if conds is not None else 0
-        out_trajs.append(RawTrajectory(id=f"gen-{i:05d}", points=pts, t0=float(slot * 300)))
+        out_trajs.append(RawTrajectory(id=f"gen-{i:05d}", points=pts, t0=float(slot * SLOT_SECONDS)))
     save_dataset(args.out, out_trajs, meta={"generator": "diffusion", "seed": cfg["seed"],
                                             "checkpoint": str(args.ckpt),
                                             "sampler": {"steps": stats["steps"], "eta": cfg["eta"],

@@ -1,5 +1,7 @@
-"""Training objective, DDPM and skip-step DDIM sampling, and classifier-free
-guidance.
+"""Training objective, skip-step DDIM sampling, and classifier-free guidance.
+
+Ancestral DDPM sampling is the eta = 1, S = T case of the DDIM update, so the
+sampler has a single reverse-chain loop.
 
 Sampling randomness is keyed per trajectory index (see trajdiff.rng), and
 work is partitioned into fixed micro-batches by index, so generated output
@@ -20,7 +22,12 @@ from .errors import NumericError
 from .rng import stream
 from .schedule import NoiseSchedule, mu_from_eps, predict_x0_from_eps, q_sample
 from .tensor import Tensor
-from .unet import ConditionBatch
+from .trajdata import ConditionBatch
+
+# Clamp the clean-sample estimate to this many normalized units during
+# sampling; keeps the reverse chain contractive for imperfect models and is
+# inert for a perfect denoiser (data lives in [-1, 1]).
+CLIP_X0 = 1.5
 
 
 @dataclass
@@ -55,17 +62,11 @@ class SamplerConfig:
     eta: float = 0.0
     guidance_scale: float = 3.0
     seed: int = 0
-    # clamp the clean-sample estimate to this many normalized units during
-    # sampling; keeps the reverse chain contractive for imperfect models and
-    # is inert for a perfect denoiser (data lives in [-1, 1]). None disables.
-    clip_x0: float | None = 1.5
     tau: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.eta < 0:
             raise ValueError("eta must be non-negative")
-        if self.clip_x0 is not None and self.clip_x0 <= 0:
-            raise ValueError("clip_x0 must be positive")
         self.tau = skip_subsequence(self.total_steps, self.sample_steps)
 
 
@@ -199,11 +200,14 @@ def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule
 
 def ddpm_step(model, x_t: np.ndarray, t: int, cond: ConditionBatch | None,
               omega: float, sched: NoiseSchedule,
-              rng_or_z, clip_x0: float | None = None) -> np.ndarray:
+              z: np.ndarray | None, clip_x0: float | None = None) -> np.ndarray:
     """One ancestral reverse step; adds no noise at the terminal step t == 1.
 
-    rng_or_z is either a Generator or a pre-drawn standard-normal field
-    (per-trajectory streams hand the noise in explicitly).
+    z is the pre-drawn standard-normal field, unused (may be None) at t == 1.
+    No production path calls this: the DDIM step at eta = 1, t_prev = t - 1 is
+    the same transition. It stays as the ancestral reference that
+    test_full_chain_eta1_tracks_ddpm compares the DDIM chain against, and
+    perfbench/tracing.py wraps it by name.
     """
     if not 1 <= t <= sched.T:
         raise ValueError(f"step index out of range [1, {sched.T}]")
@@ -213,7 +217,6 @@ def ddpm_step(model, x_t: np.ndarray, t: int, cond: ConditionBatch | None,
     mean = mu_from_eps(x_t, t, eps_hat, sched)
     if t == 1:
         return mean.astype(np.float32, copy=False)
-    z = rng_or_z.standard_normal(x_t.shape) if isinstance(rng_or_z, np.random.Generator) else rng_or_z
     out = mean + np.sqrt(sched.beta_tilde[t - 1]) * z
     return out.astype(np.float32, copy=False)
 
@@ -243,15 +246,18 @@ def ddim_transition(x_t: np.ndarray, t: int, t_prev: int, eps_hat: np.ndarray,
 
 def ddim_step(model, x_t: np.ndarray, t: int, t_prev: int, cond: ConditionBatch | None,
               omega: float, eta: float, sched: NoiseSchedule,
-              rng_or_z, clip_x0: float | None = None) -> np.ndarray:
-    """One skip-step reverse transition from step t to step t_prev (< t)."""
+              z: np.ndarray | None, clip_x0: float | None = None) -> np.ndarray:
+    """One skip-step reverse transition from step t to step t_prev (< t).
+
+    z is the pre-drawn standard-normal field, unused (may be None) when the
+    step's variance is zero: at eta == 0 or t_prev == 0.
+    """
     eps_hat = guided_eps(model, x_t, np.full(x_t.shape[0], t), cond, omega)
     if clip_x0 is not None:
         eps_hat = _clip_eps(x_t, t, eps_hat, sched, clip_x0)
     mean, sigma2 = ddim_transition(x_t, t, t_prev, eps_hat, eta, sched)
     if sigma2 == 0.0:
         return mean.astype(np.float32, copy=False)
-    z = rng_or_z.standard_normal(x_t.shape) if isinstance(rng_or_z, np.random.Generator) else rng_or_z
     return (mean + math.sqrt(sigma2) * z).astype(np.float32, copy=False)
 
 
@@ -267,21 +273,15 @@ def _sample_micro_batch(model, cond: ConditionBatch | None, cfg: SamplerConfig,
     shape = (channels, length)
     x = np.stack([g.standard_normal(shape) for g in gens]).astype(np.float32)
 
-    use_ddpm = cfg.sample_steps == cfg.total_steps and cfg.eta == 1.0
     tau = cfg.tau
     for k in range(len(tau) - 1, -1, -1):
         t = int(tau[k])
         t_prev = int(tau[k - 1]) if k > 0 else 0
-        needs_noise = (cfg.eta > 0.0 and t_prev > 0) if not use_ddpm else t > 1
-        if needs_noise:
+        z = None
+        if cfg.eta > 0.0 and t_prev > 0:
             z = np.stack([g.standard_normal(shape) for g in gens]).astype(np.float32)
-        else:
-            z = np.zeros_like(x)
-        if use_ddpm:
-            x = ddpm_step(model, x, t, cond, cfg.guidance_scale, sched, z, clip_x0=cfg.clip_x0)
-        else:
-            x = ddim_step(model, x, t, t_prev, cond, cfg.guidance_scale, cfg.eta, sched, z,
-                          clip_x0=cfg.clip_x0)
+        x = ddim_step(model, x, t, t_prev, cond, cfg.guidance_scale, cfg.eta, sched, z,
+                      clip_x0=CLIP_X0)
     return x
 
 

@@ -29,15 +29,13 @@ class Distribution:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probs < 0):
             raise ValueError("probabilities must be non-negative")
         total = self.probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {total}")
-
-    @property
-    def support_size(self) -> int:
-        return self.probs.size
 
 
 def _points_of(traj) -> np.ndarray:
@@ -50,6 +48,8 @@ def jsd(p: Distribution, g: Distribution) -> float:
     if p.probs.shape != g.probs.shape:
         raise ValueError(f"support mismatch: {p.probs.shape} vs {g.probs.shape}")
     pv, gv = p.probs, g.probs
+    if not (np.isfinite(pv).all() and np.isfinite(gv).all()):
+        raise ValueError("distributions must be finite")
     m = 0.5 * (pv + gv)
 
     def kl(a):

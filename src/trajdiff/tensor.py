@@ -43,17 +43,9 @@ class no_grad:
         _state().grad_enabled = self._prev
 
 
-def grad_enabled() -> bool:
-    return _state().grad_enabled
-
-
 def reset_tape() -> None:
     """Drop any recorded ops (start of a fresh training step)."""
     _state().tape = []
-
-
-def tape_size() -> int:
-    return len(_state().tape)
 
 
 class Tensor:
@@ -413,11 +405,20 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _im2col(x: np.ndarray, K: int, pad: int) -> np.ndarray:
-    """[B, C, L] -> [B*L, C*K] window matrix (zero padded, stride 1)."""
+    """[B, C, L] -> [B*L, C*K] window matrix (zero padded, stride 1).
+
+    Filled with one shifted slice copy per tap: several times faster than
+    copying a sliding-window view with a length-K inner axis.
+    """
     B, C, L = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)  # [B, C, L, K]
-    return win.transpose(0, 2, 1, 3).reshape(B * L, C * K)
+    xt = x.transpose(0, 2, 1)  # [B, L, C]
+    cols = np.zeros((B, L, C, K), dtype=x.dtype)
+    for k in range(K):
+        s = k - pad
+        lo, hi = max(0, -s), min(L, L - s)
+        if lo < hi:
+            cols[:, lo:hi, :, k] = xt[:, lo + s:hi + s, :]
+    return cols.reshape(B * L, C * K)
 
 
 def _conv_raw(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Trajectory ingestion, resampling, normalization, condition extraction,
+"""Trajectory ingestion, resampling, normalization, trip conditions,
 baseline perturbers, and the synthetic-city generator.
 
 Dataset files are JSON lines (UTF-8): one object per line with fields
@@ -18,14 +18,17 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .rng import stream
-from .unet import ConditionBatch, ConditionVector
 
 log = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0088
 SECONDS_PER_DAY = 86400
-SLOT_SECONDS = 300  # 288 five-minute departure slots per day
+SLOT_SECONDS = 300
 MIN_TRAJECTORY_POINTS = 120
+
+NUM_DEPARTURE_SLOTS = SECONDS_PER_DAY // SLOT_SECONDS  # 288 five-minute slots
+NUM_GRID_CELLS = 256
+NUM_NUMERIC_ATTRS = 4  # travel km, avg move km, travel time s, raw point count
 
 
 @dataclass
@@ -36,9 +39,17 @@ class RawTrajectory:
     interval: float | None = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        try:
+            self.points = np.asarray(self.points, dtype=np.float64)
+            self.t0 = float(self.t0)
+            self.interval = float(self.interval) if self.interval is not None else None
+        except (TypeError, ValueError, OverflowError) as e:
+            raise DataError(f"trajectory {self.id!r}: {e}") from e
         if self.points.ndim != 2 or self.points.shape[1] != 2 or self.points.shape[0] < 2:
             raise DataError(f"trajectory {self.id!r} needs at least two (lng, lat) points")
+        if not (np.isfinite(self.points).all() and math.isfinite(self.t0)
+                and (self.interval is None or math.isfinite(self.interval))):
+            raise DataError(f"trajectory {self.id!r} has a non-finite point, t0 or interval")
 
 
 @dataclass(frozen=True)
@@ -233,8 +244,91 @@ def batch_to_points(batch_data: np.ndarray, norm: NormStats) -> list[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# condition attributes
+# trip conditions
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ConditionVector:
+    """Motion attributes of one trip: z-scored numerics plus categoricals.
+
+    The null variant is the zero-information condition used for the
+    unconditional branch; its embedding is exactly the zero vector.
+    """
+
+    numeric: np.ndarray = field(default_factory=lambda: np.zeros(NUM_NUMERIC_ATTRS, dtype=np.float32))
+    departure_slot: int = 0
+    origin_cell: int = 0
+    dest_cell: int = 0
+    is_null: bool = False
+
+    def __post_init__(self):
+        self.numeric = np.asarray(self.numeric, dtype=np.float32)
+        if self.numeric.shape != (NUM_NUMERIC_ATTRS,):
+            raise ValueError(f"numeric attributes must have shape ({NUM_NUMERIC_ATTRS},)")
+        if not 0 <= self.departure_slot < NUM_DEPARTURE_SLOTS:
+            raise ValueError(f"departure slot {self.departure_slot} outside [0, {NUM_DEPARTURE_SLOTS})")
+        if not 0 <= self.origin_cell < NUM_GRID_CELLS:
+            raise ValueError(f"origin cell {self.origin_cell} outside [0, {NUM_GRID_CELLS})")
+        if not 0 <= self.dest_cell < NUM_GRID_CELLS:
+            raise ValueError(f"destination cell {self.dest_cell} outside [0, {NUM_GRID_CELLS})")
+
+    @classmethod
+    def null(cls) -> "ConditionVector":
+        return cls(is_null=True)
+
+
+class ConditionBatch:
+    """Column-wise batch of trip conditions (the fields of ConditionVector)."""
+
+    def __init__(self, numeric: np.ndarray, slot: np.ndarray, origin: np.ndarray,
+                 dest: np.ndarray, is_null: np.ndarray):
+        self.numeric = np.asarray(numeric, dtype=np.float32)
+        self.slot = np.asarray(slot, dtype=np.int64)
+        self.origin = np.asarray(origin, dtype=np.int64)
+        self.dest = np.asarray(dest, dtype=np.int64)
+        self.is_null = np.asarray(is_null, dtype=bool)
+        n = len(self.is_null)
+        if not (self.numeric.shape == (n, NUM_NUMERIC_ATTRS) and self.slot.shape == (n,)
+                and self.origin.shape == (n,) and self.dest.shape == (n,)):
+            raise ValueError("inconsistent condition batch columns")
+
+    def __len__(self) -> int:
+        return len(self.is_null)
+
+    @classmethod
+    def from_vectors(cls, conds) -> "ConditionBatch":
+        conds = list(conds)
+        return cls(
+            numeric=np.stack([c.numeric for c in conds]) if conds else np.zeros((0, NUM_NUMERIC_ATTRS), np.float32),
+            slot=np.array([c.departure_slot for c in conds], dtype=np.int64),
+            origin=np.array([c.origin_cell for c in conds], dtype=np.int64),
+            dest=np.array([c.dest_cell for c in conds], dtype=np.int64),
+            is_null=np.array([c.is_null for c in conds], dtype=bool),
+        )
+
+    @classmethod
+    def null(cls, n: int) -> "ConditionBatch":
+        return cls(
+            numeric=np.zeros((n, NUM_NUMERIC_ATTRS), np.float32),
+            slot=np.zeros(n, np.int64), origin=np.zeros(n, np.int64),
+            dest=np.zeros(n, np.int64), is_null=np.ones(n, bool),
+        )
+
+    def take(self, idx: np.ndarray) -> "ConditionBatch":
+        return ConditionBatch(self.numeric[idx], self.slot[idx], self.origin[idx],
+                              self.dest[idx], self.is_null[idx])
+
+    def with_dropout(self, rng: np.random.Generator, p: float) -> "ConditionBatch":
+        """Replace each condition by the null condition with probability p."""
+        drop = rng.random(len(self)) < p
+        out = ConditionBatch(self.numeric.copy(), self.slot.copy(), self.origin.copy(),
+                             self.dest.copy(), self.is_null | drop)
+        out.numeric[drop] = 0.0
+        out.slot[drop] = 0
+        out.origin[drop] = 0
+        out.dest[drop] = 0
+        return out
+
 
 def raw_motion_attributes(traj: RawTrajectory, distance_metric: str = "haversine") -> np.ndarray:
     """[travel distance km, average move distance km, travel time s, raw point count]."""
@@ -244,33 +338,30 @@ def raw_motion_attributes(traj: RawTrajectory, distance_metric: str = "haversine
     return np.array([dist, dist / (n - 1), travel_time, float(n)], dtype=np.float64)
 
 
-def departure_slot(t0: float) -> int:
+def departure_slot(t0: float | np.ndarray):
+    """Five-minute slot of the day for a departure time in epoch seconds;
+    applies elementwise to an array of times."""
     if t0 is None:
         raise DataError("trajectory has no departure time; cannot assign a slot")
-    return int((t0 % SECONDS_PER_DAY) // SLOT_SECONDS)
-
-
-def extract_attributes(traj: RawTrajectory, grid: GridSpec, norm: NormStats | None = None,
-                       distance_metric: str = "haversine") -> ConditionVector:
-    """Condition vector for one trajectory; numerics are z-scored when
-    normalization statistics are supplied."""
-    attrs = raw_motion_attributes(traj, distance_metric)
-    if norm is not None:
-        attrs = (attrs - norm.attr_mean) / norm.attr_std
-    cells, _ = grid.cell_indices(traj.points[[0, -1]])
-    return ConditionVector(
-        numeric=attrs.astype(np.float32),
-        departure_slot=departure_slot(traj.t0),
-        origin_cell=int(cells[0]),
-        dest_cell=int(cells[1]),
-    )
+    return (np.asarray(t0, dtype=np.float64) % SECONDS_PER_DAY // SLOT_SECONDS).astype(np.int64)
 
 
 def extract_condition_batch(trajs: list[RawTrajectory], grid: GridSpec,
                             norm: NormStats | None = None,
                             distance_metric: str = "haversine") -> ConditionBatch:
-    return ConditionBatch.from_vectors(
-        extract_attributes(t, grid, norm, distance_metric) for t in trajs)
+    """Trip conditions of a trajectory list; numerics are z-scored when
+    normalization statistics are supplied."""
+    n = len(trajs)
+    attrs = np.empty((n, NUM_NUMERIC_ATTRS), dtype=np.float64)
+    for i, t in enumerate(trajs):
+        attrs[i] = raw_motion_attributes(t, distance_metric)
+    if norm is not None:
+        attrs = (attrs - norm.attr_mean) / norm.attr_std
+    ends = np.array([t.points[[0, -1]] for t in trajs], dtype=np.float64).reshape(-1, 2)
+    cells = grid.cell_indices(ends)[0].reshape(n, 2)
+    return ConditionBatch(numeric=attrs.astype(np.float32),
+                          slot=departure_slot(np.array([t.t0 for t in trajs], dtype=np.float64)),
+                          origin=cells[:, 0], dest=cells[:, 1], is_null=np.zeros(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +407,11 @@ class LoadResult:
 
 
 def _parse_line(obj: dict) -> RawTrajectory:
+    """Field types and values are checked by RawTrajectory, which raises DataError."""
     if not isinstance(obj, dict) or not {"id", "points", "t0"} <= obj.keys():
         raise ValueError("expected an object with id, points and t0")
-    return RawTrajectory(id=str(obj["id"]), points=np.array(obj["points"], dtype=np.float64),
-                         t0=float(obj["t0"]),
-                         interval=float(obj["interval"]) if obj.get("interval") is not None else None)
+    return RawTrajectory(id=str(obj["id"]), points=obj["points"], t0=obj["t0"],
+                         interval=obj.get("interval"))
 
 
 def load_dataset(path, min_points: int = MIN_TRAJECTORY_POINTS,
@@ -426,6 +517,7 @@ class CitySpec:
         return {"lng_min": self.lng_min, "lng_max": self.lng_max,
                 "lat_min": self.lat_min, "lat_max": self.lat_max,
                 "street_fractions": list(self.street_fractions),
+                "street_popularity": list(self.street_popularity),
                 "jitter_sigma": self.jitter_sigma,
                 "point_interval_s": self.point_interval_s,
                 "min_points": self.min_points, "max_points": self.max_points}
@@ -433,8 +525,9 @@ class CitySpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CitySpec":
         d = dict(d)
-        if "street_fractions" in d:
-            d["street_fractions"] = tuple(d["street_fractions"])
+        for key in ("street_fractions", "street_popularity"):
+            if key in d:
+                d[key] = tuple(d[key])
         return cls(**d)
 
 

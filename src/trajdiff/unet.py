@@ -9,103 +9,15 @@ checkpoint contract. All forward math runs through the autodiff layer kit in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
 from .tensor import Tensor
-
-NUM_DEPARTURE_SLOTS = 288
-NUM_GRID_CELLS = 256
-NUM_NUMERIC_ATTRS = 4  # travel km, avg move km, travel time s, raw point count
-
-
-# ---------------------------------------------------------------------------
-# conditions
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConditionVector:
-    """Motion attributes of one trip: z-scored numerics plus categoricals.
-
-    The null variant is the zero-information condition used for the
-    unconditional branch; its embedding is exactly the zero vector.
-    """
-
-    numeric: np.ndarray = field(default_factory=lambda: np.zeros(NUM_NUMERIC_ATTRS, dtype=np.float32))
-    departure_slot: int = 0
-    origin_cell: int = 0
-    dest_cell: int = 0
-    is_null: bool = False
-
-    def __post_init__(self):
-        self.numeric = np.asarray(self.numeric, dtype=np.float32)
-        if self.numeric.shape != (NUM_NUMERIC_ATTRS,):
-            raise ValueError(f"numeric attributes must have shape ({NUM_NUMERIC_ATTRS},)")
-        if not 0 <= self.departure_slot < NUM_DEPARTURE_SLOTS:
-            raise ValueError(f"departure slot {self.departure_slot} outside [0, {NUM_DEPARTURE_SLOTS})")
-        if not 0 <= self.origin_cell < NUM_GRID_CELLS:
-            raise ValueError(f"origin cell {self.origin_cell} outside [0, {NUM_GRID_CELLS})")
-        if not 0 <= self.dest_cell < NUM_GRID_CELLS:
-            raise ValueError(f"destination cell {self.dest_cell} outside [0, {NUM_GRID_CELLS})")
-
-    @classmethod
-    def null(cls) -> "ConditionVector":
-        return cls(is_null=True)
-
-
-class ConditionBatch:
-    """Column-wise batch of ConditionVectors."""
-
-    def __init__(self, numeric: np.ndarray, slot: np.ndarray, origin: np.ndarray,
-                 dest: np.ndarray, is_null: np.ndarray):
-        self.numeric = np.asarray(numeric, dtype=np.float32)
-        self.slot = np.asarray(slot, dtype=np.int64)
-        self.origin = np.asarray(origin, dtype=np.int64)
-        self.dest = np.asarray(dest, dtype=np.int64)
-        self.is_null = np.asarray(is_null, dtype=bool)
-        n = len(self.is_null)
-        if not (self.numeric.shape == (n, NUM_NUMERIC_ATTRS) and self.slot.shape == (n,)
-                and self.origin.shape == (n,) and self.dest.shape == (n,)):
-            raise ValueError("inconsistent condition batch columns")
-
-    def __len__(self) -> int:
-        return len(self.is_null)
-
-    @classmethod
-    def from_vectors(cls, conds) -> "ConditionBatch":
-        conds = list(conds)
-        return cls(
-            numeric=np.stack([c.numeric for c in conds]) if conds else np.zeros((0, NUM_NUMERIC_ATTRS), np.float32),
-            slot=np.array([c.departure_slot for c in conds], dtype=np.int64),
-            origin=np.array([c.origin_cell for c in conds], dtype=np.int64),
-            dest=np.array([c.dest_cell for c in conds], dtype=np.int64),
-            is_null=np.array([c.is_null for c in conds], dtype=bool),
-        )
-
-    @classmethod
-    def null(cls, n: int) -> "ConditionBatch":
-        return cls(
-            numeric=np.zeros((n, NUM_NUMERIC_ATTRS), np.float32),
-            slot=np.zeros(n, np.int64), origin=np.zeros(n, np.int64),
-            dest=np.zeros(n, np.int64), is_null=np.ones(n, bool),
-        )
-
-    def take(self, idx: np.ndarray) -> "ConditionBatch":
-        return ConditionBatch(self.numeric[idx], self.slot[idx], self.origin[idx],
-                              self.dest[idx], self.is_null[idx])
-
-    def with_dropout(self, rng: np.random.Generator, p: float) -> "ConditionBatch":
-        """Replace each condition by the null condition with probability p."""
-        drop = rng.random(len(self)) < p
-        out = ConditionBatch(self.numeric.copy(), self.slot.copy(), self.origin.copy(),
-                             self.dest.copy(), self.is_null | drop)
-        out.numeric[drop] = 0.0
-        out.slot[drop] = 0
-        out.origin[drop] = 0
-        out.dest[drop] = 0
-        return out
+from .trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, NUM_NUMERIC_ATTRS, ConditionBatch
+# re-exported: tests/test_acceptance.py imports both condition types from this module
+from .trajdata import ConditionVector  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

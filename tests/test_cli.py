@@ -133,6 +133,12 @@ class TestGenerate:
         assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
                    "--steps", 21, "--uncond") == 1
 
+    def test_bad_thread_cap_usage_error(self, ckpt, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRAJDIFF_THREADS", "abc")
+        assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
+                   "--steps", 1, "--uncond") == 1
+        assert "TRAJDIFF_THREADS" in capsys.readouterr().err
+
     def test_condition_flags_required(self, ckpt, tmp_path):
         assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1) == 1
 
@@ -169,6 +175,20 @@ class TestEval:
         rep = json.loads(out.read_text())
         for key in ("density_error", "trip_error", "length_error"):
             assert rep[key] > 0.0
+
+    @pytest.mark.parametrize("field", ["points", "t0"])
+    def test_bad_value_exit_2_with_line_number(self, city, tmp_path, capsys, field):
+        # line 1 is the meta header; line 3 gets a NaN coordinate or a null t0
+        lines = city.read_text().splitlines()[:3]
+        rec = json.loads(lines[2])
+        if field == "points":
+            rec["points"][1][0] = float("nan")
+        else:
+            rec["t0"] = None
+        gen = tmp_path / "bad.jsonl"
+        gen.write_text("\n".join(lines[:2] + [json.dumps(rec)]) + "\n")
+        assert run("eval", "--gen", gen, "--real", city, "--out", tmp_path / "r.json") == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_empty_gen_exit_2(self, city, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from trajdiff import tensor as tz
-from trajdiff.diffusion import (Adam, SamplerConfig, TrainConfig, ddim_step,
+from trajdiff.diffusion import (CLIP_X0, Adam, SamplerConfig, TrainConfig, ddim_step,
                                 ddim_transition, ddpm_step, guided_eps, sample,
                                 skip_subsequence, train, training_loss)
 from trajdiff.errors import NumericError
 from trajdiff.rng import stream
 from trajdiff.schedule import linear_beta_schedule, mu_from_eps, q_sample
 from trajdiff.tensor import Tensor
-from trajdiff.unet import ConditionBatch, TrajUNet, TrajUNetConfig
+from trajdiff.trajdata import ConditionBatch
+from trajdiff.unet import TrajUNet, TrajUNetConfig
 
 
 class StubModel:
@@ -164,19 +165,21 @@ class TestDdpmStep:
     def test_terminal_step_is_deterministic(self, sched):
         model = StubModel(lambda x_t, t, cond: np.zeros_like(x_t))
         x = stream(13).normal(size=(2, 2, 8)).astype(np.float32)
-        a = ddpm_step(model, x, 1, None, 0.0, sched, stream(14))
-        b = ddpm_step(model, x, 1, None, 0.0, sched, stream(15))
+        a = ddpm_step(model, x, 1, None, 0.0, sched, stream(14).standard_normal(x.shape))
+        b = ddpm_step(model, x, 1, None, 0.0, sched, stream(15).standard_normal(x.shape))
         np.testing.assert_array_equal(a, b)
 
     def test_shape_preserved(self, sched):
         model = StubModel(lambda x_t, t, cond: np.zeros_like(x_t))
         x = stream(16).normal(size=(3, 2, 8)).astype(np.float32)
-        assert ddpm_step(model, x, 50, None, 0.0, sched, stream(17)).shape == x.shape
+        z = stream(17).standard_normal(x.shape)
+        assert ddpm_step(model, x, 50, None, 0.0, sched, z).shape == x.shape
 
     def test_out_of_range_step_rejected(self, sched):
         model = StubModel(lambda x_t, t, cond: np.zeros_like(x_t))
         with pytest.raises(ValueError):
-            ddpm_step(model, np.zeros((1, 2, 8), np.float32), 0, None, 0.0, sched, stream(18))
+            ddpm_step(model, np.zeros((1, 2, 8), np.float32), 0, None, 0.0, sched,
+                      stream(18).standard_normal((1, 2, 8)))
 
     def test_oracle_rollout_contracts_toward_x0(self, sched):
         # a perfect denoiser with zeroed transition noise walks back to x0
@@ -204,8 +207,8 @@ class TestDdimStep:
     def test_eta_zero_is_deterministic(self, sched):
         model = StubModel(lambda x_t, t, cond: 0.1 * x_t)
         x = stream(20).normal(size=(2, 2, 8)).astype(np.float32)
-        a = ddim_step(model, x, 50, 45, None, 0.0, 0.0, sched, stream(21))
-        b = ddim_step(model, x, 50, 45, None, 0.0, 0.0, sched, stream(22))
+        a = ddim_step(model, x, 50, 45, None, 0.0, 0.0, sched, stream(21).standard_normal(x.shape))
+        b = ddim_step(model, x, 50, 45, None, 0.0, 0.0, sched, stream(22).standard_normal(x.shape))
         np.testing.assert_array_equal(a, b)
 
     def test_adjacent_step_eta1_matches_ddpm_posterior(self, sched):
@@ -288,6 +291,22 @@ class TestSample:
         a, _ = sample(model, None, cfg, sched, n=12, workers=1, micro_batch=4)
         b, _ = sample(model, None, cfg, sched, n=12, workers=3, micro_batch=4)
         assert a.tobytes() == b.tobytes()
+
+    def test_full_chain_eta1_matches_ddpm_rollout(self, sched):
+        # at S = T and eta = 1 the sampler's DDIM loop is the ancestral chain,
+        # drawing the same per-trajectory noise in the same order
+        model = self._model()
+        cfg = SamplerConfig(total_steps=100, sample_steps=100, eta=1.0, guidance_scale=0.0, seed=4)
+        out, _ = sample(model, None, cfg, sched, n=3)
+        gens = [stream(4, i) for i in range(3)]
+
+        def draw():
+            return np.stack([g.standard_normal((2, 16)) for g in gens]).astype(np.float32)
+
+        x = draw()
+        for t in range(sched.T, 0, -1):
+            x = ddpm_step(model, x, t, None, 0.0, sched, draw() if t > 1 else None, clip_x0=CLIP_X0)
+        np.testing.assert_allclose(out, x, atol=1e-5)
 
     def test_schedule_mismatch_rejected(self, sched):
         model = self._model()

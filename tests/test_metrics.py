@@ -70,6 +70,12 @@ class TestJsd:
             dist(0.5, 0.6)
         with pytest.raises(ValueError):
             dist(-0.1, 1.1)
+        with pytest.raises(ValueError, match="finite"):
+            dist(float("nan"), 1.0)
+        p = dist(0.5, 0.5)
+        p.probs[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            jsd(p, dist(0.5, 0.5))
 
 
 class TestGridDensity:

@@ -56,6 +56,18 @@ class TestConv1d:
         err = np.abs(y.data - expect).max() / max(1.0, np.abs(expect).max())
         assert err < 1e-6
 
+    @pytest.mark.parametrize("shape,k", [((2, 3, 8), 3), ((1, 2, 5), 1), ((2, 2, 2), 7), ((1, 1, 1), 3)])
+    def test_window_matrix_matches_padded_sliding_view(self, shape, k):
+        # im2col must be byte-identical to the padded sliding-window layout:
+        # the GEMM that consumes it is what fixes the conv output bits
+        x = rand(shape, seed=4)
+        B, C, L = shape
+        xp = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+        expect = win.transpose(0, 2, 1, 3).reshape(B * L, C * k)
+        cols = tz._im2col(x, k, k // 2)
+        assert cols.flags["C_CONTIGUOUS"] and cols.tobytes() == expect.tobytes()
+
     def test_output_length_preserved(self):
         y = tz.conv1d(Tensor(rand((2, 3, 16))), Tensor(rand((5, 3, 3))))
         assert y.shape == (2, 5, 16)

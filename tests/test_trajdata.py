@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from trajdiff.errors import DataError, UsageError
 from trajdiff.rng import stream
 from trajdiff.trajdata import (CitySpec, GridSpec, NormStats, RawTrajectory,
-                               denormalize, departure_slot, extract_attributes,
+                               denormalize, departure_slot, extract_condition_batch,
                                haversine_km, load_dataset, make_batch, normalize,
                                path_length, perturb_gaussian, perturb_random,
                                raw_motion_attributes, resample, save_dataset,
@@ -60,6 +62,39 @@ class TestLoadDataset:
         p.write_text(jsonl_line("a", [(0.001 * i, 0.0) for i in range(130)]) + "\nnonsense\n")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(p)
+
+    @pytest.mark.parametrize("field,value", [
+        ("points", [[float("nan"), 34.2], [108.9, 34.2]]),
+        ("points", [[None, 34.2], [108.9, 34.2]]),
+        ("t0", float("inf")),
+        ("t0", None),
+        ("interval", []),
+        ("interval", float("nan")),
+    ])
+    def test_bad_field_rejected_with_line_number(self, tmp_path, field, value):
+        rec = {"id": "x", "points": [[108.9, 34.2], [108.91, 34.21]], "t0": 0.0, field: value}
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps({"meta": {}}) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_dataset(p, min_points=2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["id", "points", "t0", "interval"]),
+           st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=5),
+                        lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                        max_leaves=12))
+    def test_mutated_field_loads_or_raises_data_error(self, tmp_path_factory, field, value):
+        rec = {"id": "x", "points": [[108.9, 34.2], [108.91, 34.21]], "t0": 0.0, "interval": 5.0,
+               field: value}
+        p = tmp_path_factory.mktemp("fuzz") / "m.jsonl"
+        p.write_text(json.dumps(rec) + "\n")
+        try:
+            res = load_dataset(p, min_points=2)
+        except DataError:
+            return
+        for t in res:
+            assert np.isfinite(t.points).all() and math.isfinite(t.t0)
 
     def test_roundtrip_with_meta_header(self, tmp_path):
         trajs = synth_city(seed=3, n_trajectories=4)
@@ -176,19 +211,47 @@ class TestAttributes:
     def test_condition_vector_fields(self):
         t = make_traj([(0.005, 0.005)] + [(0.05 + 0.001 * i, 0.05) for i in range(100)]
                       + [(0.155, 0.155)], t0=3600.0)
-        cv = extract_attributes(t, self.GRID)
-        assert cv.origin_cell == 0
-        assert cv.dest_cell == 255
-        assert cv.departure_slot == 12
-        assert not cv.is_null
+        cb = extract_condition_batch([t], self.GRID)
+        assert cb.origin[0] == 0
+        assert cb.dest[0] == 255
+        assert cb.slot[0] == 12
+        assert not cb.is_null[0]
 
     def test_zscoring_with_stats(self):
         trajs = synth_city(seed=5, n_trajectories=30)
         stats = NormStats.fit(trajs)
         grid = stats.grid()
-        vals = np.stack([extract_attributes(t, grid, stats).numeric for t in trajs])
+        vals = extract_condition_batch(trajs, grid, stats).numeric
         assert np.abs(vals.mean(axis=0)).max() < 0.2
         assert np.abs(vals[:, :2].std(axis=0) - 1.0).max() < 0.2
+
+    @pytest.mark.parametrize("with_norm", [False, True])
+    def test_columns_match_per_trajectory_reference(self, with_norm):
+        trajs = synth_city(seed=6, n_trajectories=40)
+        trajs.append(make_traj([(108.95, 34.2), (108.96, 34.21)], t0=-1.0, interval=None))
+        stats = NormStats.fit(trajs)
+        grid = stats.grid()
+        norm = stats if with_norm else None
+        numeric, slot, origin, dest = [], [], [], []
+        for t in trajs:
+            attrs = raw_motion_attributes(t)
+            if norm is not None:
+                attrs = (attrs - norm.attr_mean) / norm.attr_std
+            numeric.append(attrs.astype(np.float32))
+            slot.append(int((t.t0 % 86400) // 300))
+            cells, _ = grid.cell_indices(t.points[[0, -1]])
+            origin.append(int(cells[0]))
+            dest.append(int(cells[1]))
+        cb = extract_condition_batch(trajs, grid, norm)
+        assert cb.numeric.tobytes() == np.stack(numeric).tobytes()
+        assert cb.slot.tobytes() == np.array(slot, np.int64).tobytes()
+        assert cb.origin.tobytes() == np.array(origin, np.int64).tobytes()
+        assert cb.dest.tobytes() == np.array(dest, np.int64).tobytes()
+        assert not cb.is_null.any()
+
+    def test_empty_list_gives_empty_batch(self):
+        cb = extract_condition_batch([], self.GRID)
+        assert len(cb) == 0 and cb.numeric.shape == (0, 4)
 
     def test_missing_departure_time_rejected(self):
         with pytest.raises(DataError, match="departure"):
@@ -262,6 +325,10 @@ class TestSynthCity:
         off = probs[~mask].sum()
         assert on > 10 * max(off, 1e-12)
 
+    def test_spec_dict_roundtrip(self):
+        spec = CitySpec(street_popularity=(1.0, 1.0, 5.0), jitter_sigma=0.001, max_points=150)
+        assert CitySpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
     def test_infeasible_spec_rejected(self):
         with pytest.raises(UsageError):
             CitySpec(lng_min=1.0, lng_max=1.0)
@@ -269,3 +336,11 @@ class TestSynthCity:
             CitySpec(street_fractions=(0.5,))
         with pytest.raises(UsageError, match="non-negative"):
             synth_city(seed=0, n_trajectories=-1)
+
+
+def test_data_layer_does_not_load_the_model():
+    code = ("import sys, trajdiff.trajdata, trajdiff.metrics; "
+            "print(sorted(m for m in ('trajdiff.unet', 'trajdiff.diffusion') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -5,9 +5,9 @@ from conftest import numeric_grad
 from trajdiff import tensor as tz
 from trajdiff.rng import stream
 from trajdiff.tensor import Tensor
-from trajdiff.unet import (ConditionBatch, ConditionVector, TrajUNet, TrajUNetConfig,
-                           attention, attention_weights, init_params, resnet_block,
-                           sinusoidal_time_embedding, time_mlp, wide_deep_embed)
+from trajdiff.trajdata import ConditionBatch, ConditionVector
+from trajdiff.unet import (TrajUNet, TrajUNetConfig, attention, attention_weights, init_params,
+                           resnet_block, sinusoidal_time_embedding, time_mlp, wide_deep_embed)
 
 # groups=2 keeps multiple channels per normalization group, so the
 # embedding injection is not cancelled by the following group norm
