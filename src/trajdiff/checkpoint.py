@@ -10,14 +10,16 @@ float32 arrays. Reloading reproduces parameters bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import DataError
+from .rng import stream
 from .schedule import NoiseSchedule, linear_beta_schedule
 from .tensor import Tensor
-from .trajdata import GridSpec, NormStats
-from .unet import TrajUNet, TrajUNetConfig
+from .trajdata import NUM_GRID_CELLS, GridSpec, NormStats
+from .unet import TrajUNet, TrajUNetConfig, init_params
 
 MAGIC = b"TDCK1"
 SCHEMA_VERSION = 1
@@ -54,6 +56,9 @@ def save_checkpoint(path, model: TrajUNet, sched: NoiseSchedule, norm: NormStats
 
 
 def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec, dict]:
+    """Read a checkpoint; any malformed, inconsistent or truncated content
+    raises DataError. The parameter table must name exactly the parameters
+    that init_params builds for the stored config, with the same shapes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
@@ -66,23 +71,50 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
         header = json.loads(blob[9:head_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported checkpoint schema version "
                         f"{header.get('schema_version')!r} (expected {SCHEMA_VERSION})")
 
+    try:
+        config = TrajUNetConfig.from_dict(header["config"])
+        s = header["schedule"]
+        sched = linear_beta_schedule(s["T"], s["beta_start"], s["beta_end"])
+        norm = NormStats.from_dict(header["norm"])
+        grid = GridSpec.from_dict(header["grid"])
+        shapes = {k: p.shape for k, p in init_params(config, stream(0)).items()}
+    except (DataError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: invalid checkpoint header: {e!r}") from e
+    if not (type(grid.rows) is type(grid.cols) is int and grid.n_cells <= NUM_GRID_CELLS):
+        raise DataError(f"{path}: grid must have at most {NUM_GRID_CELLS} integer cells")
+    if not type(header.get("train_steps")) is type(header.get("seed")) is int:
+        raise DataError(f"{path}: checkpoint header lacks an integer train_steps or seed")
+    if not isinstance(header.get("params"), list):
+        raise DataError(f"{path}: checkpoint header lacks a parameter table")
+
     payload = blob[head_end:]
     params: dict[str, Tensor] = {}
     for e in header["params"]:
-        lo, hi = e["offset"], e["offset"] + e["nbytes"]
-        if hi > len(payload):
-            raise DataError(f"{path}: truncated payload for parameter {e['name']!r}")
-        arr = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(e["shape"]).copy()
-        params[e["name"]] = Tensor(arr, requires_grad=True)
+        name = e.get("name") if isinstance(e, dict) else None
+        if not isinstance(name, str) or name not in shapes or name in params:
+            raise DataError(f"{path}: unexpected or repeated parameter entry {str(e)[:80]}")
+        shape = shapes[name]
+        if e.get("shape") != list(shape):
+            raise DataError(f"{path}: parameter {name!r} has shape {e.get('shape')}, "
+                            f"expected {list(shape)}")
+        lo, nbytes = e.get("offset"), e.get("nbytes")
+        if not (type(lo) is type(nbytes) is int and lo >= 0 and nbytes == 4 * math.prod(shape)):
+            raise DataError(f"{path}: parameter {name!r} has a bad offset or byte size")
+        if lo + nbytes > len(payload):
+            raise DataError(f"{path}: truncated payload for parameter {name!r}")
+        arr = np.frombuffer(payload[lo:lo + nbytes], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: parameter {name!r} has non-finite weights")
+        params[name] = Tensor(arr, requires_grad=True)
+    missing = shapes.keys() - params.keys()
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks parameters {sorted(missing)}")
 
-    config = TrajUNetConfig.from_dict(header["config"])
     model = TrajUNet(config, params=params)
-    s = header["schedule"]
-    sched = linear_beta_schedule(s["T"], s["beta_start"], s["beta_end"])
-    norm = NormStats.from_dict(header["norm"])
-    grid = GridSpec.from_dict(header["grid"])
     return model, sched, norm, grid, header

@@ -109,12 +109,15 @@ def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _parse_grid(text: str, bbox: tuple[float, float, float, float]) -> GridSpec:
+def _grid_shape(text: str) -> tuple[int, int]:
+    """(rows, cols) of a ROWSxCOLS grid flag; both must be positive."""
     try:
         rows, cols = (int(x) for x in text.lower().split("x"))
-    except ValueError as e:
+    except (AttributeError, ValueError) as e:
         raise UsageError(f"bad grid spec {text!r}, expected ROWSxCOLS") from e
-    return GridSpec(bbox[0], bbox[1], bbox[2], bbox[3], rows=rows, cols=cols)
+    if rows < 1 or cols < 1:
+        raise UsageError(f"grid spec {text!r} needs at least one row and one column")
+    return rows, cols
 
 
 def _meta_grid(meta) -> GridSpec | None:
@@ -151,7 +154,10 @@ def cmd_synth(args) -> int:
     inputs = []
     if args.city_spec:
         with open(args.city_spec, "r", encoding="utf-8") as fh:
-            spec = CitySpec.from_dict(json.load(fh))
+            try:
+                spec = CitySpec.from_dict(json.load(fh))
+            except (TypeError, ValueError) as e:
+                raise UsageError(f"bad city spec {args.city_spec}: {e}") from e
         inputs.append(args.city_spec)
     trajs = synth_city(seed=cfg["seed"], n_trajectories=cfg["n"], spec=spec)
     save_dataset(args.out, trajs, meta={"generator": "synth_city", "seed": cfg["seed"],
@@ -277,6 +283,13 @@ def _bbox_soft_check(point_lists, norm: NormStats) -> None:
 def cmd_eval(args) -> int:
     t0 = time.time()
     cfg = _resolve(args, EVAL_DEFAULTS)
+    for key, low in (("topn", 1), ("bins", 1), ("length", 2)):
+        v = cfg[key]
+        if key == "length" and v is None:
+            continue
+        if type(v) is not int or v < low:
+            raise UsageError(f"--{key} must be an integer of at least {low}, got {v!r}")
+    rows, cols = _grid_shape(cfg["grid"])
     gen = load_dataset(args.gen, min_points=2).trajectories
     real_result = load_dataset(args.real, min_points=2)
     real = real_result.trajectories
@@ -292,7 +305,7 @@ def cmd_eval(args) -> int:
         meta_grid = _meta_grid(real_result.meta)
         bbox = ((meta_grid.lng_min, meta_grid.lng_max, meta_grid.lat_min, meta_grid.lat_max)
                 if meta_grid else _dataset_bbox(real))
-    grid = _parse_grid(cfg["grid"], bbox)
+    grid = GridSpec(*bbox, rows, cols)
     if cfg["length"] is not None:
         gen = [resample(t.points, cfg["length"]) for t in gen]
         real = [resample(t.points, cfg["length"]) for t in real]
@@ -319,7 +332,7 @@ def cmd_plot(args) -> int:
     if args.mode == "lines":
         svg = plot_lines(points)
     else:
-        grid = _parse_grid(args.grid, _dataset_bbox(trajs))
+        grid = GridSpec(*_dataset_bbox(trajs), *_grid_shape(args.grid))
         svg = plot_heatmap(points, grid)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg + "\n")

@@ -130,8 +130,8 @@ def training_loss(model, x0_batch: np.ndarray, cond_batch: ConditionBatch | None
         cond_batch = cond_batch.with_dropout(rng, cond_dropout_prob)
     x_t = q_sample(x0_batch, t, eps, sched)
     eps_hat = model(x_t, t, cond_batch)
-    diff = tz.sub(eps_hat, Tensor(eps))
-    return tz.mul(tz.sum_all(tz.mul(diff, diff)), 1.0 / B)
+    # the mean over all B * C * L elements, rescaled to a mean over the batch
+    return tz.mul(tz.mse(eps_hat, Tensor(eps)), float(eps[0].size))
 
 
 def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
@@ -174,11 +174,12 @@ def guided_eps(model, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | Non
                omega: float) -> np.ndarray:
     """Classifier-free guided noise: (1+w) * conditional - w * unconditional.
 
-    At w == 0 this is exactly the conditional prediction (single model pass).
+    At w == 0, or without conditions (both branches unconditional), this is
+    exactly the conditional prediction from a single model pass.
     """
     with tz.no_grad():
         eps_c = model(x_t, t, cond).data
-        if omega == 0.0:
+        if omega == 0.0 or cond is None:
             return eps_c
         eps_u = model(x_t, t, None).data
     return (1.0 + omega) * eps_c - omega * eps_u
@@ -320,7 +321,8 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, bounds))
 
-    evals_per_traj = len(cfg.tau) * (1 if cfg.guidance_scale == 0.0 else 2)
+    guided = cfg.guidance_scale != 0.0 and cond_batch is not None
+    evals_per_traj = len(cfg.tau) * (2 if guided else 1)
     stats = {
         "n": n,
         "steps": len(cfg.tau),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,13 +60,10 @@ def jsd(p: Distribution, g: Distribution) -> float:
 
 
 def _cell_counts(trajs, grid: GridSpec) -> tuple[np.ndarray, int]:
-    counts = np.zeros(grid.n_cells, dtype=np.float64)
-    clamped = 0
-    for t in trajs:
-        idx, c = grid.cell_indices(_points_of(t))
-        clamped += c
-        counts += np.bincount(idx, minlength=grid.n_cells)
-    return counts, clamped
+    """Visits per cell over every point of a set, and the clamped-point count."""
+    pts = [_points_of(t).reshape(-1, 2) for t in trajs]
+    idx, clamped = grid.cell_indices(np.concatenate(pts) if pts else np.zeros((0, 2)))
+    return np.bincount(idx, minlength=grid.n_cells).astype(np.float64), clamped
 
 
 def grid_density(trajs, grid: GridSpec) -> Distribution:
@@ -195,19 +192,7 @@ class MetricReport:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "density_error": self.density_error,
-            "trip_error": self.trip_error,
-            "length_error": self.length_error,
-            "pattern_score": self.pattern_score,
-            "grid": self.grid.to_dict(),
-            "top_n": self.top_n,
-            "length_bins": self.length_bins,
-            "distance_metric": self.distance_metric,
-            "n_gen": self.n_gen,
-            "n_real": self.n_real,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -1,4 +1,4 @@
-"""Noise schedule and the closed-form forward-process / posterior algebra.
+"""Noise schedule and the closed-form noising and reverse-step algebra.
 
 All arrays are precomputed once at construction in float64 and never
 recomputed per step. Step indices are 1-based at the API boundary
@@ -35,14 +35,6 @@ class NoiseSchedule:
             raise ValueError(f"step index out of range [1, {self.T}]: {t}")
         return t
 
-    def alpha_bar_at(self, t) -> np.ndarray:
-        """alpha_bar at 1-based step t; t = 0 returns 1 (the x0 endpoint)."""
-        t = np.asarray(t)
-        if np.any(t < 0) or np.any(t > self.T):
-            raise ValueError(f"step index out of range [0, {self.T}]: {t}")
-        full = np.concatenate(([1.0], self.alpha_bar))
-        return full[t]
-
 
 def linear_beta_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linearly spaced beta in [beta_start, beta_end] over T steps."""
@@ -70,14 +62,6 @@ def linear_beta_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
     return sched
 
 
-@dataclass(frozen=True)
-class PosteriorStats:
-    """Mean and per-step variance of the reverse conditional."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-
 def _bcast(coef: np.ndarray, like: np.ndarray) -> np.ndarray:
     """Expand per-batch-element scalars to broadcast against [B, ...] data."""
     coef = np.asarray(coef)
@@ -100,21 +84,6 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
     a = _bcast(np.sqrt(ab), x0)
     b = _bcast(np.sqrt(1.0 - ab), x0)
     return (a * x0 + b * eps).astype(x0.dtype, copy=False)
-
-
-def posterior_mean(x0: np.ndarray, xt: np.ndarray, t, sched: NoiseSchedule) -> PosteriorStats:
-    """Reverse conditional q(x_{t-1} | x_t, x_0): mean and variance beta_tilde."""
-    x0 = np.asarray(x0)
-    xt = np.asarray(xt)
-    t = sched._check_t(t)
-    ab_t = sched.alpha_bar[t - 1]
-    ab_prev = sched.alpha_bar_at(t - 1)
-    beta_t = sched.beta[t - 1]
-    alpha_t = sched.alpha[t - 1]
-    c0 = np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
-    ct = np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)
-    mean = (_bcast(c0, x0) * x0 + _bcast(ct, xt) * xt).astype(x0.dtype, copy=False)
-    return PosteriorStats(mean=mean, variance=sched.beta_tilde[t - 1])
 
 
 def predict_x0_from_eps(xt: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

@@ -66,10 +66,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         # scalar reductions keep their float64 accumulation for callers that
         # need it (finite-difference oracles); storage stays float32

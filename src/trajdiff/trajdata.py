@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,9 +84,7 @@ class GridSpec:
         return row * self.cols + col, int(outside.sum())
 
     def to_dict(self) -> dict:
-        return {"lng_min": self.lng_min, "lng_max": self.lng_max,
-                "lat_min": self.lat_min, "lat_max": self.lat_max,
-                "rows": self.rows, "cols": self.cols}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -109,6 +107,10 @@ class NormStats:
             raise DataError("normalization bounding box is degenerate")
         self.attr_mean = np.asarray(self.attr_mean, dtype=np.float64)
         self.attr_std = np.asarray(self.attr_std, dtype=np.float64)
+        if not self.attr_mean.shape == self.attr_std.shape == (NUM_NUMERIC_ATTRS,):
+            raise DataError(f"attribute statistics need {NUM_NUMERIC_ATTRS} entries each")
+        if not (np.isfinite(self.attr_mean).all() and np.isfinite(self.attr_std).all()):
+            raise DataError("attribute statistics must be finite")
         if np.any(self.attr_std <= 0):
             raise DataError("attribute stds must be positive")
 
@@ -149,7 +151,6 @@ class TrajectoryBatch:
     """
 
     data: np.ndarray  # [B, 2, L] float32
-    norm: NormStats
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -157,9 +158,6 @@ class TrajectoryBatch:
             raise DataError(f"trajectory batch must be [B, 2, L], got {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise DataError("trajectory batch contains non-finite values")
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +230,13 @@ def make_batch(trajs: list[RawTrajectory], length: int, norm: NormStats) -> Traj
     rows = np.empty((len(trajs), 2, length), dtype=np.float32)
     for i, t in enumerate(trajs):
         rows[i] = normalize(resample(t.points, length), norm).T
-    return TrajectoryBatch(data=rows, norm=norm)
+    return TrajectoryBatch(data=rows)
 
 
 def batch_to_points(batch_data: np.ndarray, norm: NormStats) -> list[np.ndarray]:
     """Invert make_batch: [B, 2, L] normalized -> list of [L, 2] degree arrays."""
-    out = []
-    for row in np.asarray(batch_data):
-        out.append(denormalize(row.T, norm))
-    return out
+    pts = np.asarray(batch_data).transpose(0, 2, 1).astype(np.float64, order="C")
+    return list(denormalize(pts, norm))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +267,6 @@ class ConditionVector:
             raise ValueError(f"origin cell {self.origin_cell} outside [0, {NUM_GRID_CELLS})")
         if not 0 <= self.dest_cell < NUM_GRID_CELLS:
             raise ValueError(f"destination cell {self.dest_cell} outside [0, {NUM_GRID_CELLS})")
-
-    @classmethod
-    def null(cls) -> "ConditionVector":
-        return cls(is_null=True)
 
 
 class ConditionBatch:
@@ -500,8 +492,11 @@ class CitySpec:
             raise UsageError("need one popularity weight per street")
         if any(w <= 0 for w in self.street_popularity):
             raise UsageError("street popularity weights must be positive")
-        if not 2 <= self.min_points <= self.max_points:
+        if not (type(self.min_points) is type(self.max_points) is int
+                and 2 <= self.min_points <= self.max_points):
             raise UsageError("invalid point-count range")
+        if not (self.jitter_sigma >= 0 and self.point_interval_s > 0):
+            raise UsageError("jitter must be non-negative and the point interval positive")
 
     @property
     def street_lngs(self) -> np.ndarray:
@@ -514,13 +509,7 @@ class CitySpec:
         return self.lat_min + f * (self.lat_max - self.lat_min)
 
     def to_dict(self) -> dict:
-        return {"lng_min": self.lng_min, "lng_max": self.lng_max,
-                "lat_min": self.lat_min, "lat_max": self.lat_max,
-                "street_fractions": list(self.street_fractions),
-                "street_popularity": list(self.street_popularity),
-                "jitter_sigma": self.jitter_sigma,
-                "point_interval_s": self.point_interval_s,
-                "min_points": self.min_points, "max_points": self.max_points}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CitySpec":

@@ -9,7 +9,7 @@ checkpoint contract. All forward math runs through the autodiff layer kit in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class TrajUNetConfig:
         levels = len(self.channel_multipliers)
         if levels < 1:
             raise ValueError("need at least one sampling level")
+        if min(self.in_channels, self.base_channels, *self.channel_multipliers,
+               self.time_embed_dim) < 1:
+            raise ValueError("channel counts and the embedding dimension must be positive")
         down = 2 ** (levels - 1)
         if self.length % down != 0 or self.length < 2 * down:
             raise ValueError(f"length {self.length} incompatible with {levels} levels "
@@ -57,14 +60,7 @@ class TrajUNetConfig:
         return tuple(self.base_channels * m for m in self.channel_multipliers)
 
     def to_dict(self) -> dict:
-        return {
-            "length": self.length, "in_channels": self.in_channels,
-            "base_channels": self.base_channels,
-            "channel_multipliers": list(self.channel_multipliers),
-            "resnet_blocks_per_level": self.resnet_blocks_per_level,
-            "time_embed_dim": self.time_embed_dim, "cond_embed_dim": self.cond_embed_dim,
-            "groups": self.groups,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrajUNetConfig":
@@ -276,9 +272,6 @@ class TrajUNet:
                 raise ValueError("need either params or an rng to initialize them")
             params = init_params(config, rng)
         self.params = params
-
-    def parameters(self):
-        return self.params.values()
 
     def forward(self, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | None) -> Tensor:
         cfg = self.config

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajdiff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from trajdiff.errors import DataError
@@ -93,3 +97,90 @@ class TestRejection:
         bad.write_bytes(b"xy")
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(bad)
+
+
+def _rewrite_header(path, out, edit):
+    """Copy a checkpoint with its JSON header passed through edit(header)."""
+    blob = path.read_bytes()
+    head_len = int.from_bytes(blob[5:9], "little")
+    header = json.loads(blob[9:9 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    out.write_bytes(MAGIC + len(head).to_bytes(4, "little") + head + blob[9 + head_len:])
+    return out
+
+
+def _entry(header, name):
+    return next(e for e in header["params"] if e["name"] == name)
+
+
+# one header edit per case, keyed by a fragment of the expected error message
+HEADER_EDITS = {
+    "lacks parameters": lambda h: h["params"].pop(),
+    "shape": lambda h: _entry(h, "stem.w").update(shape=[4, 2, 5]),
+    "byte size": lambda h: _entry(h, "stem.b").update(nbytes=12),
+    "offset": lambda h: _entry(h, "stem.b").update(offset=-4),
+    "truncated": lambda h: _entry(h, "stem.b").update(offset=10**9),
+    "repeated": lambda h: h["params"].append(dict(h["params"][0])),
+    "unexpected": lambda h: h["params"].append({"name": "extra.w", "shape": [1],
+                                                "offset": 0, "nbytes": 4}),
+    "lng_min": lambda h: h["norm"].pop("lng_min"),
+    "4 entries": lambda h: h["norm"].update(attr_mean=[0.0, 0.0]),
+    "at least one step": lambda h: h["schedule"].update(T=0),
+    "length": lambda h: h["config"].update(length=15),
+    "bogus": lambda h: h["config"].update(bogus=1),
+    "cells": lambda h: h["grid"].update(rows=32),
+    "seed": lambda h: h.pop("seed"),
+    "parameter table": lambda h: h.update(params={}),
+}
+
+
+class TestHeaderContract:
+    @pytest.mark.parametrize("match", HEADER_EDITS)
+    def test_inconsistent_header_is_data_error(self, saved, tmp_path, match):
+        path, *_ = saved
+        bad = _rewrite_header(path, tmp_path / "bad.ckpt", HEADER_EDITS[match])
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(bad)
+
+    def test_non_finite_weight_is_data_error(self, saved, tmp_path):
+        path, *_ = saved
+        blob = bytearray(path.read_bytes())
+        head_end = 9 + int.from_bytes(blob[5:9], "little")
+        blob[head_end:head_end + 4] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="non-finite"):
+            load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    cfg = TrajUNetConfig(length=16, base_channels=4, channel_multipliers=(1, 2),
+                         resnet_blocks_per_level=1, groups=2)
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    save_checkpoint(path, TrajUNet(cfg, rng=stream(2)), linear_beta_schedule(20, 1e-4, 0.05),
+                    NormStats(lng_min=0.0, lng_max=0.16, lat_min=0.0, lat_max=0.16),
+                    GridSpec(0.0, 0.16, 0.0, 0.16), train_steps=3, seed=2)
+    blob = path.read_bytes()
+    return blob, 9 + int.from_bytes(blob[5:9], "little"), path.parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flipped_or_truncated_loads_or_raises_data_error(tiny_blob, data):
+    blob, head_end, workdir = tiny_blob
+    mutated = bytearray(blob)
+    kind = data.draw(st.sampled_from(["flip_header", "flip_any", "truncate"]))
+    if kind == "truncate":
+        mutated = mutated[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        hi = head_end if kind == "flip_header" else len(blob)
+        pos = data.draw(st.integers(0, hi - 1))
+        mutated[pos] ^= data.draw(st.integers(1, 255))
+    path = workdir / "mutated.ckpt"
+    path.write_bytes(bytes(mutated))
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass

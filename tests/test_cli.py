@@ -52,6 +52,14 @@ class TestSynth:
         assert len(res) == 40
         assert res.dropped_short == 0
 
+    @pytest.mark.parametrize("text", ['{"bogus": 2}', '{"street_fractions": 5}',
+                                      '{"jitter_sigma": "wide"}', "not json"])
+    def test_bad_city_spec_usage_error(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run("synth", "--out", tmp_path / "c.jsonl", "--n", 2, "--city-spec", spec) == 1
+        assert "city spec" in capsys.readouterr().err
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.jsonl"
         assert run("synth", "--out", out, "--seed", 5, "--n", 3) == 0
@@ -189,6 +197,22 @@ class TestEval:
         gen.write_text("\n".join(lines[:2] + [json.dumps(rec)]) + "\n")
         assert run("eval", "--gen", gen, "--real", city, "--out", tmp_path / "r.json") == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--bins", 0), ("--topn", 0), ("--grid", "0x16"),
+                                             ("--grid", "16"), ("--length", 1)])
+    def test_bad_flag_value_usage_error(self, city, tmp_path, capsys, flag, value):
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path / "r.json",
+                   flag, value) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", [{"bins": 0}, {"topn": -3}, {"topn": "10"},
+                                          {"grid": "16x0"}, {"grid": 16}, {"length": 1}],
+                             ids=json.dumps)
+    def test_bad_config_value_usage_error(self, city, tmp_path, settings):
+        cfg = tmp_path / "eval.json"
+        cfg.write_text(json.dumps(settings))
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path / "r.json",
+                   "--config", cfg) == 1
 
     def test_empty_gen_exit_2(self, city, tmp_path):
         empty = tmp_path / "empty.jsonl"

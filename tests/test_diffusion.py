@@ -142,6 +142,13 @@ class TestGuidedEps:
         np.testing.assert_array_equal(out, np.ones_like(x))
         assert model.calls == 3  # single pass
 
+    def test_no_conditions_is_one_unconditional_pass(self):
+        model = self._cond_model()
+        x = np.zeros((3, 2, 8), np.float32)
+        out = guided_eps(model, x, np.ones(3, int), None, 3.0)
+        np.testing.assert_array_equal(out, np.full_like(x, 2.0))
+        assert model.calls == 3  # single pass
+
     def test_equal_branches_collapse(self):
         model = StubModel(lambda x_t, t, cond: np.full_like(x_t, 1.5))
         x = np.zeros((2, 2, 8), np.float32)
@@ -272,10 +279,21 @@ class TestSample:
         assert stats["model_evals"] == 4 * 10
 
         counting.calls = 0
+        cond = ConditionBatch.null(4)
+        cond.is_null[:] = False
         cfg = SamplerConfig(total_steps=100, sample_steps=10, eta=0.0, guidance_scale=3.0, seed=1)
-        _, stats = sample(counting, None, cfg, sched, n=4)
+        _, stats = sample(counting, cond, cfg, sched, n=4)
         assert counting.calls == 4 * 2 * 10
         assert stats["model_evals"] == 4 * 2 * 10
+
+    def test_unconditional_guidance_is_one_pass(self, sched):
+        # without conditions both guidance branches are the same null pass
+        counting = StubModel(lambda x_t, t, cond: np.zeros_like(x_t), length=16)
+        counting.config = self._model().config
+        cfg = SamplerConfig(total_steps=100, sample_steps=10, eta=0.0, guidance_scale=3.0, seed=1)
+        _, stats = sample(counting, None, cfg, sched, n=4)
+        assert counting.calls == 4 * 10
+        assert stats["model_evals"] == 4 * 10
 
     def test_deterministic_across_runs_and_worker_counts(self, sched):
         model = self._model()

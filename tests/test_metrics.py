@@ -111,6 +111,17 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="empty"):
             grid_density([], GRID)
 
+    def test_matches_per_trajectory_counts(self):
+        # one pooled cell lookup per set counts exactly what per-trajectory
+        # lookups count, mixed lengths and out-of-box points included
+        rng = np.random.default_rng(4)
+        trajs = [point_cloud_traj(rng.uniform(-0.2, 1.2, (int(k), 2)))
+                 for k in rng.integers(1, 60, size=30)]
+        counts = np.zeros(GRID.n_cells)
+        for t in trajs:
+            counts += np.bincount(GRID.cell_indices(t)[0], minlength=GRID.n_cells)
+        assert grid_density(trajs, GRID).probs.tobytes() == (counts / counts.sum()).tobytes()
+
 
 def city_sets(seed, n):
     trajs = synth_city(seed=seed, n_trajectories=n)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,7 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajdiff.schedule import (NoiseSchedule, linear_beta_schedule, mu_from_eps,
-                               posterior_mean, predict_x0_from_eps, q_sample)
+                               predict_x0_from_eps, q_sample)
+
+
+def alpha_bar_at(sched: NoiseSchedule, t: int) -> float:
+    """alpha_bar at 1-based step t; t = 0 returns 1 (the x0 endpoint)."""
+    if not 0 <= t <= sched.T:
+        raise ValueError(f"step index out of range [0, {sched.T}]: {t}")
+    return 1.0 if t == 0 else float(sched.alpha_bar[t - 1])
+
+
+@dataclass(frozen=True)
+class PosteriorStats:
+    """Mean and per-step variance of the reverse conditional."""
+
+    mean: np.ndarray
+    variance: float
+
+
+def posterior_mean(x0: np.ndarray, xt: np.ndarray, t: int, sched: NoiseSchedule) -> PosteriorStats:
+    """Oracle for the reverse conditional q(x_{t-1} | x_t, x_0): its mean from
+    the closed form in x_0 and x_t, and its variance beta_tilde."""
+    if not 1 <= t <= sched.T:
+        raise ValueError(f"step index out of range [1, {sched.T}]: {t}")
+    ab_t, ab_prev = alpha_bar_at(sched, t), alpha_bar_at(sched, t - 1)
+    beta_t, alpha_t = sched.beta[t - 1], sched.alpha[t - 1]
+    c0 = np.sqrt(ab_prev) * beta_t / (1.0 - ab_t)
+    ct = np.sqrt(alpha_t) * (1.0 - ab_prev) / (1.0 - ab_t)
+    return PosteriorStats(mean=c0 * np.asarray(x0) + ct * np.asarray(xt),
+                          variance=sched.beta_tilde[t - 1])
 
 
 @pytest.fixture(scope="module")
@@ -175,5 +205,5 @@ class TestPredictX0:
             assert np.abs(via_x0 - direct).max() < 1e-5
 
     def test_alpha_bar_at_zero_is_one(self, sched500):
-        assert sched500.alpha_bar_at(0) == 1.0
-        assert sched500.alpha_bar_at(500) == sched500.alpha_bar[-1]
+        assert alpha_bar_at(sched500, 0) == 1.0
+        assert alpha_bar_at(sched500, 500) == sched500.alpha_bar[-1]

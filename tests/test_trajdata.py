@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from trajdiff.errors import DataError, UsageError
 from trajdiff.rng import stream
 from trajdiff.trajdata import (CitySpec, GridSpec, NormStats, RawTrajectory,
-                               denormalize, departure_slot, extract_condition_batch,
-                               haversine_km, load_dataset, make_batch, normalize,
-                               path_length, perturb_gaussian, perturb_random,
-                               raw_motion_attributes, resample, save_dataset,
-                               synth_city)
+                               batch_to_points, denormalize, departure_slot,
+                               extract_condition_batch, haversine_km, load_dataset,
+                               make_batch, normalize, path_length, perturb_gaussian,
+                               perturb_random, raw_motion_attributes, resample,
+                               save_dataset, synth_city)
 
 
 def make_traj(points, t0=0.0, interval=5.0, tid="t0"):
@@ -174,6 +174,14 @@ class TestNormalize:
     def test_degenerate_stats_rejected(self):
         with pytest.raises(DataError):
             NormStats(lng_min=1.0, lng_max=1.0, lat_min=0.0, lat_max=1.0)
+
+    def test_batch_to_points_matches_per_row_denormalize(self):
+        batch = stream(4).uniform(-1.2, 1.2, size=(5, 2, 8)).astype(np.float32)
+        pts = batch_to_points(batch, self.STATS)
+        assert len(pts) == 5
+        for row, p in zip(batch, pts):
+            assert p.shape == (8, 2) and p.flags.c_contiguous
+            assert p.tobytes() == denormalize(row.T, self.STATS).tobytes()
 
     def test_make_batch_shape_and_channels(self):
         trajs = [make_traj([(10.0, 40.0), (10.5, 40.5)]), make_traj([(10.2, 40.1), (10.3, 40.2)])]
