@@ -4,7 +4,8 @@ Every subcommand resolves its settings as flags > --config JSON > built-in
 defaults, writes its outputs, and drops a run manifest (resolved settings,
 seed, input hashes, wall time, output paths) next to the primary output.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure, 4 internal
+error (any other exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
+import resource
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -91,6 +95,25 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
+def _check_values(cfg: dict, ints: dict, floats: dict | None = None) -> None:
+    """Usage error unless each key of ints is an integer and each key of floats
+    a finite real number (bools are neither), at least the minimum it maps to.
+
+    A minimum of None means no bound; a value of None is a default left unset.
+    """
+    checks = [(k, low, (int,)) for k, low in ints.items()]
+    checks += [(k, low, (int, float)) for k, low in (floats or {}).items()]
+    for key, low, types in checks:
+        v = cfg[key]
+        if v is None:
+            continue
+        kind = "an integer" if types == (int,) else "a finite number"
+        if (type(v) not in types or (type(v) is float and not math.isfinite(v))
+                or (low is not None and v < low)):
+            bound = f" of at least {low}" if low is not None else ""
+            raise UsageError(f"--{key.replace('_', '-')} must be {kind}{bound}, got {v!r}")
+
+
 def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
                     outputs: list, t_start: float, extra: dict | None = None) -> None:
     manifest = {
@@ -150,6 +173,7 @@ def _dataset_bbox(trajs) -> tuple[float, float, float, float]:
 def cmd_synth(args) -> int:
     t0 = time.time()
     cfg = _resolve(args, SYNTH_DEFAULTS)
+    _check_values(cfg, {"n": 0, "seed": None})
     spec = CitySpec()
     inputs = []
     if args.city_spec:
@@ -171,6 +195,18 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.time()
     cfg = _resolve(args, TRAIN_DEFAULTS)
+    _check_values(cfg, {"steps": 0, "batch": 1, "T": 1, "length": 1, "base_channels": 1,
+                        "seed": None},
+                  {"beta_start": None, "beta_end": None, "lr": None, "cond_dropout": None})
+    try:
+        model_cfg = TrajUNetConfig(length=cfg["length"], base_channels=cfg["base_channels"])
+        sched = linear_beta_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
+        train_cfg = TrainConfig(steps=cfg["steps"], batch_size=cfg["batch"],
+                                learning_rate=cfg["lr"], cond_dropout_prob=cfg["cond_dropout"],
+                                seed=cfg["seed"])
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
     result = load_dataset(args.data)
     trajs = result.trajectories
     if not trajs:
@@ -181,15 +217,7 @@ def cmd_train(args) -> int:
     batch = make_batch(trajs, cfg["length"], norm)
     conds = extract_condition_batch(trajs, grid, norm)
 
-    try:
-        model_cfg = TrajUNetConfig(length=cfg["length"], base_channels=cfg["base_channels"])
-    except ValueError as e:
-        raise UsageError(str(e)) from e
     model = TrajUNet(model_cfg, rng=stream(cfg["seed"]))
-    sched = linear_beta_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
-    train_cfg = TrainConfig(steps=cfg["steps"], batch_size=cfg["batch"],
-                            learning_rate=cfg["lr"], cond_dropout_prob=cfg["cond_dropout"],
-                            seed=cfg["seed"])
     history = train(model, batch.data, conds, train_cfg, sched)
 
     save_checkpoint(args.out, model, sched, norm, grid, train_steps=cfg["steps"],
@@ -218,13 +246,15 @@ def _load_conditions(path, norm: NormStats, grid: GridSpec, n: int, seed: int) -
 def cmd_generate(args) -> int:
     t0 = time.time()
     cfg = _resolve(args, GENERATE_DEFAULTS)
+    _check_values(cfg, {"n": 0, "steps": 1, "seed": None, "workers": 1, "batch": 1},
+                  {"eta": 0.0, "omega": None})
     if bool(args.cond_file) == bool(args.uncond):
         raise UsageError("pass exactly one of --cond-file or --uncond")
-    model, sched, norm, grid, header = load_checkpoint(args.ckpt)
-
     n = cfg["n"]
     if n is None:
         raise UsageError("--n is required")
+    model, sched, norm, grid, header = load_checkpoint(args.ckpt)
+
     steps = cfg["steps"] if cfg["steps"] is not None else max(1, sched.T // 5)
     if steps > sched.T:
         raise UsageError(f"--steps {steps} exceeds the checkpoint's T={sched.T}")
@@ -261,7 +291,12 @@ def cmd_generate(args) -> int:
                                                         "omega": cfg["omega"]},
                                             "version": __version__})
     _write_manifest(args.out, "generate", cfg, inputs, [args.out], t0,
-                    extra={"model_evals": stats["model_evals"], "sample_steps": stats["steps"]})
+                    extra={"model_evals": stats["model_evals"], "sample_steps": stats["steps"],
+                           "workers": stats["workers"], "blas_threads": stats["blas_threads"],
+                           "cores": len(os.sched_getaffinity(0)),
+                           # ru_maxrss is in KiB on Linux
+                           "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
+                                                .ru_maxrss / 1024, 1)})
     print(f"generated {n} trajectories with {stats['steps']} steps "
           f"({stats['model_evals']} model evals) -> {args.out}")
     return 0
@@ -283,12 +318,7 @@ def _bbox_soft_check(point_lists, norm: NormStats) -> None:
 def cmd_eval(args) -> int:
     t0 = time.time()
     cfg = _resolve(args, EVAL_DEFAULTS)
-    for key, low in (("topn", 1), ("bins", 1), ("length", 2)):
-        v = cfg[key]
-        if key == "length" and v is None:
-            continue
-        if type(v) is not int or v < low:
-            raise UsageError(f"--{key} must be an integer of at least {low}, got {v!r}")
+    _check_values(cfg, {"topn": 1, "bins": 1, "length": 2})
     rows, cols = _grid_shape(cfg["grid"])
     gen = load_dataset(args.gen, min_points=2).trajectories
     real_result = load_dataset(args.real, min_points=2)
@@ -432,6 +462,10 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

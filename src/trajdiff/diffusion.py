@@ -294,9 +294,16 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
     Returns (batch [n, C, L], stats). Trajectory i's randomness comes from
     stream (seed, i); micro-batch boundaries depend only on the index, so any
     worker count yields identical bytes.
+
+    When min(workers, micro-batches) > 1 the micro-batches run on a thread
+    pool of that size. The pool is then the parallelism, so OpenBLAS runs
+    single-threaded inside it and gets the caller's thread count back after
+    it, whether the pool returns or raises. One worker leaves BLAS alone.
     """
     if sched.T != cfg.total_steps:
         raise ValueError("sampler and schedule disagree on the step count")
+    if micro_batch < 1:
+        raise ValueError(f"micro-batch size must be at least 1, got {micro_batch}")
     if n is None:
         if cond_batch is None:
             raise ValueError("need either conditions or an explicit count")
@@ -314,11 +321,13 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         cond = cond_batch.take(idx) if cond_batch is not None else None
         out[lo:hi] = _sample_micro_batch(model, cond, cfg, sched, idx, length, channels)
 
-    if workers <= 1 or len(bounds) <= 1:
+    pool_size = max(1, min(workers, len(bounds)))
+    if pool_size == 1:
+        blas = tz.blas_threads()
         for b in bounds:
             run(b)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with tz.single_threaded_blas() as blas, ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(run, bounds))
 
     guided = cfg.guidance_scale != 0.0 and cond_batch is not None
@@ -330,5 +339,7 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         "eta": cfg.eta,
         "guidance_scale": cfg.guidance_scale,
         "seed": cfg.seed,
+        "workers": pool_size,
+        "blas_threads": blas,
     }
     return out, stats

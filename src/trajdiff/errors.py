@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these to process exit codes: UsageError -> 1,
-DataError -> 2, NumericError -> 3.
+DataError -> 2, NumericError -> 3; any other exception is an internal
+error -> 4.
 """
 
 

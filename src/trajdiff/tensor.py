@@ -10,10 +10,17 @@ closure when grad mode is on and some input requires grad; backward() walks
 the tape in exact reverse execution order and then consumes it, so a second
 backward without a new forward pass raises. Independent threads own
 independent tapes.
+
+This module also owns the numeric runtime's threads: single_threaded_blas
+runs a block with OpenBLAS at one thread and restores the caller's count
+after it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import threading
 
@@ -519,3 +526,88 @@ def backward(loss: Tensor) -> None:
     for node in reversed(st.tape):
         node()
     st.tape = []
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+# (get, set) thread-count symbols, in the order they are tried: the
+# scipy-openblas build that numpy wheels bundle, then plain 64-bit and
+# 32-bit-integer OpenBLAS builds
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    The library is found by its path in /proc/self/maps, so this works only
+    on Linux; elsewhere, or with another BLAS, it returns None.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # address, perms, offset, device, inode, then the mapped file's path
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return None
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's current thread count, or None where it cannot be controlled."""
+    lib = _openblas()
+    return None if lib is None else int(lib[0]())
+
+
+# The thread count is process-wide, so overlapping single_threaded_blas blocks
+# (pools on two threads) share one saved count: the first to enter saves it,
+# the last to leave restores it.
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = 0
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the block with OpenBLAS at one thread, then restore the caller's count.
+
+    The count comes back whether the block returns or raises. Yields the count
+    in force inside the block, or None (changing nothing) when no OpenBLAS can
+    be controlled. The setting is process-wide: other threads that call BLAS
+    meanwhile run single-threaded too.
+    """
+    global _blas_holders, _blas_saved
+    lib = _openblas()
+    if lib is None:
+        yield None
+        return
+    get, set_ = lib
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_holders += 1
+    try:
+        yield int(get())
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                set_(_blas_saved)

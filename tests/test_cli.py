@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from trajdiff import cli
 from trajdiff.cli import main
 from trajdiff.metrics import REPORT_SCHEMA, grid_density
 from trajdiff.trajdata import GridSpec, load_dataset, save_dataset, synth_city
@@ -60,6 +61,13 @@ class TestSynth:
         assert run("synth", "--out", tmp_path / "c.jsonl", "--n", 2, "--city-spec", spec) == 1
         assert "city spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings", [{"n": "3"}, {"n": -1}, {"seed": 1.5}], ids=json.dumps)
+    def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(settings))
+        assert run("synth", "--out", tmp_path / "c.jsonl", "--config", cfg) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.jsonl"
         assert run("synth", "--out", out, "--seed", 5, "--n", 3) == 0
@@ -108,6 +116,23 @@ class TestTrain:
     def test_missing_data_file_exit_2(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt") == 2
 
+    @pytest.mark.parametrize("settings", [{"steps": "3"}, {"steps": -1}, {"batch": 0}, {"T": 0},
+                                          {"lr": True}, {"lr": -1}, {"beta_end": "0.1"},
+                                          {"beta_start": 0.5, "beta_end": 0.1},
+                                          {"cond_dropout": 2}, {"length": 10}],
+                             ids=json.dumps)
+    def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
+        # the data file does not exist: the settings are checked before it is read
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(settings))
+        assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt",
+                   "--config", cfg) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_non_finite_flag_usage_error(self, tmp_path):
+        assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt",
+                   "--lr", "nan") == 1
+
 
 class TestGenerate:
     def test_deterministic_at_eta_zero(self, ckpt, tmp_path):
@@ -146,6 +171,34 @@ class TestGenerate:
         assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
                    "--steps", 1, "--uncond") == 1
         assert "TRAJDIFF_THREADS" in capsys.readouterr().err
+
+    def test_thread_settings_in_manifest(self, ckpt, tmp_path):
+        out = tmp_path / "p.jsonl"
+        assert run("generate", "--ckpt", ckpt, "--out", out, "--n", 6, "--steps", 2,
+                   "--uncond", "--workers", 8, "--batch", 2) == 0
+        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        assert manifest["workers"] == 3  # three micro-batches bound the pool
+        assert manifest["blas_threads"] in (1, None)
+        assert manifest["cores"] >= 1
+        assert manifest["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("flag, value", [("--batch", 0), ("--n", -1), ("--eta", -1),
+                                             ("--eta", "nan"), ("--omega", "inf"),
+                                             ("--workers", 0), ("--steps", 0)])
+    def test_bad_flag_value_usage_error(self, tmp_path, capsys, flag, value):
+        # the checkpoint does not exist: the flags are checked before it is read
+        assert run("generate", "--ckpt", tmp_path / "nope.ckpt", "--out", tmp_path / "x.jsonl",
+                   "--n", 4, "--uncond", flag, value) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", ['{"workers": "2"}', '{"batch": true}', '{"eta": "0"}',
+                                          '{"omega": NaN}', '{"steps": 2.0}'])
+    def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(settings)
+        assert run("generate", "--ckpt", tmp_path / "nope.ckpt", "--out", tmp_path / "x.jsonl",
+                   "--n", 4, "--uncond", "--config", cfg) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_condition_flags_required(self, ckpt, tmp_path):
         assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1) == 1
@@ -269,6 +322,16 @@ class TestPlot:
 class TestExitCodes:
     def test_unknown_flag_usage_error(self):
         assert run("synth", "--wat", 1) == 1
+
+    def test_unexpected_exception_exit_4_with_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(**kwargs):
+            raise RuntimeError("synthesis broke")
+
+        monkeypatch.setattr(cli, "synth_city", broken)
+        assert run("synth", "--out", tmp_path / "c.jsonl", "--n", 2) == 4
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "Traceback" in err and "RuntimeError: synthesis broke" in err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trajdiff import diffusion
 from trajdiff import tensor as tz
 from trajdiff.diffusion import (CLIP_X0, Adam, SamplerConfig, TrainConfig, ddim_step,
                                 ddim_transition, ddpm_step, guided_eps, sample,
@@ -9,7 +10,7 @@ from trajdiff.errors import NumericError
 from trajdiff.rng import stream
 from trajdiff.schedule import linear_beta_schedule, mu_from_eps, q_sample
 from trajdiff.tensor import Tensor
-from trajdiff.trajdata import ConditionBatch
+from trajdiff.trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, ConditionBatch
 from trajdiff.unet import TrajUNet, TrajUNetConfig
 
 
@@ -305,10 +306,22 @@ class TestSample:
 
     def test_eta_nonzero_still_worker_invariant(self, sched):
         model = self._model()
-        cfg = SamplerConfig(total_steps=100, sample_steps=100, eta=1.0, guidance_scale=0.0, seed=9)
-        a, _ = sample(model, None, cfg, sched, n=12, workers=1, micro_batch=4)
-        b, _ = sample(model, None, cfg, sched, n=12, workers=3, micro_batch=4)
-        assert a.tobytes() == b.tobytes()
+        rng = stream(31)
+        cond = ConditionBatch(numeric=rng.standard_normal((12, 4)).astype(np.float32),
+                              slot=rng.integers(0, NUM_DEPARTURE_SLOTS, 12),
+                              origin=rng.integers(0, NUM_GRID_CELLS, 12),
+                              dest=rng.integers(0, NUM_GRID_CELLS, 12),
+                              is_null=np.zeros(12, bool))
+        cases = [  # (conditions, sampler config, pooled worker count)
+            (None, SamplerConfig(total_steps=100, sample_steps=100, eta=1.0,
+                                 guidance_scale=0.0, seed=9), 3),
+            (cond, SamplerConfig(total_steps=100, sample_steps=10, eta=0.0,
+                                 guidance_scale=3.0, seed=9), 2),
+        ]
+        for c, cfg, workers in cases:
+            a, _ = sample(model, c, cfg, sched, n=12, workers=1, micro_batch=4)
+            b, _ = sample(model, c, cfg, sched, n=12, workers=workers, micro_batch=4)
+            assert a.tobytes() == b.tobytes()
 
     def test_full_chain_eta1_matches_ddpm_rollout(self, sched):
         # at S = T and eta = 1 the sampler's DDIM loop is the ancestral chain,
@@ -331,6 +344,109 @@ class TestSample:
         cfg = SamplerConfig(total_steps=50, sample_steps=5)
         with pytest.raises(ValueError, match="disagree"):
             sample(model, None, cfg, sched, n=1)
+
+    def test_micro_batch_below_one_rejected(self, sched):
+        model = self._model()
+        cfg = SamplerConfig(total_steps=100, sample_steps=5)
+        with pytest.raises(ValueError, match="micro-batch"):
+            sample(model, None, cfg, sched, n=4, micro_batch=0)
+
+
+class FakeBlas:
+    """Stand-in for OpenBLAS's thread-count functions that records every set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+class TestBlasThreads:
+    """A pool of two or more workers runs BLAS single-threaded; one worker leaves it alone."""
+
+    CFG = SamplerConfig(total_steps=100, sample_steps=3, eta=1.0, guidance_scale=0.0, seed=2)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """BLAS counts observed inside _sample_micro_batch."""
+        counts = []
+        inner = diffusion._sample_micro_batch
+
+        def observing(*args, **kwargs):
+            counts.append(tz.blas_threads())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "_sample_micro_batch", observing)
+        return counts
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(tz, "_openblas", lambda: (blas.get, blas.set))
+        return blas
+
+    @staticmethod
+    def _model():
+        return StubModel(lambda x_t, t, cond: np.zeros_like(x_t), length=16)
+
+    def test_pool_sees_one_thread_and_restores(self, sched, seen, fake):
+        _, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert seen == [1, 1, 1]
+        assert fake.sets == [1, 2]
+        assert fake.count == 2
+        assert (stats["workers"], stats["blas_threads"]) == (2, 1)
+
+    @pytest.mark.parametrize("workers, micro_batch", [(1, 4), (4, 12)])
+    def test_single_worker_never_changes_blas(self, sched, seen, fake, workers, micro_batch):
+        # (4, 12): four workers asked for, but one micro-batch makes a pool of one
+        _, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=workers,
+                          micro_batch=micro_batch)
+        assert fake.sets == []
+        assert set(seen) == {2}
+        assert (stats["workers"], stats["blas_threads"]) == (1, 2)
+
+    def test_count_restored_after_worker_raises(self, sched, fake, monkeypatch):
+        def failing(*args, **kwargs):
+            assert tz.blas_threads() == 1
+            raise NumericError("conv1d produced non-finite values")
+
+        monkeypatch.setattr(diffusion, "_sample_micro_batch", failing)
+        with pytest.raises(NumericError):
+            sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert fake.count == 2
+        assert fake.sets == [1, 2]
+
+    def test_overlapping_pools_restore_once_the_last_ends(self, fake):
+        # pools on two threads: the first to end must not restore the count
+        # under the second
+        first, second = tz.single_threaded_blas(), tz.single_threaded_blas()
+        assert first.__enter__() == 1
+        assert second.__enter__() == 1
+        first.__exit__(None, None, None)
+        assert fake.count == 1
+        second.__exit__(None, None, None)
+        assert fake.count == 2
+        assert fake.sets == [1, 2]
+
+    def test_no_controllable_blas_changes_nothing(self, sched, seen, monkeypatch):
+        monkeypatch.setattr(tz, "_openblas", lambda: None)
+        _, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert seen == [None, None, None]
+        assert (stats["workers"], stats["blas_threads"]) == (2, None)
+
+    def test_loaded_openblas(self, sched, seen):
+        if tz.blas_threads() is None:
+            pytest.skip("no controllable OpenBLAS in this process")
+        caller = tz.blas_threads()
+        sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert seen == [1, 1, 1]
+        assert tz.blas_threads() == caller
 
 
 class TestAdam:
