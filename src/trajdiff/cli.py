@@ -24,6 +24,7 @@ import traceback
 import numpy as np
 
 from . import __version__
+from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diffusion import SamplerConfig, TrainConfig, sample, train
 from .errors import DataError, NumericError, UsageError
@@ -132,6 +133,26 @@ def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
+def _environment(blas_threads: int | None) -> dict:
+    """The manifest's environment block: what explains a run's timing."""
+    return {"cores": len(os.sched_getaffinity(0)),
+            "blas_threads": blas_threads,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def _check_out_path(path) -> None:
+    """Data error unless path can be written as a file, checked before the
+    work whose result goes there."""
+    if os.path.isdir(path):
+        raise DataError(f"{path}: is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise DataError(f"{path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise DataError(f"{path}: permission denied")
+
+
 def _grid_shape(text: str) -> tuple[int, int]:
     """(rows, cols) of a ROWSxCOLS grid flag; both must be positive."""
     try:
@@ -206,6 +227,7 @@ def cmd_train(args) -> int:
                                 seed=cfg["seed"])
     except ValueError as e:
         raise UsageError(str(e)) from e
+    _check_out_path(args.out)
 
     result = load_dataset(args.data)
     trajs = result.trajectories
@@ -218,7 +240,9 @@ def cmd_train(args) -> int:
     conds = extract_condition_batch(trajs, grid, norm)
 
     model = TrajUNet(model_cfg, rng=stream(cfg["seed"]))
+    t_train = time.perf_counter()
     history = train(model, batch.data, conds, train_cfg, sched)
+    train_s = time.perf_counter() - t_train
 
     save_checkpoint(args.out, model, sched, norm, grid, train_steps=cfg["steps"],
                     seed=cfg["seed"])
@@ -229,7 +253,10 @@ def cmd_train(args) -> int:
             fh.write(f"{i},{v:.6f}\n")
     _write_manifest(args.out, "train", cfg, [args.data], [args.out, loss_path], t0,
                     extra={"n_trajectories": len(trajs),
-                           "final_loss": float(history[-1]) if len(history) else None})
+                           "final_loss": float(history[-1]) if len(history) else None,
+                           "step_ms_mean": (round(train_s * 1e3 / len(history), 3)
+                                            if len(history) else None),
+                           **_environment(tz.blas_threads())})
     print(f"trained {cfg['steps']} steps on {len(trajs)} trajectories -> {args.out}")
     return 0
 
@@ -253,6 +280,7 @@ def cmd_generate(args) -> int:
     n = cfg["n"]
     if n is None:
         raise UsageError("--n is required")
+    _check_out_path(args.out)
     model, sched, norm, grid, header = load_checkpoint(args.ckpt)
 
     steps = cfg["steps"] if cfg["steps"] is not None else max(1, sched.T // 5)
@@ -292,11 +320,7 @@ def cmd_generate(args) -> int:
                                             "version": __version__})
     _write_manifest(args.out, "generate", cfg, inputs, [args.out], t0,
                     extra={"model_evals": stats["model_evals"], "sample_steps": stats["steps"],
-                           "workers": stats["workers"], "blas_threads": stats["blas_threads"],
-                           "cores": len(os.sched_getaffinity(0)),
-                           # ru_maxrss is in KiB on Linux
-                           "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
-                                                .ru_maxrss / 1024, 1)})
+                           "workers": stats["workers"], **_environment(stats["blas_threads"])})
     print(f"generated {n} trajectories with {stats['steps']} steps "
           f"({stats['model_evals']} model evals) -> {args.out}")
     return 0
@@ -320,6 +344,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_DEFAULTS)
     _check_values(cfg, {"topn": 1, "bins": 1, "length": 2})
     rows, cols = _grid_shape(cfg["grid"])
+    _check_out_path(args.out)
     gen = load_dataset(args.gen, min_points=2).trajectories
     real_result = load_dataset(args.real, min_points=2)
     real = real_result.trajectories
@@ -453,7 +478,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except DataError as e:

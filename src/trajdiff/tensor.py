@@ -5,6 +5,15 @@ accumulate in float64 so finite-difference gradient checks stay meaningful.
 Every forward op verifies its output is finite and raises NumericError
 otherwise: NaN/Inf never propagates silently.
 
+The 1D kernels are channels-last, [B, L, C], with one op per layer:
+conv1d_cl runs one GEMM per kernel tap over the B*L rows and adds each
+shifted product into the output, forward and backward, with no window matrix;
+group_norm_silu_cl is group norm, affine and SiLU in one op whose per-group
+statistics accumulate in float64 and whose backward forms dx in one pass.
+maxpool1d_k2, upsample_nearest_2x and concat_channels take the axis they
+work along. The [B, C, L] entry points conv1d and group_norm transpose in and
+out of the same kernels; the weights stay [Cout, Cin, K] in either layout.
+
 Tracking uses a thread-local tape (a Wengert list). Ops append a backward
 closure when grad mode is on and some input requires grad; backward() walks
 the tape in exact reverse execution order and then consumes it, so a second
@@ -214,15 +223,16 @@ def transpose_last2(x: Tensor) -> Tensor:
     return _make(y, (x,), backward, "transpose_last2", check=False)
 
 
-def concat_channels(tensors) -> Tensor:
+def concat_channels(tensors, axis: int = 1) -> Tensor:
+    """Concatenate along the channel axis: 1 for [B, C, ...], 2 (or -1) for [B, L, C]."""
     ts = [_as_tensor(t) for t in tensors]
     if not ts:
         raise ValueError("concat_channels needs at least one tensor")
-    y = np.concatenate([t.data for t in ts], axis=1)
-    splits = np.cumsum([t.data.shape[1] for t in ts])[:-1]
+    y = np.concatenate([t.data for t in ts], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
 
     def backward(g):
-        parts = np.split(g, splits, axis=1)
+        parts = np.split(g, splits, axis=axis)
         for t, p in zip(ts, parts):
             if t.requires_grad:
                 _accum(t, p)
@@ -301,43 +311,95 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _make(y, (x,), backward, "softmax_lastdim")
 
 
-def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize per (batch, group) slice of a [B, C, L] tensor, then affine."""
+def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float,
+                   silu_out: bool, op: str) -> Tensor:
+    """Group norm over a channels-last [B, L, C] tensor, then affine, then
+    optionally SiLU, as one op.
+
+    The statistics accumulate in float64, per-(b, c) sums over the length
+    and then per group, without a float64 copy of x: first the mean, then
+    the variance of xc = x - mean. With x_hat = inv * xc, normalization and
+    affine fold into z = a * xc + beta. The backward forms the per-(b, c)
+    sums of dz and dz * xc once (BLAS over the length, float64 after) and
+    writes dx = a * dz + b * xc + c, with inv folded into the per-(b, c)
+    coefficients.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if eps <= 0:
         raise ValueError("group_norm eps must be positive")
     if x.data.ndim != 3:
-        raise ValueError(f"group_norm expects [B, C, L], got {x.data.shape}")
-    B, C, L = x.data.shape
+        raise ValueError(f"{op} expects [B, L, C], got {x.data.shape}")
+    B, L, C = x.data.shape
     if C % groups != 0:
         raise ValueError(f"channels {C} not divisible by groups {groups}")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise ValueError("gamma/beta must have shape [C]")
+    n = L * (C // groups)
 
-    # statistics accumulate in float64; elementwise math stays float32
-    xg = x.data.reshape(B, groups, (C // groups) * L)
-    mean = xg.mean(axis=2, dtype=np.float64)
-    var = np.square(xg, dtype=np.float64).mean(axis=2, dtype=np.float64) - mean * mean
+    def per_group(v):  # [B, C] per-channel sums -> each channel's group sum
+        return np.repeat(v.reshape(B, groups, -1).sum(axis=2), C // groups, axis=1)
+
+    xd = x.data
+    mean = per_group(np.einsum("blc->bc", xd, dtype=np.float64)) / n
+    mean32 = mean.astype(np.float32)
+    xc = xd - mean32[:, None, :]
+    # two-pass variance: xc is centred up to the rounding of mean32
+    shift = mean - mean32
+    var = per_group(np.einsum("blc->bc", xc * xc, dtype=np.float64)) / n - shift * shift
     inv = 1.0 / np.sqrt(np.maximum(var, 0.0) + eps)
-    mean32 = mean.astype(np.float32)[:, :, None]
-    inv32 = inv.astype(np.float32)[:, :, None]
-    xhat = ((xg - mean32) * inv32).reshape(B, C, L)
-    y = xhat * gamma.data[None, :, None] + beta.data[None, :, None]
+    gam = gamma.data.astype(np.float64)
+    scale = (inv * gam).astype(np.float32)[:, None, :]
+    z = xc * scale
+    z += beta.data
+    if silu_out:
+        s = z * 0.5  # sigmoid(z) = (1 + tanh(z / 2)) / 2
+        np.tanh(s, out=s)
+        s *= 0.5
+        s += 0.5
+        y = z * s
+    else:
+        y = z
 
     def backward(g):
+        if silu_out:
+            dz = 1.0 - s  # silu'(z) = s + y * (1 - s)
+            dz *= y
+            dz += s
+            dz *= g
+        else:
+            dz = g
+        ones = np.ones(L, dtype=np.float32)
+        sum_dz = (ones @ dz).astype(np.float64)
+        sum_dzxh = inv * (ones @ (dz * xc))
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=(0, 2), dtype=np.float64), own=True)
+            _accum(gamma, sum_dzxh.sum(axis=0), own=True)
         if beta.requires_grad:
-            _accum(beta, g.sum(axis=(0, 2), dtype=np.float64), own=True)
+            _accum(beta, sum_dz.sum(axis=0), own=True)
         if x.requires_grad:
-            gh = (g * gamma.data[None, :, None]).reshape(B, groups, (C // groups) * L)
-            xh = xhat.reshape(B, groups, (C // groups) * L)
-            m1 = gh.mean(axis=2, dtype=np.float64).astype(np.float32)[:, :, None]
-            m2 = (gh * xh).mean(axis=2, dtype=np.float64).astype(np.float32)[:, :, None]
-            gx = inv32 * (gh - m1 - xh * m2)
-            _accum(x, gx.reshape(B, C, L), own=True)
+            m1 = per_group(gam * sum_dz) / n
+            m2 = per_group(gam * sum_dzxh) / n
+            # dx = inv * (gamma * dz - m1 - x_hat * m2), x_hat = inv * xc
+            gx = dz * scale
+            gx -= xc * (inv * inv * m2).astype(np.float32)[:, None, :]
+            gx -= (inv * m1).astype(np.float32)[:, None, :]
+            _accum(x, gx, own=True)
 
-    return _make(y, (x, gamma, beta), backward, "group_norm")
+    return _make(y, (x, gamma, beta), backward, op)
+
+
+def group_norm_silu_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
+                       eps: float = 1e-5) -> Tensor:
+    """silu(group_norm(x)) for a channels-last [B, L, C] tensor, as one op."""
+    return _group_norm_cl(x, groups, gamma, beta, eps, True, "group_norm_silu_cl")
+
+
+def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize per (batch, group) slice of a [B, C, L] tensor, then affine."""
+    x = _as_tensor(x)
+    if x.data.ndim != 3:
+        raise ValueError(f"group_norm expects [B, C, L], got {x.data.shape}")
+    y = _group_norm_cl(transpose_last2(x), groups, gamma, beta, eps, False, "group_norm")
+    return transpose_last2(y)
 
 
 # ---------------------------------------------------------------------------
@@ -407,43 +469,73 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
 # 1D conv / pooling / upsampling
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, K: int, pad: int) -> np.ndarray:
-    """[B, C, L] -> [B*L, C*K] window matrix (zero padded, stride 1).
+def _conv_taps(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padding stride-1 convolution of channels-last arrays:
+    x [B, L, Cin], w [Cout, Cin, K] -> [B, L, Cout].
 
-    Filled with one shifted slice copy per tap: several times faster than
-    copying a sliding-window view with a length-K inner axis.
+    One GEMM per tap over all B*L rows of x. Each tap's product is added into
+    the output shifted by the tap's offset, as one add over the flattened
+    rows; the product rows that would land in a neighbouring batch element
+    are zeroed first. No window matrix is built.
     """
-    B, C, L = x.shape
-    xt = x.transpose(0, 2, 1)  # [B, L, C]
-    cols = np.zeros((B, L, C, K), dtype=x.dtype)
+    B, L, Cin = x.shape
+    Cout, _, K = w.shape
+    pad = K // 2
+    xf = x.reshape(B * L, Cin)
+    y = xf @ w[:, :, pad].T
     for k in range(K):
         s = k - pad
-        lo, hi = max(0, -s), min(L, L - s)
-        if lo < hi:
-            cols[:, lo:hi, :, k] = xt[:, lo + s:hi + s, :]
-    return cols.reshape(B * L, C * K)
+        if s == 0 or abs(s) >= L:
+            continue
+        p = (xf @ w[:, :, k].T).reshape(B, L, Cout)
+        if s > 0:
+            p[:, :s] = 0.0
+            y[:-s] += p.reshape(B * L, Cout)[s:]
+        else:
+            p[:, L + s:] = 0.0
+            y[-s:] += p.reshape(B * L, Cout)[:s]
+    return y.reshape(B, L, Cout)
 
 
-def _conv_raw(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Core same-padding convolution; returns (y [B,Cout,L], im2col matrix)."""
-    B, Cin, L = x.shape
-    Cout, _, K = w.shape
-    cols = _im2col(x, K, K // 2)
-    y = (cols @ w.reshape(Cout, Cin * K).T).reshape(B, L, Cout)
-    return np.ascontiguousarray(y.transpose(0, 2, 1)), cols
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, K: int) -> np.ndarray:
+    """dL/dw [Cout, Cin, K] of _conv_taps from its input x and output grad g.
+
+    One GEMM per tap pairs the flattened rows of g with the rows of x shifted
+    by the tap's offset; the few pairs that cross into a neighbouring batch
+    element are then taken back out with one small GEMM.
+    """
+    B, L, Cin = x.shape
+    Cout = g.shape[2]
+    pad = K // 2
+    xf, gf = x.reshape(B * L, Cin), g.reshape(B * L, Cout)
+    gw = np.zeros((Cout, Cin, K), dtype=np.float32)
+    for k in range(K):
+        s = k - pad
+        if abs(s) >= L:
+            continue
+        if s >= 0:
+            tap = gf[:B * L - s].T @ xf[s:]
+            if s:
+                tap -= g[:-1, L - s:].reshape(-1, Cout).T @ x[1:, :s].reshape(-1, Cin)
+        else:
+            tap = gf[-s:].T @ xf[:s]
+            tap -= g[1:, :-s].reshape(-1, Cout).T @ x[:-1, L + s:].reshape(-1, Cin)
+        gw[:, :, k] = tap
+    return gw
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Shape-preserving 1D convolution: stride 1, zero padding (k-1)/2, odd k.
+def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Shape-preserving 1D convolution of a channels-last tensor: stride 1,
+    zero padding (k-1)/2, odd k.
 
-    x: [B, Cin, L], w: [Cout, Cin, K], b: [Cout]. Runs as im2col plus one
-    matmul; the input gradient is the convolution of the output gradient
-    with the channel-transposed, length-flipped kernel.
+    x: [B, L, Cin], w: [Cout, Cin, K], b: [Cout]; returns [B, L, Cout]. The
+    input gradient is the same shifted-GEMM convolution of the output
+    gradient with the channel-transposed, length-flipped kernel.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
-        raise ValueError(f"conv1d expects x[B,Cin,L], w[Cout,Cin,K], got {x.data.shape}, {w.data.shape}")
-    B, Cin, L = x.data.shape
+        raise ValueError(f"conv1d expects x[B,L,Cin], w[Cout,Cin,K], got {x.data.shape}, {w.data.shape}")
+    B, L, Cin = x.data.shape
     Cout, CinW, K = w.data.shape
     if Cin != CinW:
         raise ValueError(f"conv1d channel mismatch: x has {Cin}, w expects {CinW}")
@@ -452,54 +544,73 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if K % 2 == 0:
         raise ValueError("conv1d kernel size must be odd")
 
-    y, cols = _conv_raw(x.data, w.data)
+    y = _conv_taps(x.data, w.data)
     if b is not None:
         b = _as_tensor(b)
         if b.data.shape != (Cout,):
             raise ValueError(f"conv1d bias must have shape [{Cout}]")
-        y += b.data[None, :, None]
+        y += b.data
 
     def backward(g):
         if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2), dtype=np.float64), own=True)
+            _accum(b, np.ones(B * L, dtype=np.float32) @ g.reshape(B * L, Cout), own=True)
         if w.requires_grad:
-            gf = g.transpose(0, 2, 1).reshape(B * L, Cout)
-            _accum(w, (gf.T @ cols).reshape(Cout, Cin, K), own=True)
+            _accum(w, _conv_weight_grad(x.data, g, K), own=True)
         if x.requires_grad:
-            wt = np.ascontiguousarray(w.data.transpose(1, 0, 2)[:, :, ::-1])
-            _accum(x, _conv_raw(np.ascontiguousarray(g), wt)[0], own=True)
+            _accum(x, _conv_taps(g, w.data.transpose(1, 0, 2)[:, :, ::-1]), own=True)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _make(y, inputs, backward, "conv1d")
 
 
-def maxpool1d_k2(x: Tensor) -> Tensor:
-    """Non-overlapping max pooling with window 2; halves the length axis."""
+def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """conv1d_cl for a [B, Cin, L] tensor; returns [B, Cout, L]."""
     x = _as_tensor(x)
-    L = x.data.shape[-1]
+    if x.data.ndim != 3:
+        raise ValueError(f"conv1d expects x[B,Cin,L], got {x.data.shape}")
+    return transpose_last2(conv1d_cl(transpose_last2(x), w, b))
+
+
+def _pairs(shape: tuple[int, ...], axis: int, op: str) -> tuple[tuple[int, ...], int]:
+    """Shape that splits an even-length axis into (length / 2, 2), and the
+    index of the new size-2 axis."""
+    axis %= len(shape)
+    L = shape[axis]
     if L == 0 or L % 2 != 0:
-        raise ValueError(f"maxpool1d_k2 needs a positive even length, got {L}")
-    pairs = x.data.reshape(x.data.shape[:-1] + (L // 2, 2))
-    arg = pairs.argmax(axis=-1)
-    y = np.take_along_axis(pairs, arg[..., None], axis=-1)[..., 0]
+        raise ValueError(f"{op} needs a positive even length, got {L}")
+    return shape[:axis] + (L // 2, 2) + shape[axis + 1:], axis + 1
+
+
+def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
+    """Non-overlapping max pooling with window 2; halves the length axis
+    (the last for [B, C, L], axis 1 for [B, L, C])."""
+    x = _as_tensor(x)
+    shape, pair_axis = _pairs(x.data.shape, axis, "maxpool1d_k2")
+    first, second = np.moveaxis(x.data.reshape(shape), pair_axis, 0)
+    take_first = first >= second  # ties go to the first of the pair
+    y = np.where(take_first, first, second)
 
     def backward(g):
         if x.requires_grad:
-            gp = np.zeros_like(pairs)
-            np.put_along_axis(gp, arg[..., None], g[..., None], axis=-1)
+            gp = np.zeros(shape, dtype=np.float32)
+            g_first, g_second = np.moveaxis(gp, pair_axis, 0)
+            np.copyto(g_first, g, where=take_first)
+            np.copyto(g_second, g, where=~take_first)
             _accum(x, gp.reshape(x.data.shape), own=True)
 
     return _make(y, (x,), backward, "maxpool1d_k2", check=False)
 
 
-def upsample_nearest_2x(x: Tensor) -> Tensor:
-    """Nearest-neighbor upsampling along the length axis (2x)."""
+def upsample_nearest_2x(x: Tensor, axis: int = -1) -> Tensor:
+    """Nearest-neighbor upsampling along the length axis (2x): the last for
+    [B, C, L], axis 1 for [B, L, C]."""
     x = _as_tensor(x)
-    y = np.repeat(x.data, 2, axis=-1)
+    y = np.repeat(x.data, 2, axis=axis)
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g.reshape(g.shape[:-1] + (g.shape[-1] // 2, 2)).sum(axis=-1), own=True)
+            shape, pair_axis = _pairs(g.shape, axis, "upsample_nearest_2x")
+            _accum(x, g.reshape(shape).sum(axis=pair_axis), own=True)
 
     return _make(y, (x,), backward, "upsample_nearest_2x", check=False)
 

@@ -3,7 +3,8 @@ step embedding, and a wide & deep encoder for trip conditions.
 
 Parameters live in a flat name -> Tensor dict; the names and shapes are the
 checkpoint contract. All forward math runs through the autodiff layer kit in
-``trajdiff.tensor``.
+``trajdiff.tensor``. The model takes and returns [B, C, L] tensors; inside,
+from the stem to the output conv, activations are channels-last [B, L, C].
 """
 
 from __future__ import annotations
@@ -123,44 +124,46 @@ def wide_deep_embed(cond: ConditionBatch, params: dict, prefix: str = "cond") ->
 def resnet_block(x: Tensor, emb: Tensor, params: dict, prefix: str, groups: int) -> Tensor:
     """GN -> SiLU -> conv, add projected embedding, GN -> SiLU -> conv, skip.
 
-    Channel change happens in the first conv; the skip is identity when the
-    channel count is preserved, else a kernel-1 conv.
+    x is channels-last [B, L, C]. Channel change happens in the first conv;
+    the skip is identity when the channel count is preserved, else a
+    kernel-1 conv.
     """
-    c_in = x.shape[1]
+    c_in = x.shape[2]
     c_out = params[f"{prefix}.conv1.w"].shape[0]
-    h = tz.group_norm(x, _gn_groups(groups, c_in), params[f"{prefix}.gn1.gamma"], params[f"{prefix}.gn1.beta"])
-    h = tz.silu(h)
-    h = tz.conv1d(h, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
+    h = tz.group_norm_silu_cl(x, _gn_groups(groups, c_in), params[f"{prefix}.gn1.gamma"],
+                              params[f"{prefix}.gn1.beta"])
+    h = tz.conv1d_cl(h, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
     inj = tz.linear(emb, params[f"{prefix}.emb.W"], params[f"{prefix}.emb.b"])
-    h = tz.add(h, tz.reshape(inj, (inj.shape[0], c_out, 1)))
-    h = tz.group_norm(h, _gn_groups(groups, c_out), params[f"{prefix}.gn2.gamma"], params[f"{prefix}.gn2.beta"])
-    h = tz.silu(h)
-    h = tz.conv1d(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
+    h = tz.add(h, tz.reshape(inj, (inj.shape[0], 1, c_out)))
+    h = tz.group_norm_silu_cl(h, _gn_groups(groups, c_out), params[f"{prefix}.gn2.gamma"],
+                              params[f"{prefix}.gn2.beta"])
+    h = tz.conv1d_cl(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
     if c_in != c_out:
-        x = tz.conv1d(x, params[f"{prefix}.skip.w"], params[f"{prefix}.skip.b"])
+        x = tz.conv1d_cl(x, params[f"{prefix}.skip.w"], params[f"{prefix}.skip.b"])
     return tz.add(h, x)
 
 
 def attention_weights(x: Tensor, wq: Tensor, wk: Tensor) -> Tensor:
-    """Row-stochastic attention matrix [B, L, L] over the length axis."""
-    d = x.shape[1]
-    q = tz.conv1d(x, wq)
-    k = tz.conv1d(x, wk)
-    scores = tz.bmm(tz.transpose_last2(q), k)
+    """Row-stochastic attention matrix [B, L, L] over the length axis of a
+    channels-last [B, L, C] tensor."""
+    d = x.shape[2]
+    q = tz.conv1d_cl(x, wq)
+    k = tz.conv1d_cl(x, wk)
+    scores = tz.bmm(q, tz.transpose_last2(k))
     scores = tz.mul(scores, 1.0 / math.sqrt(d))
     return tz.softmax_lastdim(scores)
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Single-head residual attention over positions: x + softmax(QK'/sqrt(d)) V."""
+    """Single-head residual attention over positions of a channels-last
+    [B, L, C] tensor: x + softmax(QK'/sqrt(d)) V."""
     a = attention_weights(x, wq, wk)
-    v = tz.conv1d(x, wv)
-    out = tz.bmm(v, tz.transpose_last2(a))
-    return tz.add(x, out)
+    v = tz.conv1d_cl(x, wv)
+    return tz.add(x, tz.bmm(a, v))
 
 
 def middle_attention(x: Tensor, emb: Tensor, params: dict, prefix: str, groups: int) -> Tensor:
-    """Bottleneck: Resnet block, residual attention, Resnet block."""
+    """Bottleneck on a channels-last tensor: Resnet block, residual attention, Resnet block."""
     h = resnet_block(x, emb, params, f"{prefix}.res1", groups)
     h = attention(h, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.wv"])
     return resnet_block(h, emb, params, f"{prefix}.res2", groups)
@@ -292,26 +295,27 @@ class TrajUNet:
         cemb = wide_deep_embed(cond, p)
         emb = tz.add(temb, cemb)
 
-        h = tz.conv1d(Tensor(x_t), p["stem.w"], p["stem.b"])
+        # channels-last [B, L, C] from the stem to the output conv
+        h = tz.conv1d_cl(Tensor(x_t.transpose(0, 2, 1)), p["stem.w"], p["stem.b"])
         skips = []
         for i in range(cfg.levels):
             for j in range(cfg.resnet_blocks_per_level):
                 h = resnet_block(h, emb, p, f"down{i}.block{j}", cfg.groups)
             skips.append(h)
             if i < cfg.levels - 1:
-                h = tz.maxpool1d_k2(h)
+                h = tz.maxpool1d_k2(h, axis=1)
 
         h = middle_attention(h, emb, p, "mid", cfg.groups)
 
         for i in reversed(range(cfg.levels)):
-            h = tz.concat_channels([h, skips[i]])
+            h = tz.concat_channels([h, skips[i]], axis=2)
             for j in range(cfg.resnet_blocks_per_level):
                 h = resnet_block(h, emb, p, f"up{i}.block{j}", cfg.groups)
             if i > 0:
-                h = tz.upsample_nearest_2x(h)
+                h = tz.upsample_nearest_2x(h, axis=1)
 
-        h = tz.group_norm(h, _gn_groups(cfg.groups, h.shape[1]), p["out.gn.gamma"], p["out.gn.beta"])
-        h = tz.silu(h)
-        return tz.conv1d(h, p["out.conv.w"], p["out.conv.b"])
+        h = tz.group_norm_silu_cl(h, _gn_groups(cfg.groups, h.shape[2]), p["out.gn.gamma"],
+                                  p["out.gn.beta"])
+        return tz.transpose_last2(tz.conv1d_cl(h, p["out.conv.w"], p["out.conv.b"]))
 
     __call__ = forward

@@ -133,6 +133,26 @@ class TestTrain:
         assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt",
                    "--lr", "nan") == 1
 
+    def test_data_directory_exit_2(self, tmp_path, capsys):
+        assert run("train", "--data", tmp_path, "--out", tmp_path / "x.ckpt") == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+
+    def test_out_directory_exit_2_before_training(self, city, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("trained before checking --out"))
+        assert run("train", "--data", city, "--out", tmp_path, "--steps", 1) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_manifest_environment_block(self, city, tmp_path):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", city, "--out", out, "--steps", 2, "--batch", 4,
+                   "--T", 10, "--length", 16, "--base-channels", 4) == 0
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert manifest["step_ms_mean"] > 0
+        assert manifest["cores"] >= 1
+        assert manifest["peak_rss_mb"] > 0
+        assert manifest["blas_threads"] is None or manifest["blas_threads"] >= 1
+
 
 class TestGenerate:
     def test_deterministic_at_eta_zero(self, ckpt, tmp_path):
@@ -199,6 +219,11 @@ class TestGenerate:
         assert run("generate", "--ckpt", tmp_path / "nope.ckpt", "--out", tmp_path / "x.jsonl",
                    "--n", 4, "--uncond", "--config", cfg) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_out_directory_exit_2_before_sampling(self, ckpt, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled before checking --out"))
+        assert run("generate", "--ckpt", ckpt, "--out", tmp_path, "--n", 2, "--uncond") == 2
+        assert "is a directory" in capsys.readouterr().err
 
     def test_condition_flags_required(self, ckpt, tmp_path):
         assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1) == 1
@@ -271,6 +296,25 @@ class TestEval:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run("eval", "--gen", empty, "--real", city, "--out", tmp_path / "r.json") == 2
+
+    def test_out_directory_exit_2_before_scoring(self, city, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: pytest.fail("scored before checking --out"))
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exit_2(self, city, tmp_path, capsys):
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path / "no" / "r.json") == 2
+        assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [IsADirectoryError, PermissionError])
+    def test_unreadable_input_exit_2(self, city, tmp_path, capsys, monkeypatch, error):
+        def refuse(path, *a, **k):
+            raise error(21, "cannot open", str(path))
+
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
 
 
 class TestPlot:

@@ -58,15 +58,31 @@ class TestConv1d:
 
     @pytest.mark.parametrize("shape,k", [((2, 3, 8), 3), ((1, 2, 5), 1), ((2, 2, 2), 7), ((1, 1, 1), 3)])
     def test_window_matrix_matches_padded_sliding_view(self, shape, k):
-        # im2col must be byte-identical to the padded sliding-window layout:
-        # the GEMM that consumes it is what fixes the conv output bits
+        # the padded sliding-window matrix times the flattened kernel is the
+        # convolution the shifted GEMMs must reproduce, kernels wider than the
+        # input included
         x = rand(shape, seed=4)
         B, C, L = shape
+        w = rand((3, C, k), seed=5)
         xp = np.pad(x, ((0, 0), (0, 0), (k // 2, k // 2)))
         win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-        expect = win.transpose(0, 2, 1, 3).reshape(B * L, C * k)
-        cols = tz._im2col(x, k, k // 2)
-        assert cols.flags["C_CONTIGUOUS"] and cols.tobytes() == expect.tobytes()
+        cols = win.transpose(0, 2, 1, 3).reshape(B * L, C * k).astype(np.float64)
+        expect = (cols @ w.reshape(3, C * k).T.astype(np.float64)).reshape(B, L, 3)
+        got = tz.conv1d_cl(Tensor(x.transpose(0, 2, 1)), Tensor(w)).data
+        assert got.flags["C_CONTIGUOUS"] and got.shape == (B, L, 3)
+        assert np.abs(got - expect).max() <= 1e-6 * max(1.0, np.abs(expect).max())
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3, 8), (3, 2, 4), (2, 2, 2), (1, 3, 1)])
+    def test_channels_last_matches_sliding_window_oracle(self, shape, k):
+        # (2, 2) and (1) lengths put kernel taps entirely outside the input
+        x = rand(shape, seed=6)
+        w = rand((4, shape[1], k), seed=7)
+        b = rand((4,), seed=8)
+        y = tz.conv1d_cl(Tensor(x.transpose(0, 2, 1)), Tensor(w), Tensor(b)).data
+        expect = conv1d_oracle(x, w, b).transpose(0, 2, 1)
+        err = np.abs(y - expect).max() / max(1.0, np.abs(expect).max())
+        assert err < 1e-6
 
     def test_output_length_preserved(self):
         y = tz.conv1d(Tensor(rand((2, 3, 16))), Tensor(rand((5, 3, 3))))
@@ -114,6 +130,65 @@ class TestGroupNorm:
         with pytest.raises(ValueError, match="eps"):
             tz.group_norm(Tensor(rand((1, 4, 4))), 2, Tensor(np.ones(4, np.float32)),
                           Tensor(np.zeros(4, np.float32)), eps=0.0)
+
+
+def group_norm_silu_oracle(x, groups, gamma, beta, eps=1e-5):
+    """float64 silu(group_norm(x)) of a [B, C, L] array, group by group."""
+    B, C, L = x.shape
+    xg = x.astype(np.float64).reshape(B, groups, -1)
+    xhat = ((xg - xg.mean(axis=2, keepdims=True))
+            / np.sqrt(xg.var(axis=2, keepdims=True) + eps)).reshape(B, C, L)
+    z = xhat * gamma[None, :, None] + beta[None, :, None]
+    return z / (1.0 + np.exp(-z))
+
+
+class TestGroupNormSilu:
+    @pytest.mark.parametrize("shape,groups", [((2, 8, 16), 4), ((3, 6, 5), 3), ((1, 4, 1), 2)])
+    def test_matches_silu_of_group_norm(self, shape, groups):
+        C = shape[1]
+        x = rand(shape, seed=30, scale=3.0) + 2.0
+        gamma, beta = rand((C,), seed=31) + 1.0, rand((C,), seed=32)
+        g, b = Tensor(gamma), Tensor(beta)
+        fused = tz.group_norm_silu_cl(Tensor(x.transpose(0, 2, 1)), groups, g, b).data.transpose(0, 2, 1)
+        chained = tz.silu(tz.group_norm(Tensor(x), groups, g, b)).data
+        expect = group_norm_silu_oracle(x, groups, gamma, beta)
+        # float32 roundoff of O(1) activations
+        tol = 4e-6 * max(1.0, np.abs(expect).max())
+        assert np.abs(fused - expect).max() < tol
+        assert np.abs(fused - chained).max() < tol
+
+    def test_channels_last_shape_checks(self):
+        ones, zeros = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
+        with pytest.raises(ValueError, match="divisible"):
+            tz.group_norm_silu_cl(Tensor(rand((1, 5, 4))), 3, ones, zeros)
+        with pytest.raises(ValueError, match=r"\[B, L, C\]"):
+            tz.group_norm_silu_cl(Tensor(rand((5, 4))), 2, ones, zeros)
+
+
+class TestLayoutWrappers:
+    """Each [B, C, L] entry point runs the channels-last kernel on the
+    transposed input, so its output is the kernel's, transposed, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from([1, 3, 5]), st.integers(0, 2**16))
+    def test_wrappers_equal_kernels_on_transposed_input(self, b, groups, cg, half_l, k, seed):
+        C, L = groups * cg, 2 * half_l
+        x = rand((b, C, L), seed=seed, scale=2.0)
+        xt = Tensor(x.transpose(0, 2, 1))
+        w, bias = Tensor(rand((3, C, k), seed=seed + 1)), Tensor(rand((3,), seed=seed + 2))
+        gamma, beta = Tensor(rand((C,), seed=seed + 3) + 1.0), Tensor(rand((C,), seed=seed + 4))
+        pairs = [
+            (tz.conv1d(Tensor(x), w, bias), tz.conv1d_cl(xt, w, bias)),
+            (tz.group_norm(Tensor(x), groups, gamma, beta),
+             tz._group_norm_cl(xt, groups, gamma, beta, 1e-5, False, "group_norm")),
+            (tz.maxpool1d_k2(Tensor(x)), tz.maxpool1d_k2(xt, axis=1)),
+            (tz.upsample_nearest_2x(Tensor(x)), tz.upsample_nearest_2x(xt, axis=1)),
+            (tz.concat_channels([Tensor(x), Tensor(x[:, :1])]),
+             tz.concat_channels([xt, Tensor(x[:, :1].transpose(0, 2, 1))], axis=2)),
+        ]
+        for wrapped, kernel in pairs:
+            assert wrapped.data.tobytes() == np.ascontiguousarray(kernel.data.transpose(0, 2, 1)).tobytes()
 
 
 class TestLayerKit:
@@ -231,6 +306,13 @@ GRAD_CASES = {
     "embedding": lambda p: _proj_loss(tz.embedding(p["table"], np.array([0, 2, 2, 1]))),
     "mse": lambda p: tz.mse(p["xmat"], p["ymat"]),
     "reshape": lambda p: _proj_loss(tz.reshape(p["xmat"], (2, 2, 3))),
+    "conv1d_cl": lambda p: _proj_loss(tz.conv1d_cl(p["xcl"], p["w4"], p["b4"])),
+    "conv1d_cl_k5": lambda p: _proj_loss(tz.conv1d_cl(p["xcl_short"], p["w5"], p["b4"])),
+    "conv1d_cl_k7_wider_than_input": lambda p: _proj_loss(tz.conv1d_cl(p["xcl_short"], p["w7"])),
+    "group_norm_silu_cl": lambda p: _proj_loss(tz.group_norm_silu_cl(p["xcl4"], 2, p["gamma4"], p["beta4"])),
+    "maxpool_cl": lambda p: _proj_loss(tz.maxpool1d_k2(p["xcl"], axis=1)),
+    "upsample_cl": lambda p: _proj_loss(tz.upsample_nearest_2x(p["xcl"], axis=1)),
+    "concat_cl": lambda p: _proj_loss(tz.concat_channels([p["xcl"], p["xcl_b"]], axis=2)),
 }
 
 
@@ -253,6 +335,14 @@ def grad_params():
         "ba": mk((2, 3, 4), 22),
         "bb": mk((2, 4, 5), 23),
         "table": mk((3, 4), 24),
+        "xcl": mk((3, 8, 2), 25),
+        "xcl_b": mk((3, 8, 3), 32),
+        "xcl_short": mk((2, 3, 2), 26),
+        "w5": mk((4, 2, 5), 27),
+        "w7": mk((3, 2, 7), 28),
+        "xcl4": mk((2, 6, 4), 29),
+        "gamma4": Tensor(rand((4,), 30, scale=0.5) + 1.0, requires_grad=True),
+        "beta4": mk((4,), 31),
     }
 
 

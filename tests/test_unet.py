@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,24 +126,26 @@ class TestResnetBlock:
             "blk.conv2.w": Tensor(np.zeros((c, c, 3), np.float32)),
             "blk.conv2.b": Tensor(np.zeros(c, np.float32)),
         }
-        x = Tensor(np.random.default_rng(0).normal(size=(2, c, 8)).astype(np.float32))
+        x = np.random.default_rng(0).normal(size=(2, c, 8)).astype(np.float32)
         emb = Tensor(np.random.default_rng(1).normal(size=(2, 128)).astype(np.float32))
-        out = resnet_block(x, emb, params, "blk", groups=4)
-        np.testing.assert_array_equal(out.data, x.data)
+        out = resnet_block(Tensor(x.transpose(0, 2, 1)), emb, params, "blk", groups=4)
+        np.testing.assert_array_equal(out.data.transpose(0, 2, 1), x)
 
     def test_length_preserved_and_channels_change(self):
         params = init_params(TINY, stream(6))
-        x = Tensor(np.random.default_rng(2).normal(size=(2, 4, 16)).astype(np.float32))
+        x = np.random.default_rng(2).normal(size=(2, 4, 16)).astype(np.float32)
         emb = Tensor(np.zeros((2, 128), np.float32))
-        out = resnet_block(x, emb, params, "down1.block0", groups=8)
-        assert out.shape == (2, 8, 16)
+        out = resnet_block(Tensor(x.transpose(0, 2, 1)), emb, params, "down1.block0", groups=8)
+        assert out.shape == (2, 16, 8)
 
     def test_gradcheck_through_block(self):
         params = init_params(TINY, stream(7))
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32), requires_grad=True)
+        # contiguous, so numeric_grad perturbs the tensor's own storage
+        x = Tensor(np.ascontiguousarray(rng.normal(size=(1, 4, 8)).astype(np.float32).transpose(0, 2, 1)),
+                   requires_grad=True)
         emb = Tensor(rng.normal(size=(1, 128)).astype(np.float32), requires_grad=True)
-        proj = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
+        proj = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32).transpose(0, 2, 1))
 
         def make_loss():
             return tz.sum_all(tz.mul(resnet_block(x, emb, params, "down0.block0", groups=2), proj))
@@ -175,7 +179,7 @@ def attention_oracle(x, wq, wk, wv):
 class TestAttention:
     def test_zero_value_projection_passes_input(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(2, 3, 6)).astype(np.float32))
+        x = Tensor(rng.normal(size=(2, 3, 6)).astype(np.float32).transpose(0, 2, 1))
         wq = Tensor(rng.normal(size=(3, 3, 1)).astype(np.float32))
         wk = Tensor(rng.normal(size=(3, 3, 1)).astype(np.float32))
         wv = Tensor(np.zeros((3, 3, 1), np.float32))
@@ -184,7 +188,7 @@ class TestAttention:
 
     def test_weights_are_row_stochastic(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32))
+        x = Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32).transpose(0, 2, 1))
         wq = Tensor(rng.normal(size=(4, 4, 1)).astype(np.float32))
         wk = Tensor(rng.normal(size=(4, 4, 1)).astype(np.float32))
         w = attention_weights(x, wq, wk).data
@@ -198,7 +202,8 @@ class TestAttention:
         wq = rng.normal(size=(2, 2, 1)).astype(np.float32)
         wk = rng.normal(size=(2, 2, 1)).astype(np.float32)
         wv = rng.normal(size=(2, 2, 1)).astype(np.float32)
-        got = attention(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv)).data
+        got = attention(Tensor(x.transpose(0, 2, 1)), Tensor(wq), Tensor(wk), Tensor(wv)).data
+        got = got.transpose(0, 2, 1)
         expect = attention_oracle(x, wq, wk, wv)
         assert np.abs(got - expect).max() < 1e-5
 
@@ -295,3 +300,97 @@ class TestForward:
         num = np.array([n for _, n in pairs])
         rel = np.abs(ana - num).max() / max(np.abs(num).max(), 1e-6)
         assert rel < 5e-3, f"full-model gradient field mismatch: rel {rel:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# channels-last model against a [B, C, L] reference built from public ops
+# ---------------------------------------------------------------------------
+
+def reference_forward(model: TrajUNet, x_t: np.ndarray, t: np.ndarray, cond) -> Tensor:
+    """TrajUNet.forward written in [B, C, L] with the layout-preserving public
+    ops (conv1d, group_norm then silu, maxpool1d_k2, ...), as the model ran
+    before it went channels-last."""
+    cfg, p = model.config, model.params
+    emb = tz.add(time_mlp(Tensor(sinusoidal_time_embedding(t, cfg.time_embed_dim)), p),
+                 wide_deep_embed(cond, p))
+
+    def gn_silu(h, prefix):
+        groups = math.gcd(cfg.groups, h.shape[1])
+        return tz.silu(tz.group_norm(h, groups, p[f"{prefix}.gamma"], p[f"{prefix}.beta"]))
+
+    def block(h, prefix):
+        c_out = p[f"{prefix}.conv1.w"].shape[0]
+        r = tz.conv1d(gn_silu(h, f"{prefix}.gn1"), p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"])
+        inj = tz.linear(emb, p[f"{prefix}.emb.W"], p[f"{prefix}.emb.b"])
+        r = tz.add(r, tz.reshape(inj, (inj.shape[0], c_out, 1)))
+        r = tz.conv1d(gn_silu(r, f"{prefix}.gn2"), p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])
+        if h.shape[1] != c_out:
+            h = tz.conv1d(h, p[f"{prefix}.skip.w"], p[f"{prefix}.skip.b"])
+        return tz.add(r, h)
+
+    def attn(h, prefix):
+        q, k, v = (tz.conv1d(h, p[f"{prefix}.w{n}"]) for n in "qkv")
+        scores = tz.mul(tz.bmm(tz.transpose_last2(q), k), 1.0 / math.sqrt(h.shape[1]))
+        return tz.add(h, tz.bmm(v, tz.transpose_last2(tz.softmax_lastdim(scores))))
+
+    h = tz.conv1d(Tensor(x_t), p["stem.w"], p["stem.b"])
+    skips = []
+    for i in range(cfg.levels):
+        for j in range(cfg.resnet_blocks_per_level):
+            h = block(h, f"down{i}.block{j}")
+        skips.append(h)
+        if i < cfg.levels - 1:
+            h = tz.maxpool1d_k2(h)
+    h = block(h, "mid.res1")
+    h = attn(h, "mid.attn")
+    h = block(h, "mid.res2")
+    for i in reversed(range(cfg.levels)):
+        h = tz.concat_channels([h, skips[i]])
+        for j in range(cfg.resnet_blocks_per_level):
+            h = block(h, f"up{i}.block{j}")
+        if i > 0:
+            h = tz.upsample_nearest_2x(h)
+    return tz.conv1d(gn_silu(h, "out.gn"), p["out.conv.w"], p["out.conv.b"])
+
+
+# float32 roundoff through the full graph: the fused GroupNorm-SiLU and the
+# channels-last GEMMs sum in another order than the reference
+EQUIVALENCE_REL_TOL = 1e-4
+
+
+@pytest.mark.parametrize("cfg,batch", [(TINY, 3), (TrajUNetConfig(length=64, base_channels=16), 4)],
+                         ids=["tiny", "desk"])
+def test_channels_last_model_matches_reference(cfg, batch):
+    rng = np.random.default_rng(11)
+    model = TrajUNet(cfg, rng=stream(14))
+    # randomize the zero-initialized convs so every parameter gets a gradient
+    for name, p in model.params.items():
+        if name.endswith(".w") and not p.data.any():
+            model.params[name] = Tensor(rng.normal(0, 0.2, size=p.data.shape).astype(np.float32),
+                                        requires_grad=True)
+    x = rng.normal(size=(batch, 2, cfg.length)).astype(np.float32)
+    t = rng.integers(1, 100, size=batch)
+    cond = ConditionBatch.from_vectors([
+        ConditionVector(numeric=rng.normal(size=4).astype(np.float32), departure_slot=5 * i,
+                        origin_cell=i, dest_cell=200 - i) for i in range(batch)])
+    proj = Tensor(rng.normal(size=x.shape).astype(np.float32))
+
+    def run(forward):
+        for p in model.params.values():
+            p.zero_grad()
+        tz.reset_tape()
+        out = forward(model, x, t, cond)
+        tz.backward(tz.sum_all(tz.mul(out, proj)))
+        return out.data, {k: p.grad for k, p in model.params.items()}
+
+    out, grads = run(TrajUNet.forward)
+    ref_out, ref_grads = run(reference_forward)
+    assert out.shape == ref_out.shape == x.shape
+
+    def rel(a, b):
+        return float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-6)
+
+    assert rel(out, ref_out) < EQUIVALENCE_REL_TOL
+    assert all(g is not None for g in ref_grads.values())
+    worst = max((rel(grads[k], ref_grads[k]), k) for k in ref_grads)
+    assert worst[0] < EQUIVALENCE_REL_TOL, f"gradient of {worst[1]} differs by {worst[0]:.2e}"
