@@ -9,17 +9,17 @@ float32 arrays. Reloading reproduces parameters bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 
 from .errors import DataError
-from .rng import stream
 from .schedule import NoiseSchedule, linear_beta_schedule
 from .tensor import Tensor
 from .trajdata import NUM_GRID_CELLS, GridSpec, NormStats
-from .unet import TrajUNet, TrajUNetConfig, init_params
+from .unet import TrajUNet, TrajUNetConfig, param_specs
 
 MAGIC = b"TDCK1"
 SCHEMA_VERSION = 1
@@ -58,7 +58,8 @@ def save_checkpoint(path, model: TrajUNet, sched: NoiseSchedule, norm: NormStats
 def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec, dict]:
     """Read a checkpoint; any malformed, inconsistent or truncated content
     raises DataError. The parameter table must name exactly the parameters
-    that init_params builds for the stored config, with the same shapes."""
+    that param_specs lists for the stored config, with the same shapes, and
+    is checked before any weight is allocated."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
@@ -77,25 +78,28 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
         raise DataError(f"{path}: unsupported checkpoint schema version "
                         f"{header.get('schema_version')!r} (expected {SCHEMA_VERSION})")
 
+    table = header.get("params")
+    if not isinstance(table, list):
+        raise DataError(f"{path}: checkpoint header lacks a parameter table")
     try:
         config = TrajUNetConfig.from_dict(header["config"])
         s = header["schedule"]
         sched = linear_beta_schedule(s["T"], s["beta_start"], s["beta_end"])
         norm = NormStats.from_dict(header["norm"])
         grid = GridSpec.from_dict(header["grid"])
-        shapes = {k: p.shape for k, p in init_params(config, stream(0)).items()}
+        # one spec past the table's length shows the table is short, so a
+        # huge block count in the config cannot make this walk long
+        shapes = {k: shape for k, shape, _ in itertools.islice(param_specs(config), len(table) + 1)}
     except (DataError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: invalid checkpoint header: {e!r}") from e
     if not (type(grid.rows) is type(grid.cols) is int and grid.n_cells <= NUM_GRID_CELLS):
         raise DataError(f"{path}: grid must have at most {NUM_GRID_CELLS} integer cells")
     if not type(header.get("train_steps")) is type(header.get("seed")) is int:
         raise DataError(f"{path}: checkpoint header lacks an integer train_steps or seed")
-    if not isinstance(header.get("params"), list):
-        raise DataError(f"{path}: checkpoint header lacks a parameter table")
 
     payload = blob[head_end:]
     params: dict[str, Tensor] = {}
-    for e in header["params"]:
+    for e in table:
         name = e.get("name") if isinstance(e, dict) else None
         if not isinstance(name, str) or name not in shapes or name in params:
             raise DataError(f"{path}: unexpected or repeated parameter entry {str(e)[:80]}")

@@ -164,6 +164,20 @@ def _grid_shape(text: str) -> tuple[int, int]:
     return rows, cols
 
 
+def _bbox(text: str) -> tuple[float, float, float, float]:
+    """The four finite numbers of a LNGMIN,LNGMAX,LATMIN,LATMAX flag, each
+    maximum above its minimum."""
+    try:
+        bbox = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        bbox = ()
+    if not (len(bbox) == 4 and all(math.isfinite(v) for v in bbox)
+            and bbox[1] > bbox[0] and bbox[3] > bbox[2]):
+        raise UsageError(f"bad --bbox {text!r}, expected four finite numbers "
+                         "LNGMIN,LNGMAX,LATMIN,LATMAX with each max above its min")
+    return bbox
+
+
 def _meta_grid(meta) -> GridSpec | None:
     """Grid over the city bounding box recorded in a dataset header, if any."""
     if not meta or "city" not in meta:
@@ -344,19 +358,14 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_DEFAULTS)
     _check_values(cfg, {"topn": 1, "bins": 1, "length": 2})
     rows, cols = _grid_shape(cfg["grid"])
+    bbox = _bbox(args.bbox) if args.bbox else None
     _check_out_path(args.out)
     gen = load_dataset(args.gen, min_points=2).trajectories
     real_result = load_dataset(args.real, min_points=2)
     real = real_result.trajectories
     if not gen or not real:
         raise DataError("both --gen and --real must contain trajectories")
-    if args.bbox:
-        try:
-            bbox = tuple(float(x) for x in args.bbox.split(","))
-            assert len(bbox) == 4
-        except (ValueError, AssertionError) as e:
-            raise UsageError(f"bad --bbox {args.bbox!r}, expected LNGMIN,LNGMAX,LATMIN,LATMAX") from e
-    else:
+    if bbox is None:
         meta_grid = _meta_grid(real_result.meta)
         bbox = ((meta_grid.lng_min, meta_grid.lng_max, meta_grid.lat_min, meta_grid.lat_max)
                 if meta_grid else _dataset_bbox(real))

@@ -14,11 +14,20 @@ maxpool1d_k2, upsample_nearest_2x and concat_channels take the axis they
 work along. The [B, C, L] entry points conv1d and group_norm transpose in and
 out of the same kernels; the weights stay [Cout, Cin, K] in either layout.
 
-Tracking uses a thread-local tape (a Wengert list). Ops append a backward
-closure when grad mode is on and some input requires grad; backward() walks
-the tape in exact reverse execution order and then consumes it, so a second
-backward without a new forward pass raises. Independent threads own
-independent tapes.
+Tracking uses a thread-local tape (a Wengert list). When grad mode is on and
+some input requires grad, an op appends one record (out, inputs, backward_fn);
+backward_fn(g) maps the output's gradient to one gradient per input, in the
+output's broadcast shape, and touches no tensor. backward() is the one place
+that writes an input's .grad: it walks the records in exact reverse execution
+order, skips records whose output got no gradient and inputs that do not
+require grad, casts each gradient to float32, sums it down to the input's
+shape, stores the first one as it is and adds later ones out of place.
+Gradient arrays are never written in place, so one array may be the gradient
+of several tensors (add hands the same g to both inputs). The whole tape
+lives until the walk ends and is then cleared, so a second backward without
+a new forward pass raises; dropping each record as it runs lowers the peak
+memory but frees and re-maps large buffers on every step, which costs more
+than it saves. Independent threads own independent tapes.
 
 This module also owns the numeric runtime's threads: single_threaded_blas
 runs a block with OpenBLAS at one thread and restores the caller's count
@@ -108,24 +117,12 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    """Add g into t.grad; own=True promises g is freshly allocated."""
-    g = np.asarray(g, dtype=np.float32)
-    if t.grad is None:
-        if g.shape != t.data.shape:
-            t.grad = np.broadcast_to(g, t.data.shape).astype(np.float32)
-        else:
-            t.grad = g if own else g.copy()
-    else:
-        t.grad += g
-
-
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str,
           check: bool = True) -> Tensor:
-    """Wrap an op result; record the backward closure when tracking.
+    """Wrap an op result; record (out, inputs, backward_fn) when tracking.
 
-    check=False is for pure data-movement ops that cannot create
-    non-finite values from finite inputs.
+    backward_fn(g) returns one gradient per input. check=False is for pure
+    data-movement ops that cannot create non-finite values from finite inputs.
     """
     if check:
         _finite(out_data, op)
@@ -137,17 +134,14 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str
     st = _state()
     if st.grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-
-        def node():
-            if out.grad is None:
-                return
-            backward_fn(out.grad)
-
-        st.tape.append(node)
+        st.tape.append((out, inputs, backward_fn))
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient in an op's broadcast output shape down to an input's shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -163,64 +157,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    y = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _make(y, (a, b), backward, "add")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    y = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(y, (a, b), backward, "sub")
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    y = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape), own=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape), own=True)
-
-    return _make(y, (a, b), backward, "mul")
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     old = x.data.shape
-    y = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g.reshape(old))
-
-    return _make(y, (x,), backward, "reshape", check=False)
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape", check=False)
 
 
 def transpose_last2(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     y = np.ascontiguousarray(x.data.swapaxes(-1, -2))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g.swapaxes(-1, -2))
-
-    return _make(y, (x,), backward, "transpose_last2", check=False)
+    return _make(y, (x,), lambda g: (g.swapaxes(-1, -2),), "transpose_last2", check=False)
 
 
 def concat_channels(tensors, axis: int = 1) -> Tensor:
@@ -230,14 +189,8 @@ def concat_channels(tensors, axis: int = 1) -> Tensor:
         raise ValueError("concat_channels needs at least one tensor")
     y = np.concatenate([t.data for t in ts], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
-
-    def backward(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, p in zip(ts, parts):
-            if t.requires_grad:
-                _accum(t, p)
-
-    return _make(y, tuple(ts), backward, "concat_channels", check=False)
+    return _make(y, tuple(ts), lambda g: np.split(g, splits, axis=axis), "concat_channels",
+                 check=False)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -245,12 +198,7 @@ def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     acc = float(np.sum(x.data, dtype=np.float64))
     y = np.asarray(acc, dtype=np.float32)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to(g, x.data.shape))
-
-    out = _make(y, (x,), backward, "sum_all")
+    out = _make(y, (x,), lambda g: (np.broadcast_to(g, x.data.shape),), "sum_all")
     out._f64 = acc
     return out
 
@@ -266,12 +214,8 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     y = np.asarray(acc, dtype=np.float32)
 
     def backward(g):
-        scale = 2.0 / n
-        gd = (g * scale) * diff.astype(np.float32)
-        if a.requires_grad:
-            _accum(a, gd, own=True)
-        if b.requires_grad:
-            _accum(b, -gd, own=True)
+        gd = (g * (2.0 / n)) * diff.astype(np.float32)
+        return gd, -gd
 
     out = _make(y, (a, b), backward, "mse")
     out._f64 = acc
@@ -287,12 +231,7 @@ def silu(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-x.data))
     y = x.data * s
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * (s * (1.0 + x.data * (1.0 - s))), own=True)
-
-    return _make(y, (x,), backward, "silu")
+    return _make(y, (x,), lambda g: (g * (s * (1.0 + x.data * (1.0 - s))),), "silu")
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -304,9 +243,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     y = y64.astype(np.float32)
 
     def backward(g):
-        if x.requires_grad:
-            gy = g * y
-            _accum(x, gy - y * gy.sum(axis=-1, keepdims=True), own=True)
+        gy = g * y
+        return (gy - y * gy.sum(axis=-1, keepdims=True),)
 
     return _make(y, (x,), backward, "softmax_lastdim")
 
@@ -371,18 +309,13 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: flo
         ones = np.ones(L, dtype=np.float32)
         sum_dz = (ones @ dz).astype(np.float64)
         sum_dzxh = inv * (ones @ (dz * xc))
-        if gamma.requires_grad:
-            _accum(gamma, sum_dzxh.sum(axis=0), own=True)
-        if beta.requires_grad:
-            _accum(beta, sum_dz.sum(axis=0), own=True)
-        if x.requires_grad:
-            m1 = per_group(gam * sum_dz) / n
-            m2 = per_group(gam * sum_dzxh) / n
-            # dx = inv * (gamma * dz - m1 - x_hat * m2), x_hat = inv * xc
-            gx = dz * scale
-            gx -= xc * (inv * inv * m2).astype(np.float32)[:, None, :]
-            gx -= (inv * m1).astype(np.float32)[:, None, :]
-            _accum(x, gx, own=True)
+        m1 = per_group(gam * sum_dz) / n
+        m2 = per_group(gam * sum_dzxh) / n
+        # dx = inv * (gamma * dz - m1 - x_hat * m2), x_hat = inv * xc
+        gx = dz * scale
+        gx -= xc * (inv * inv * m2).astype(np.float32)[:, None, :]
+        gx -= (inv * m1).astype(np.float32)[:, None, :]
+        return gx, sum_dzxh.sum(axis=0), sum_dz.sum(axis=0)
 
     return _make(y, (x, gamma, beta), backward, op)
 
@@ -417,14 +350,9 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         y = y + b.data
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g @ W.data.T, own=True)
-        if W.requires_grad:
-            xf = x.data.reshape(-1, x.data.shape[-1])
-            gf = np.ascontiguousarray(g.reshape(-1, g.shape[-1]))
-            _accum(W, xf.T @ gf, own=True)
-        if b is not None and b.requires_grad:
-            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0, dtype=np.float64), own=True)
+        gf = g.reshape(-1, g.shape[-1])
+        grads = (g @ W.data.T, x.data.reshape(-1, x.data.shape[-1]).T @ np.ascontiguousarray(gf))
+        return grads if b is None else grads + (gf.sum(axis=0, dtype=np.float64),)
 
     inputs = (x, W) if b is None else (x, W, b)
     return _make(y, inputs, backward, "linear")
@@ -436,14 +364,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[2] != b.data.shape[1] or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"bmm shape mismatch: {a.data.shape} @ {b.data.shape}")
     y = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.swapaxes(1, 2), own=True)
-        if b.requires_grad:
-            _accum(b, a.data.swapaxes(1, 2) @ g, own=True)
-
-    return _make(y, (a, b), backward, "bmm")
+    return _make(y, (a, b), lambda g: (g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g), "bmm")
 
 
 def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -457,10 +378,9 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
     y = table.data[idx]
 
     def backward(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, idx, g)
-            _accum(table, acc, own=True)
+        acc = np.zeros_like(table.data)
+        np.add.at(acc, idx, g)
+        return (acc,)
 
     return _make(y, (table,), backward, "embedding")
 
@@ -552,12 +472,11 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         y += b.data
 
     def backward(g):
-        if b is not None and b.requires_grad:
-            _accum(b, np.ones(B * L, dtype=np.float32) @ g.reshape(B * L, Cout), own=True)
-        if w.requires_grad:
-            _accum(w, _conv_weight_grad(x.data, g, K), own=True)
-        if x.requires_grad:
-            _accum(x, _conv_taps(g, w.data.transpose(1, 0, 2)[:, :, ::-1]), own=True)
+        gx = _conv_taps(g, w.data.transpose(1, 0, 2)[:, :, ::-1])
+        grads = (gx, _conv_weight_grad(x.data, g, K))
+        if b is None:
+            return grads
+        return grads + (np.ones(B * L, dtype=np.float32) @ g.reshape(B * L, Cout),)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _make(y, inputs, backward, "conv1d")
@@ -591,12 +510,11 @@ def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
     y = np.where(take_first, first, second)
 
     def backward(g):
-        if x.requires_grad:
-            gp = np.zeros(shape, dtype=np.float32)
-            g_first, g_second = np.moveaxis(gp, pair_axis, 0)
-            np.copyto(g_first, g, where=take_first)
-            np.copyto(g_second, g, where=~take_first)
-            _accum(x, gp.reshape(x.data.shape), own=True)
+        gp = np.zeros(shape, dtype=np.float32)
+        g_first, g_second = np.moveaxis(gp, pair_axis, 0)
+        np.copyto(g_first, g, where=take_first)
+        np.copyto(g_second, g, where=~take_first)
+        return (gp.reshape(x.data.shape),)
 
     return _make(y, (x,), backward, "maxpool1d_k2", check=False)
 
@@ -608,9 +526,8 @@ def upsample_nearest_2x(x: Tensor, axis: int = -1) -> Tensor:
     y = np.repeat(x.data, 2, axis=axis)
 
     def backward(g):
-        if x.requires_grad:
-            shape, pair_axis = _pairs(g.shape, axis, "upsample_nearest_2x")
-            _accum(x, g.reshape(shape).sum(axis=pair_axis), own=True)
+        shape, pair_axis = _pairs(g.shape, axis, "upsample_nearest_2x")
+        return (g.reshape(shape).sum(axis=pair_axis),)
 
     return _make(y, (x,), backward, "upsample_nearest_2x", check=False)
 
@@ -624,7 +541,8 @@ def backward(loss: Tensor) -> None:
 
     Consumes the tape: calling again without a new tracked forward pass
     raises. Every requires_grad tensor touched by the pass ends up with
-    dLoss/dtensor accumulated into .grad.
+    dLoss/dtensor summed into .grad. This is the only code that writes an op
+    input's .grad, and it never writes a gradient array in place.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor loss")
@@ -634,8 +552,13 @@ def backward(loss: Tensor) -> None:
     if not st.tape:
         raise RuntimeError("backward on an empty tape (no tracked forward pass)")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(st.tape):
-        node()
+    for out, inputs, backward_fn in reversed(st.tape):
+        if out.grad is None:
+            continue
+        for t, g in zip(inputs, backward_fn(out.grad), strict=True):
+            if t.requires_grad:
+                g = _unbroadcast(np.asarray(g, dtype=np.float32), t.data.shape)
+                t.grad = g if t.grad is None else t.grad + g
     st.tape = []
 
 

@@ -52,6 +52,14 @@ class RawTrajectory:
             raise DataError(f"trajectory {self.id!r} has a non-finite point, t0 or interval")
 
 
+def _check_box(box, what: str) -> None:
+    """A lng/lat bounding box must be finite and have positive extent."""
+    if not all(math.isfinite(v) for v in (box.lng_min, box.lng_max, box.lat_min, box.lat_max)):
+        raise DataError(f"{what} bounding box must be finite")
+    if not (box.lng_max > box.lng_min and box.lat_max > box.lat_min):
+        raise DataError(f"{what} bounding box is degenerate")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     lng_min: float
@@ -62,8 +70,7 @@ class GridSpec:
     cols: int = 16
 
     def __post_init__(self):
-        if not (self.lng_max > self.lng_min and self.lat_max > self.lat_min):
-            raise DataError("grid bounding box is degenerate")
+        _check_box(self, "grid")
         if self.rows < 1 or self.cols < 1:
             raise DataError("grid needs at least one row and column")
 
@@ -103,8 +110,7 @@ class NormStats:
     attr_std: np.ndarray = field(default_factory=lambda: np.ones(4))
 
     def __post_init__(self):
-        if not (self.lng_max > self.lng_min and self.lat_max > self.lat_min):
-            raise DataError("normalization bounding box is degenerate")
+        _check_box(self, "normalization")
         self.attr_mean = np.asarray(self.attr_mean, dtype=np.float64)
         self.attr_std = np.asarray(self.attr_std, dtype=np.float64)
         if not self.attr_mean.shape == self.attr_std.shape == (NUM_NUMERIC_ATTRS,):

@@ -10,6 +10,7 @@ from the stem to the output conv, activations are channels-last [B, L, C].
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -173,91 +174,96 @@ def middle_attention(x: Tensor, emb: Tensor, params: dict, prefix: str, groups: 
 # parameter construction
 # ---------------------------------------------------------------------------
 
-def _conv_init(rng, c_out: int, c_in: int, k: int) -> Tensor:
-    std = math.sqrt(2.0 / (c_in * k))
-    return Tensor(rng.normal(0.0, std, size=(c_out, c_in, k)).astype(np.float32), requires_grad=True)
+def param_specs(config: TrajUNetConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """Yield (name, shape, init) for every parameter, in the order
+    init_params draws them. Names and shapes are the checkpoint contract;
+    listing them allocates no weights.
 
-
-def _linear_init(rng, n_in: int, n_out: int) -> Tensor:
-    std = math.sqrt(2.0 / n_in)
-    return Tensor(rng.normal(0.0, std, size=(n_in, n_out)).astype(np.float32), requires_grad=True)
-
-
-def _zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-
-def _ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-
-def init_params(config: TrajUNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Build the named parameter set for a config. Names are the checkpoint contract."""
-    p: dict[str, Tensor] = {}
+    init is "ones" or "zeros", "conv" or "linear" (He normal over the
+    fan-in of a [Cout, Cin, K] kernel or an [In, Out] matrix), or "table"
+    (normal, std 0.3).
+    """
     emb_dim = config.time_embed_dim
 
-    def add_resnet(prefix: str, c_in: int, c_out: int) -> None:
-        p[f"{prefix}.gn1.gamma"] = _ones(c_in)
-        p[f"{prefix}.gn1.beta"] = _zeros(c_in)
-        p[f"{prefix}.conv1.w"] = _conv_init(rng, c_out, c_in, 3)
-        p[f"{prefix}.conv1.b"] = _zeros(c_out)
-        p[f"{prefix}.emb.W"] = _linear_init(rng, emb_dim, c_out)
-        p[f"{prefix}.emb.b"] = _zeros(c_out)
-        p[f"{prefix}.gn2.gamma"] = _ones(c_out)
-        p[f"{prefix}.gn2.beta"] = _zeros(c_out)
+    def resnet(prefix: str, c_in: int, c_out: int):
+        yield f"{prefix}.gn1.gamma", (c_in,), "ones"
+        yield f"{prefix}.gn1.beta", (c_in,), "zeros"
+        yield f"{prefix}.conv1.w", (c_out, c_in, 3), "conv"
+        yield f"{prefix}.conv1.b", (c_out,), "zeros"
+        yield f"{prefix}.emb.W", (emb_dim, c_out), "linear"
+        yield f"{prefix}.emb.b", (c_out,), "zeros"
+        yield f"{prefix}.gn2.gamma", (c_out,), "ones"
+        yield f"{prefix}.gn2.beta", (c_out,), "zeros"
         # zero-init: the block starts as skip + embedding injection only
-        p[f"{prefix}.conv2.w"] = _zeros(c_out, c_out, 3)
-        p[f"{prefix}.conv2.b"] = _zeros(c_out)
+        yield f"{prefix}.conv2.w", (c_out, c_out, 3), "zeros"
+        yield f"{prefix}.conv2.b", (c_out,), "zeros"
         if c_in != c_out:
-            p[f"{prefix}.skip.w"] = _conv_init(rng, c_out, c_in, 1)
-            p[f"{prefix}.skip.b"] = _zeros(c_out)
+            yield f"{prefix}.skip.w", (c_out, c_in, 1), "conv"
+            yield f"{prefix}.skip.b", (c_out,), "zeros"
 
-    p["time_mlp.fc1.W"] = _linear_init(rng, emb_dim, emb_dim)
-    p["time_mlp.fc1.b"] = _zeros(emb_dim)
-    p["time_mlp.fc2.W"] = _linear_init(rng, emb_dim, emb_dim)
-    p["time_mlp.fc2.b"] = _zeros(emb_dim)
+    for fc in ("fc1", "fc2"):
+        yield f"time_mlp.{fc}.W", (emb_dim, emb_dim), "linear"
+        yield f"time_mlp.{fc}.b", (emb_dim,), "zeros"
 
-    p["cond.wide.W"] = _linear_init(rng, NUM_NUMERIC_ATTRS, emb_dim)
-    p["cond.wide.b"] = _zeros(emb_dim)
+    yield "cond.wide.W", (NUM_NUMERIC_ATTRS, emb_dim), "linear"
+    yield "cond.wide.b", (emb_dim,), "zeros"
     # table rows start at unit-ish scale so the categorical (spatial) signal
     # is not drowned out by the wide numeric path early in training
     for name, vocab in (("slot", NUM_DEPARTURE_SLOTS), ("origin", NUM_GRID_CELLS), ("dest", NUM_GRID_CELLS)):
-        p[f"cond.deep.{name}"] = Tensor(rng.normal(0.0, 0.3, size=(vocab, emb_dim)).astype(np.float32),
-                                        requires_grad=True)
-    p["cond.deep.fc1.W"] = _linear_init(rng, 3 * emb_dim, emb_dim)
-    p["cond.deep.fc1.b"] = _zeros(emb_dim)
-    p["cond.deep.fc2.W"] = _linear_init(rng, emb_dim, emb_dim)
-    p["cond.deep.fc2.b"] = _zeros(emb_dim)
+        yield f"cond.deep.{name}", (vocab, emb_dim), "table"
+    yield "cond.deep.fc1.W", (3 * emb_dim, emb_dim), "linear"
+    yield "cond.deep.fc1.b", (emb_dim,), "zeros"
+    yield "cond.deep.fc2.W", (emb_dim, emb_dim), "linear"
+    yield "cond.deep.fc2.b", (emb_dim,), "zeros"
 
     chans = config.channels
-    p["stem.w"] = _conv_init(rng, chans[0], config.in_channels, 3)
-    p["stem.b"] = _zeros(chans[0])
+    yield "stem.w", (chans[0], config.in_channels, 3), "conv"
+    yield "stem.b", (chans[0],), "zeros"
 
     c = chans[0]
     for i, ci in enumerate(chans):
         for j in range(config.resnet_blocks_per_level):
-            add_resnet(f"down{i}.block{j}", c, ci)
+            yield from resnet(f"down{i}.block{j}", c, ci)
             c = ci
 
-    p["mid.attn.wq"] = _conv_init(rng, c, c, 1)
-    p["mid.attn.wk"] = _conv_init(rng, c, c, 1)
-    p["mid.attn.wv"] = _conv_init(rng, c, c, 1)
-    add_resnet("mid.res1", c, c)
-    add_resnet("mid.res2", c, c)
+    for w in ("wq", "wk", "wv"):
+        yield f"mid.attn.{w}", (c, c, 1), "conv"
+    yield from resnet("mid.res1", c, c)
+    yield from resnet("mid.res2", c, c)
 
     for i in reversed(range(config.levels)):
         ci = chans[i]
         for j in range(config.resnet_blocks_per_level):
             c_in = c + ci if j == 0 else ci
-            add_resnet(f"up{i}.block{j}", c_in, ci)
+            yield from resnet(f"up{i}.block{j}", c_in, ci)
         c = ci
 
-    p["out.gn.gamma"] = _ones(c)
-    p["out.gn.beta"] = _zeros(c)
+    yield "out.gn.gamma", (c,), "ones"
+    yield "out.gn.beta", (c,), "zeros"
     # zero-init the output conv so the untrained model predicts zero noise
-    p["out.conv.w"] = _zeros(config.in_channels, c, 3)
-    p["out.conv.b"] = _zeros(config.in_channels)
-    return p
+    yield "out.conv.w", (config.in_channels, c, 3), "zeros"
+    yield "out.conv.b", (config.in_channels,), "zeros"
+
+
+def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
+    if init == "ones":
+        return np.ones(shape, dtype=np.float32)
+    if init == "zeros":
+        return np.zeros(shape, dtype=np.float32)
+    if init == "conv":
+        std = math.sqrt(2.0 / (shape[1] * shape[2]))
+    elif init == "linear":
+        std = math.sqrt(2.0 / shape[0])
+    else:
+        std = 0.3
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
+
+
+def init_params(config: TrajUNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Build the named parameter set of param_specs(config), drawing from rng
+    in that order."""
+    return {name: Tensor(_draw(rng, shape, init), requires_grad=True)
+            for name, shape, init in param_specs(config)}
 
 
 # ---------------------------------------------------------------------------

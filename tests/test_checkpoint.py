@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,8 @@ HEADER_EDITS = {
     "cells": lambda h: h["grid"].update(rows=32),
     "seed": lambda h: h.pop("seed"),
     "parameter table": lambda h: h.update(params={}),
+    "grid bounding box must be finite": lambda h: h["grid"].update(lng_max=float("inf")),
+    "normalization bounding box must be finite": lambda h: h["norm"].update(lat_min=float("nan")),
 }
 
 
@@ -142,6 +145,27 @@ class TestHeaderContract:
         bad = _rewrite_header(path, tmp_path / "bad.ckpt", HEADER_EDITS[match])
         with pytest.raises(DataError, match=match):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("config", [
+        {"base_channels": 128, "channel_multipliers": [1, 2, 2, 4], "resnet_blocks_per_level": 2},
+        {"resnet_blocks_per_level": 10**4},
+    ], ids=["wide", "deep"])
+    def test_oversized_config_rejected_before_allocating(self, saved, tmp_path, config):
+        # the stored table no longer fits the header's config; the loader must
+        # say so without building that config's model (a 128-channel desk
+        # UNet is about 68 MB) or walking its every parameter name
+        path, *_ = saved
+        bad = _rewrite_header(path, tmp_path / "big.ckpt", lambda h: h["config"].update(config))
+        blob = bad.read_bytes()
+        bad.write_bytes(blob[:9 + int.from_bytes(blob[5:9], "little") + 1024])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_non_finite_weight_is_data_error(self, saved, tmp_path):
         path, *_ = saved

@@ -283,6 +283,21 @@ class TestEval:
                    flag, value) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bbox", ["108.9,inf,34.18,34.34", "nan,109.1,34.18,34.34",
+                                      "108.9,109.1,34.18", "109.1,108.9,34.18,34.34", "a,b,c,d"])
+    def test_bad_bbox_usage_error(self, city, tmp_path, capsys, monkeypatch, bbox):
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("read data before --bbox"))
+        out = tmp_path / "r.json"
+        assert run("eval", "--gen", city, "--real", city, "--out", out, "--bbox", bbox) == 1
+        assert "usage error" in capsys.readouterr().err and not out.exists()
+
+    def test_bbox_sets_grid_frame(self, city, tmp_path):
+        out = tmp_path / "r.json"
+        assert run("eval", "--gen", city, "--real", city, "--out", out,
+                   "--bbox", "108.9,109.1,34.18,34.34") == 0
+        grid = json.loads(out.read_text())["grid"]
+        assert [grid[k] for k in ("lng_min", "lng_max", "lat_min", "lat_max")] == [108.9, 109.1, 34.18, 34.34]
+
     @pytest.mark.parametrize("settings", [{"bins": 0}, {"topn": -3}, {"topn": "10"},
                                           {"grid": "16x0"}, {"grid": 16}, {"length": 1}],
                              ids=json.dumps)

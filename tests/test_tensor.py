@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, numeric_grad
 from trajdiff import tensor as tz
 from trajdiff.errors import NumericError
 from trajdiff.tensor import Tensor
@@ -281,6 +283,69 @@ class TestBackward:
         loss = tz.sum_all(tz.add(tz.mul(w, 3.0), tz.mul(w, 5.0)))
         tz.backward(loss)
         np.testing.assert_allclose(w.grad, [8.0])
+
+
+class TestAccumulation:
+    """backward() is the one place that writes an op input's .grad: it sums
+    reused inputs and broadcast operands and never writes a gradient array in
+    place, so inputs may share one array."""
+
+    def test_shared_gradient_survives_a_later_contribution(self):
+        # add hands one gradient array to a and b; b's second contribution,
+        # from the mul recorded before the add and so walked after it, must
+        # leave a's gradient as it was
+        a = Tensor(rand((2, 3), seed=1), requires_grad=True)
+        b = Tensor(rand((2, 3), seed=2), requires_grad=True)
+        r = rand((2, 3), seed=3)
+        u = tz.mul(b, 2.0)
+        y = tz.add(a, b)
+        tz.backward(tz.sum_all(tz.mul(tz.add(y, u), Tensor(r))))
+        np.testing.assert_array_equal(a.grad, r)
+        np.testing.assert_allclose(b.grad, 3.0 * r, rtol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "sub", "mul", "cat"]), st.integers(0, 63),
+                              st.integers(0, 63), st.sampled_from(["pool", "one", "chan", "sum"]),
+                              st.booleans()),
+                    min_size=1, max_size=6),
+           st.integers(0, 2**16))
+    def test_random_graph_matches_finite_differences(self, program, seed):
+        # [2, 3] leaves used any number of times, [1] and [C] leaves as
+        # broadcast operands on either side, sum_all as a scalar operand,
+        # concat_channels + reshape mid-graph and in the loss, which also
+        # repeats the first leaf inside one concat. Every step records a
+        # sum_all that only the "sum" operand uses, so the walk also meets
+        # records whose output gets no gradient. The oracle differentiates
+        # the same program replayed in float64 numpy, so gradients that
+        # nearly cancel stay above its noise.
+        leaves = [Tensor(rand((2, 3), seed=seed + i, scale=0.5), requires_grad=True) for i in range(3)]
+        one = Tensor(rand((1,), seed=seed + 3, scale=0.5), requires_grad=True)
+        chan = Tensor(rand((3,), seed=seed + 4, scale=0.5), requires_grad=True)
+        f64 = SimpleNamespace(add=np.add, sub=np.subtract, mul=np.multiply, reshape=np.reshape,
+                              sum_all=np.sum, concat_channels=lambda ts: np.concatenate(ts, axis=1))
+
+        def replay(ops, leaf):
+            pool, cats = [leaf(t) for t in leaves], []
+            for op, i, j, kind, swap in program:
+                u = pool[i % len(pool)]
+                v = {"pool": pool[j % len(pool)], "one": leaf(one), "chan": leaf(chan),
+                     "sum": ops.sum_all(pool[j % len(pool)])}[kind]
+                if op == "cat":
+                    cats.append(ops.reshape(ops.concat_channels([u, v if kind == "pool" else u]), (1, -1)))
+                    continue
+                pool.append(getattr(ops, op)(*((v, u) if swap else (u, v))))
+            flat = [ops.reshape(t, (1, -1)) for t in pool] + cats + [ops.reshape(pool[0], (1, -1))]
+            out = ops.concat_channels(flat)
+            r = rand(out.shape, seed=seed + 5)
+            return ops.sum_all(ops.mul(out, r if ops is f64 else Tensor(r)))
+
+        tz.backward(replay(tz, lambda x: x))
+        for t in leaves + [one, chan]:
+            if t.grad is None:
+                continue
+            num = numeric_grad(lambda: replay(f64, lambda x: x.data.astype(np.float64)), t)
+            scale = max(float(np.abs(num).max()), 1e-6)
+            assert float(np.abs(t.grad - num).max()) / scale < 1e-3
 
 
 def _proj_loss(out, seed=99):
