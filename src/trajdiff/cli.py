@@ -1,8 +1,12 @@
 """Command-line front end: synth | train | generate | eval | plot.
 
-Every subcommand resolves its settings as flags > --config JSON > built-in
-defaults, writes its outputs, and drops a run manifest (resolved settings,
-seed, input hashes, wall time, output paths) next to the primary output.
+synth, train, generate and eval each declare their settings once, as a table
+of name -> Setting(type, minimum, default) that yields the flags, the
+--config keys, the defaults and the checks. Settings resolve as flags >
+--config JSON > defaults; every resolved value, and TRAJDIFF_THREADS, is
+checked before any input is read. Every subcommand writes its outputs and
+drops a run manifest (resolved settings, seed, input hashes, wall time,
+output paths) next to the primary output.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure, 4 internal
 error (any other exception; the traceback goes to stderr).
@@ -20,6 +24,7 @@ import resource
 import sys
 import time
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,32 +39,51 @@ from .schedule import linear_beta_schedule
 from .svgplot import plot_heatmap, plot_lines
 from .trajdata import (SLOT_SECONDS, CitySpec, ConditionBatch, GridSpec, NormStats,
                        RawTrajectory, batch_to_points, extract_condition_batch,
-                       load_dataset, make_batch, resample, save_dataset, synth_city)
+                       extent, load_dataset, make_batch, resample, save_dataset, synth_city)
 from .unet import TrajUNet, TrajUNetConfig
 
 log = logging.getLogger(__name__)
 
 _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 
-TRAIN_DEFAULTS = {
-    "steps": 3000, "batch": 64, "T": 100, "length": 64, "base_channels": 16,
-    "beta_start": 1e-4, "beta_end": 0.15, "lr": 1e-3, "cond_dropout": 0.1,
-    "seed": 0,
+
+class Setting(NamedTuple):
+    """A settings-table row. kind: int, float (finite; ints admitted, bools
+    not), str or a tuple of choices. A low of None means no minimum; a default
+    of None means unset, and only such a setting may be null in --config."""
+    kind: type | tuple
+    low: float | None
+    default: object
+    help: str | None = None
+
+
+SYNTH_SETTINGS = {"n": Setting(int, 0, 2000), "seed": Setting(int, None, 0)}
+
+TRAIN_SETTINGS = {
+    "steps": Setting(int, 0, 3000), "batch": Setting(int, 1, 64), "T": Setting(int, 1, 100),
+    "length": Setting(int, 1, 64), "base_channels": Setting(int, 1, 16),
+    "beta_start": Setting(float, None, 1e-4), "beta_end": Setting(float, None, 0.15),
+    "lr": Setting(float, None, 1e-3), "cond_dropout": Setting(float, None, 0.1),
+    "seed": Setting(int, None, 0),
 }
 # paper-scale reference: T=500, length=200, batch=1024, base_channels=64,
 # beta_end=0.05, lr=2e-4. The desk default beta_end=0.15 keeps the terminal
 # signal at 2% (with 0.05 at T=100 the forward process stops 28% short of
 # the sampling prior); lr=1e-3 converges ~3x faster at desk batch size.
+TRAIN_DEFAULTS = {k: s.default for k, s in TRAIN_SETTINGS.items()}
 
-GENERATE_DEFAULTS = {
-    "n": None, "steps": None, "eta": 0.0, "omega": 3.0, "seed": 0,
-    "workers": 1, "batch": 128,
+GENERATE_SETTINGS = {
+    "n": Setting(int, 0, None), "steps": Setting(int, 1, None, "sample steps S (default: T / 5)"),
+    "eta": Setting(float, 0.0, 0.0), "omega": Setting(float, None, 3.0),
+    "seed": Setting(int, None, 0), "workers": Setting(int, 1, 1),
+    "batch": Setting(int, 1, 128, "sampling micro-batch size"),
 }
 
-SYNTH_DEFAULTS = {"n": 2000, "seed": 0}
-
-EVAL_DEFAULTS = {"grid": "16x16", "topn": 10, "bins": 50, "metric": "haversine",
-                 "length": None}
+EVAL_SETTINGS = {
+    "grid": Setting(str, None, "16x16"), "topn": Setting(int, 1, 10), "bins": Setting(int, 1, 50),
+    "metric": Setting(("haversine", "euclidean"), None, "haversine"),
+    "length": Setting(int, 2, None, "resample both sets to this length before scoring"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,43 +100,42 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace, table: dict) -> dict:
+    """flags > config file > defaults; every resolved value is checked
+    against its row before any input is read."""
+    cfg = {k: s.default for k, s in table.items()}
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:
             raise DataError(f"cannot read config {args.config}: {e}") from e
-        unknown = set(file_cfg) - set(defaults)
+        if not isinstance(file_cfg, dict):
+            raise DataError(f"config {args.config} is not a JSON object")
+        unknown = set(file_cfg) - set(table)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for k in defaults:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
+    for k, s in table.items():
+        if (flag := getattr(args, k)) is not None:
+            cfg[k] = flag
+        _check(k, s, cfg[k])
     return cfg
 
 
-def _check_values(cfg: dict, ints: dict, floats: dict | None = None) -> None:
-    """Usage error unless each key of ints is an integer and each key of floats
-    a finite real number (bools are neither), at least the minimum it maps to.
-
-    A minimum of None means no bound; a value of None is a default left unset.
-    """
-    checks = [(k, low, (int,)) for k, low in ints.items()]
-    checks += [(k, low, (int, float)) for k, low in (floats or {}).items()]
-    for key, low, types in checks:
-        v = cfg[key]
-        if v is None:
-            continue
-        kind = "an integer" if types == (int,) else "a finite number"
-        if (type(v) not in types or (type(v) is float and not math.isfinite(v))
-                or (low is not None and v < low)):
-            bound = f" of at least {low}" if low is not None else ""
-            raise UsageError(f"--{key.replace('_', '-')} must be {kind}{bound}, got {v!r}")
+def _check(name: str, s: Setting, v) -> None:
+    """Usage error unless v fits its row (None fits a row whose default is None)."""
+    if v is None and s.default is None:
+        return
+    if isinstance(s.kind, tuple):
+        ok, what = v in s.kind, "one of " + ", ".join(s.kind)
+    elif s.kind is float:
+        ok, what = type(v) is int or (type(v) is float and math.isfinite(v)), "a finite number"
+    else:
+        ok, what = type(v) is s.kind, {int: "an integer", str: "a string"}[s.kind]
+    if not ok or (s.low is not None and v < s.low):
+        bound = f" of at least {s.low}" if s.low is not None else ""
+        raise UsageError(f"--{name.replace('_', '-')} must be {what}{bound}, got {v!r}")
 
 
 def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
@@ -189,33 +212,20 @@ def _meta_grid(meta) -> GridSpec | None:
         return None
 
 
-def _dataset_bbox(trajs) -> tuple[float, float, float, float]:
-    allp = np.concatenate([t.points for t in trajs])
-    lng_min, lng_max = float(allp[:, 0].min()), float(allp[:, 0].max())
-    lat_min, lat_max = float(allp[:, 1].min()), float(allp[:, 1].max())
-    # pad zero-extent axes so point-like datasets still define a grid
-    if lng_max <= lng_min:
-        lng_max = lng_min + 1e-9
-    if lat_max <= lat_min:
-        lat_max = lat_min + 1e-9
-    return lng_min, lng_max, lat_min, lat_max
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
     t0 = time.time()
-    cfg = _resolve(args, SYNTH_DEFAULTS)
-    _check_values(cfg, {"n": 0, "seed": None})
+    cfg = _resolve(args, SYNTH_SETTINGS)
     spec = CitySpec()
     inputs = []
     if args.city_spec:
         with open(args.city_spec, "r", encoding="utf-8") as fh:
             try:
                 spec = CitySpec.from_dict(json.load(fh))
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, UsageError) as e:
                 raise UsageError(f"bad city spec {args.city_spec}: {e}") from e
         inputs.append(args.city_spec)
     trajs = synth_city(seed=cfg["seed"], n_trajectories=cfg["n"], spec=spec)
@@ -229,10 +239,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.time()
-    cfg = _resolve(args, TRAIN_DEFAULTS)
-    _check_values(cfg, {"steps": 0, "batch": 1, "T": 1, "length": 1, "base_channels": 1,
-                        "seed": None},
-                  {"beta_start": None, "beta_end": None, "lr": None, "cond_dropout": None})
+    cfg = _resolve(args, TRAIN_SETTINGS)
     try:
         model_cfg = TrajUNetConfig(length=cfg["length"], base_channels=cfg["base_channels"])
         sched = linear_beta_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
@@ -286,14 +293,19 @@ def _load_conditions(path, norm: NormStats, grid: GridSpec, n: int, seed: int) -
 
 def cmd_generate(args) -> int:
     t0 = time.time()
-    cfg = _resolve(args, GENERATE_DEFAULTS)
-    _check_values(cfg, {"n": 0, "steps": 1, "seed": None, "workers": 1, "batch": 1},
-                  {"eta": 0.0, "omega": None})
+    cfg = _resolve(args, GENERATE_SETTINGS)
     if bool(args.cond_file) == bool(args.uncond):
         raise UsageError("pass exactly one of --cond-file or --uncond")
     n = cfg["n"]
     if n is None:
         raise UsageError("--n is required")
+    env_cap = os.environ.get("TRAJDIFF_THREADS")
+    workers = cfg["workers"]
+    if env_cap is not None:
+        try:
+            workers = max(1, min(workers, int(env_cap)))
+        except ValueError as e:
+            raise UsageError(f"TRAJDIFF_THREADS must be an integer, got {env_cap!r}") from e
     _check_out_path(args.out)
     model, sched, norm, grid, header = load_checkpoint(args.ckpt)
 
@@ -307,14 +319,6 @@ def cmd_generate(args) -> int:
         inputs.append(args.cond_file)
     else:
         conds = None
-
-    env_cap = os.environ.get("TRAJDIFF_THREADS")
-    workers = cfg["workers"]
-    if env_cap is not None:
-        try:
-            workers = max(1, min(workers, int(env_cap)))
-        except ValueError as e:
-            raise UsageError(f"TRAJDIFF_THREADS must be an integer, got {env_cap!r}") from e
 
     sampler = SamplerConfig(total_steps=sched.T, sample_steps=steps, eta=cfg["eta"],
                             guidance_scale=cfg["omega"], seed=cfg["seed"])
@@ -355,8 +359,7 @@ def _bbox_soft_check(point_lists, norm: NormStats) -> None:
 
 def cmd_eval(args) -> int:
     t0 = time.time()
-    cfg = _resolve(args, EVAL_DEFAULTS)
-    _check_values(cfg, {"topn": 1, "bins": 1, "length": 2})
+    cfg = _resolve(args, EVAL_SETTINGS)
     rows, cols = _grid_shape(cfg["grid"])
     bbox = _bbox(args.bbox) if args.bbox else None
     _check_out_path(args.out)
@@ -368,7 +371,7 @@ def cmd_eval(args) -> int:
     if bbox is None:
         meta_grid = _meta_grid(real_result.meta)
         bbox = ((meta_grid.lng_min, meta_grid.lng_max, meta_grid.lat_min, meta_grid.lat_max)
-                if meta_grid else _dataset_bbox(real))
+                if meta_grid else extent([t.points for t in real]))
     grid = GridSpec(*bbox, rows, cols)
     if cfg["length"] is not None:
         gen = [resample(t.points, cfg["length"]) for t in gen]
@@ -389,6 +392,8 @@ def cmd_eval(args) -> int:
 
 def cmd_plot(args) -> int:
     t0 = time.time()
+    shape = _grid_shape(args.grid)
+    _check_out_path(args.out)
     trajs = load_dataset(args.data, min_points=2).trajectories
     if not trajs:
         raise DataError(f"{args.data}: nothing to plot")
@@ -396,8 +401,7 @@ def cmd_plot(args) -> int:
     if args.mode == "lines":
         svg = plot_lines(points)
     else:
-        grid = GridSpec(*_dataset_bbox(trajs), *_grid_shape(args.grid))
-        svg = plot_heatmap(points, grid)
+        svg = plot_heatmap(points, GridSpec(*extent(points), *shape))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg + "\n")
     _write_manifest(args.out, "plot", {"mode": args.mode, "grid": args.grid, "seed": None},
@@ -410,6 +414,14 @@ def cmd_plot(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+def _add_settings(parser: argparse.ArgumentParser, table: dict) -> None:
+    """One flag per setting (its name with "_" -> "-"), then --config."""
+    for name, s in table.items():
+        kind = {"choices": s.kind} if isinstance(s.kind, tuple) else {"type": s.kind}
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, help=s.help, **kind)
+    parser.add_argument("--config")
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="trajdiff", description="trajectory diffusion toolkit")
     p.add_argument("--version", action="version", version=f"trajdiff {__version__}")
@@ -417,56 +429,31 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("synth", help="generate a synthetic street-lattice dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--n", type=int)
     sp.add_argument("--city-spec", dest="city_spec", help="JSON city spec file")
-    sp.add_argument("--config")
+    _add_settings(sp, SYNTH_SETTINGS)
     sp.set_defaults(fn=cmd_synth)
 
     tp = sub.add_parser("train", help="train a denoiser on a dataset")
     tp.add_argument("--data", required=True)
     tp.add_argument("--out", required=True, help="checkpoint path")
-    tp.add_argument("--steps", type=int)
-    tp.add_argument("--batch", type=int)
-    tp.add_argument("--T", type=int, dest="T")
-    tp.add_argument("--length", type=int)
-    tp.add_argument("--base-channels", type=int, dest="base_channels")
-    tp.add_argument("--beta-start", type=float, dest="beta_start")
-    tp.add_argument("--beta-end", type=float, dest="beta_end")
-    tp.add_argument("--lr", type=float)
-    tp.add_argument("--cond-dropout", type=float, dest="cond_dropout")
-    tp.add_argument("--seed", type=int)
-    tp.add_argument("--config")
+    _add_settings(tp, TRAIN_SETTINGS)
     tp.set_defaults(fn=cmd_train)
 
     gp = sub.add_parser("generate", help="sample trajectories from a checkpoint")
     gp.add_argument("--ckpt", required=True)
     gp.add_argument("--out", required=True)
-    gp.add_argument("--n", type=int)
-    gp.add_argument("--steps", type=int, help="sample steps S (default: T / 5)")
-    gp.add_argument("--eta", type=float)
-    gp.add_argument("--omega", type=float)
     gp.add_argument("--cond-file", dest="cond_file")
     gp.add_argument("--uncond", action="store_true")
-    gp.add_argument("--seed", type=int)
-    gp.add_argument("--workers", type=int)
-    gp.add_argument("--batch", type=int, help="sampling micro-batch size")
-    gp.add_argument("--config")
+    _add_settings(gp, GENERATE_SETTINGS)
     gp.set_defaults(fn=cmd_generate)
 
     ep = sub.add_parser("eval", help="score a generated set against a reference set")
     ep.add_argument("--gen", required=True)
     ep.add_argument("--real", required=True)
     ep.add_argument("--out", required=True, help="metric report JSON path")
-    ep.add_argument("--grid")
-    ep.add_argument("--topn", type=int)
-    ep.add_argument("--bins", type=int)
-    ep.add_argument("--metric", choices=["haversine", "euclidean"])
-    ep.add_argument("--length", type=int,
-                    help="resample both sets to this length before scoring")
     ep.add_argument("--bbox", help="grid frame LNGMIN,LNGMAX,LATMIN,LATMAX "
                     "(default: the real set's city header or data extent)")
-    ep.add_argument("--config")
+    _add_settings(ep, EVAL_SETTINGS)
     ep.set_defaults(fn=cmd_eval)
 
     pp = sub.add_parser("plot", help="render a dataset to SVG")
@@ -487,10 +474,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
+    except (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -193,7 +193,7 @@ def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule
     """
     x0_hat = predict_x0_from_eps(x_t, t, eps_hat, sched)
     clipped = np.clip(x0_hat, -clip_x0, clip_x0)
-    if clipped is x0_hat or np.array_equal(clipped, x0_hat):
+    if np.array_equal(clipped, x0_hat):
         return eps_hat
     ab = sched.alpha_bar[t - 1]
     return ((x_t - np.sqrt(ab) * clipped) / np.sqrt(1.0 - ab)).astype(eps_hat.dtype, copy=False)

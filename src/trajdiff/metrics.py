@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import __version__
 from .trajdata import GridSpec, path_length
 
 log = logging.getLogger(__name__)
@@ -201,8 +202,6 @@ class MetricReport:
 def evaluate(gen, real, grid: GridSpec, top_n: int = 10, length_bins: int = 50,
              distance_metric: str = "haversine") -> MetricReport:
     """Run the full similarity suite of one generated set against a reference set."""
-    from . import __version__
-
     gen, real = list(gen), list(real)
     if not gen or not real:
         raise ValueError("evaluation needs non-empty trajectory sets")

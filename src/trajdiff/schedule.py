@@ -48,18 +48,17 @@ def linear_beta_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
     beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
+    if not (np.all(np.diff(beta) > 0) and np.all(np.diff(alpha_bar, prepend=1.0) < 0)):
+        raise ValueError("beta bounds too close or too small for a strictly monotone "
+                         "float64 schedule")
     alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
     beta_tilde = (1.0 - alpha_bar_prev) / (1.0 - alpha_bar) * beta
     beta_tilde[0] = beta[0]
 
     for arr in (beta, alpha, alpha_bar, beta_tilde):
         arr.setflags(write=False)
-    sched = NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                          beta_tilde=beta_tilde, beta_start=beta_start, beta_end=beta_end)
-    if T > 1:
-        assert np.all(np.diff(beta) > 0)
-        assert np.all(np.diff(alpha_bar) < 0)
-    return sched
+    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
+                         beta_tilde=beta_tilde, beta_start=beta_start, beta_end=beta_end)
 
 
 def _bcast(coef: np.ndarray, like: np.ndarray) -> np.ndarray:

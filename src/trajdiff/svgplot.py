@@ -6,18 +6,14 @@ import numpy as np
 
 from .errors import DataError
 from .metrics import grid_density
-from .trajdata import GridSpec
+from .trajdata import GridSpec, extent
 
 
-def _bbox(point_arrays) -> tuple[float, float, float, float]:
-    allp = np.concatenate([np.asarray(p, dtype=np.float64) for p in point_arrays])
-    lng_min, lat_min = allp.min(axis=0)
-    lng_max, lat_max = allp.max(axis=0)
-    if lng_max <= lng_min:
-        lng_max = lng_min + 1e-9
-    if lat_max <= lat_min:
-        lat_max = lat_min + 1e-9
-    return float(lng_min), float(lng_max), float(lat_min), float(lat_max)
+def _svg(size: int, body: list[str]) -> str:
+    """A white size x size canvas holding the body's elements."""
+    return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+                      f'viewBox="0 0 {size} {size}">',
+                      f'<rect width="{size}" height="{size}" fill="white"/>', *body, "</svg>"])
 
 
 def plot_lines(point_arrays, size: int = 800, stroke: str = "#1f6feb") -> str:
@@ -25,12 +21,8 @@ def plot_lines(point_arrays, size: int = 800, stroke: str = "#1f6feb") -> str:
     point_arrays = list(point_arrays)
     if not point_arrays:
         raise DataError("nothing to plot: empty trajectory set")
-    lng_min, lng_max, lat_min, lat_max = _bbox(point_arrays)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    lng_min, lng_max, lat_min, lat_max = extent(point_arrays)
+    parts = []
     for pts in point_arrays:
         pts = np.asarray(pts, dtype=np.float64)
         x = (pts[:, 0] - lng_min) / (lng_max - lng_min) * size
@@ -38,8 +30,7 @@ def plot_lines(point_arrays, size: int = 800, stroke: str = "#1f6feb") -> str:
         coords = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
                      f'stroke-width="1" stroke-opacity="0.35"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(size, parts)
 
 
 def plot_heatmap(point_arrays, grid: GridSpec, size: int = 800) -> str:
@@ -52,11 +43,7 @@ def plot_heatmap(point_arrays, grid: GridSpec, size: int = 800) -> str:
     peak = probs.max()
     cell_w = size / grid.cols
     cell_h = size / grid.rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
+    parts = []
     for r in range(grid.rows):
         for c in range(grid.cols):
             p = probs[r, c]
@@ -67,5 +54,4 @@ def plot_heatmap(point_arrays, grid: GridSpec, size: int = 800) -> str:
             y = (grid.rows - 1 - r) * cell_h  # row 0 sits at the south edge
             parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '
                          f'height="{cell_h:.2f}" fill="#d73027" fill-opacity="{opacity:.6f}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(size, parts)

@@ -60,6 +60,15 @@ def _check_box(box, what: str) -> None:
         raise DataError(f"{what} bounding box is degenerate")
 
 
+def extent(point_arrays) -> tuple[float, float, float, float]:
+    """(lng_min, lng_max, lat_min, lat_max) of all points; a zero-extent axis
+    is padded by 1e-9 so point-like sets still frame a grid."""
+    allp = np.concatenate([np.asarray(p, dtype=np.float64) for p in point_arrays])
+    lo, hi = allp.min(axis=0), allp.max(axis=0)
+    hi = np.where(hi > lo, hi, lo + 1e-9)
+    return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
+
+
 @dataclass(frozen=True)
 class GridSpec:
     lng_min: float
@@ -488,6 +497,10 @@ class CitySpec:
     max_points: int = 200
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lng_min, self.lng_max, self.lat_min, self.lat_max,
+                                        self.jitter_sigma, self.point_interval_s,
+                                        sum(self.street_popularity)))):
+            raise UsageError("city bounds, jitter, interval and total popularity must be finite")
         if not (self.lng_max > self.lng_min and self.lat_max > self.lat_min):
             raise UsageError("city bounding box is degenerate")
         if len(self.street_fractions) < 2:

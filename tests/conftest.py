@@ -28,7 +28,7 @@ def assert_grads_match(make_loss, tensors, tol: float = 1e-3, h: float = 1e-3):
     numeric gradient magnitude.
     """
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     tz.reset_tape()
     loss = make_loss()
     tz.backward(loss)
@@ -38,7 +38,7 @@ def assert_grads_match(make_loss, tensors, tol: float = 1e-3, h: float = 1e-3):
         scale = max(float(np.abs(num).max()), 1e-6)
         rel = float(np.abs(t.grad - num).max()) / scale
         assert rel < tol, f"gradient mismatch: rel error {rel:.2e} >= {tol}"
-        t.zero_grad()
+        t.grad = None
 
 
 @pytest.fixture(autouse=True)

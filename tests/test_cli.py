@@ -4,13 +4,13 @@ import re
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trajdiff import cli
 from trajdiff.cli import main
 from trajdiff.metrics import REPORT_SCHEMA, grid_density
 from trajdiff.trajdata import GridSpec, load_dataset, save_dataset, synth_city
-
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
 
 def run(*argv):
@@ -54,7 +54,10 @@ class TestSynth:
         assert res.dropped_short == 0
 
     @pytest.mark.parametrize("text", ['{"bogus": 2}', '{"street_fractions": 5}',
-                                      '{"jitter_sigma": "wide"}', "not json"])
+                                      '{"jitter_sigma": "wide"}', "not json",
+                                      '{"lng_max": Infinity}', '{"point_interval_s": Infinity}',
+                                      '{"street_popularity": [1, Infinity, 1]}',
+                                      '{"street_popularity": [1e308, 1e308, 1e308]}'])
     def test_bad_city_spec_usage_error(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
@@ -119,7 +122,8 @@ class TestTrain:
     @pytest.mark.parametrize("settings", [{"steps": "3"}, {"steps": -1}, {"batch": 0}, {"T": 0},
                                           {"lr": True}, {"lr": -1}, {"beta_end": "0.1"},
                                           {"beta_start": 0.5, "beta_end": 0.1},
-                                          {"cond_dropout": 2}, {"length": 10}],
+                                          {"cond_dropout": 2}, {"length": 10}, {"T": None},
+                                          {"beta_start": 1e-20, "beta_end": 2e-20}],
                              ids=json.dumps)
     def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
         # the data file does not exist: the settings are checked before it is read
@@ -371,6 +375,17 @@ class TestPlot:
         assert len(got) == len(want)
         assert np.abs(got - want).max() <= 1.0 / 255 + 1e-9
 
+    @pytest.mark.parametrize("mode, grid", [("heatmap", "0x3"), ("lines", "bogus")])
+    def test_bad_grid_usage_error_before_reading(self, tmp_path, capsys, mode, grid):
+        assert run("plot", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.svg",
+                   "--mode", mode, "--grid", grid) == 1
+        assert "grid spec" in capsys.readouterr().err
+
+    def test_out_directory_exit_2_before_reading(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("read data before --out"))
+        assert run("plot", "--data", tmp_path / "nope.jsonl", "--out", tmp_path) == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_empty_dataset_exit_2(self, tmp_path):
         empty = tmp_path / "none.jsonl"
         empty.write_text("")
@@ -396,3 +411,63 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             run("--version")
         assert e.value.code == 0
+
+
+# each command's input path names a missing file, so a run ends at the config
+# checks (usage or data error) or at that file (data error) before any work
+MISSING_INPUT = {
+    "synth": lambda d: ["--out", d / "c.jsonl", "--city-spec", d / "nope.json"],
+    "train": lambda d: ["--data", d / "nope.jsonl", "--out", d / "x.ckpt"],
+    "generate": lambda d: ["--ckpt", d / "nope.ckpt", "--out", d / "x.jsonl", "--uncond"],
+    "eval": lambda d: ["--gen", d / "nope.jsonl", "--real", d / "nope.jsonl",
+                       "--out", d / "r.json"],
+}
+TABLES = {"synth": cli.SYNTH_SETTINGS, "train": cli.TRAIN_SETTINGS,
+          "generate": cli.GENERATE_SETTINGS, "eval": cli.EVAL_SETTINGS}
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+                    st.text(max_size=8))
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+def run_config(tmp_path, command, text, *extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    return run(command, *MISSING_INPUT[command](tmp_path), "--config", cfg, *extra)
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize("command", sorted(MISSING_INPUT))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_config_exits_typed(self, tmp_path, capsys, monkeypatch, command, data):
+        monkeypatch.delenv("TRAJDIFF_THREADS", raising=False)
+        keys = st.sampled_from(sorted(TABLES[command]) + ["bogus", "", "config"])
+        doc = data.draw(st.one_of(st.dictionaries(keys, VALUES, max_size=4), VALUES))
+        code = run_config(tmp_path, command, json.dumps(doc))
+        err = capsys.readouterr().err
+        assert code in (1, 2), err
+        assert err.startswith("usage error" if code == 1 else "data error")
+        assert "Traceback" not in err
+
+    def test_bad_metric_usage_error_before_reading(self, tmp_path, capsys):
+        assert run_config(tmp_path, "eval", '{"metric": "manhattan"}') == 1
+        assert "--metric must be one of" in capsys.readouterr().err
+
+    def test_bad_thread_cap_usage_error_before_checkpoint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TRAJDIFF_THREADS", "abc")
+        assert run_config(tmp_path, "generate", "{}", "--n", 1) == 1
+        assert "TRAJDIFF_THREADS" in capsys.readouterr().err
+
+    def test_undecodable_config_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"steps": "\xff"}')
+        assert run("train", *MISSING_INPUT["train"](tmp_path), "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1]", '"steps"'])
+    def test_non_object_config_data_error(self, tmp_path, capsys, text):
+        assert run_config(tmp_path, "train", text) == 2
+        err = capsys.readouterr().err
+        assert "not a JSON object" in err and "Traceback" not in err

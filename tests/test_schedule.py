@@ -77,8 +77,10 @@ class TestLinearSchedule:
     def test_beta_tilde_1_equals_beta_1_exactly(self, sched500):
         assert sched500.beta_tilde[0] == sched500.beta[0]
 
-    @pytest.mark.parametrize("args", [(0, 1e-4, 0.05), (10, 0.0, 0.05), (10, 1e-4, 1.0), (10, 0.05, 1e-4)])
+    @pytest.mark.parametrize("args", [(0, 1e-4, 0.05), (10, 0.0, 0.05), (10, 1e-4, 1.0), (10, 0.05, 1e-4),
+                                      (2, 1e-20, 2e-20), (1, 1e-20, 1e-20)])
     def test_invalid_arguments_rejected(self, args):
+        # the last two: 1 - beta rounds to 1, so alpha_bar cannot fall
         with pytest.raises(ValueError):
             linear_beta_schedule(*args)
 

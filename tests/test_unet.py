@@ -76,7 +76,7 @@ class TestTimeMlp:
             num = numeric_grad(make_loss, t)
             scale = max(np.abs(num).max(), 1e-6)
             assert np.abs(t.grad - num).max() / scale < 1e-3
-            t.zero_grad()
+            t.grad = None
 
 
 class TestWideDeepEmbed:
@@ -157,7 +157,7 @@ class TestResnetBlock:
             num = numeric_grad(make_loss, t, h=1e-2)
             scale = max(np.abs(num).max(), 1e-6)
             assert np.abs(t.grad - num).max() / scale < 1e-3, "resnet block gradient mismatch"
-            t.zero_grad()
+            t.grad = None
 
 
 def attention_oracle(x, wq, wk, wv):
@@ -377,7 +377,7 @@ def test_channels_last_model_matches_reference(cfg, batch):
 
     def run(forward):
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         tz.reset_tape()
         out = forward(model, x, t, cond)
         tz.backward(tz.sum_all(tz.mul(out, proj)))
