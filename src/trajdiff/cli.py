@@ -59,17 +59,20 @@ class Setting(NamedTuple):
 
 SYNTH_SETTINGS = {"n": Setting(int, 0, 2000), "seed": Setting(int, None, 0)}
 
+# The recipe's defaults come from TrainConfig and TrajUNetConfig; only the
+# schedule's are set here. Paper scale: T=500, length=200, batch=1024,
+# base_channels=64, beta_end=0.05, lr=2e-4. The desk beta_end=0.15 keeps the
+# terminal signal at 2% (with 0.05 at T=100 the forward process stops 28% short
+# of the sampling prior); lr=1e-3 converges ~3x faster at desk batch size.
 TRAIN_SETTINGS = {
-    "steps": Setting(int, 0, 3000), "batch": Setting(int, 1, 64), "T": Setting(int, 1, 100),
-    "length": Setting(int, 1, 64), "base_channels": Setting(int, 1, 16),
+    "steps": Setting(int, 0, TrainConfig.steps), "batch": Setting(int, 1, TrainConfig.batch_size),
+    "T": Setting(int, 1, 100), "length": Setting(int, 1, TrajUNetConfig.length),
+    "base_channels": Setting(int, 1, TrajUNetConfig.base_channels),
     "beta_start": Setting(float, None, 1e-4), "beta_end": Setting(float, None, 0.15),
-    "lr": Setting(float, None, 1e-3), "cond_dropout": Setting(float, None, 0.1),
-    "seed": Setting(int, None, 0),
+    "lr": Setting(float, None, TrainConfig.learning_rate),
+    "cond_dropout": Setting(float, None, TrainConfig.cond_dropout_prob),
+    "seed": Setting(int, None, TrainConfig.seed),
 }
-# paper-scale reference: T=500, length=200, batch=1024, base_channels=64,
-# beta_end=0.05, lr=2e-4. The desk default beta_end=0.15 keeps the terminal
-# signal at 2% (with 0.05 at T=100 the forward process stops 28% short of
-# the sampling prior); lr=1e-3 converges ~3x faster at desk batch size.
 TRAIN_DEFAULTS = {k: s.default for k, s in TRAIN_SETTINGS.items()}
 
 GENERATE_SETTINGS = {

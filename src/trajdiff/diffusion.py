@@ -32,17 +32,18 @@ CLIP_X0 = 1.5
 
 @dataclass
 class TrainConfig:
+    """The desk training recipe; `trajdiff train` takes its defaults from here."""
     steps: int = 3000
     batch_size: int = 64
-    learning_rate: float = 2e-4
+    learning_rate: float = 1e-3
     cond_dropout_prob: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.cond_dropout_prob <= 1.0:
             raise ValueError("condition dropout probability must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning rate must be finite and positive")
 
 
 def skip_subsequence(T: int, S: int) -> np.ndarray:
@@ -65,8 +66,9 @@ class SamplerConfig:
     tau: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not (math.isfinite(self.eta) and self.eta >= 0 and math.isfinite(self.guidance_scale)):
+            raise ValueError(f"need a finite eta >= 0 and a finite guidance scale, "
+                             f"got eta={self.eta}, guidance_scale={self.guidance_scale}")
         self.tau = skip_subsequence(self.total_steps, self.sample_steps)
 
 
@@ -75,14 +77,13 @@ class SamplerConfig:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adaptive moment estimation over a named parameter dict."""
+    """Adaptive moment estimation over a named parameter dict (Kingma & Ba's b1, b2, eps)."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 2e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -185,14 +186,13 @@ def guided_eps(model, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | Non
     return (1.0 + omega) * eps_c - omega * eps_u
 
 
-def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule,
-              clip_x0: float) -> np.ndarray:
-    """Re-derive the noise prediction after clamping the implied clean sample.
+def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """Re-derive the noise prediction after clamping the implied x0 to +-CLIP_X0.
 
     Inert whenever the implied x0 already lies within the clamp range.
     """
     x0_hat = predict_x0_from_eps(x_t, t, eps_hat, sched)
-    clipped = np.clip(x0_hat, -clip_x0, clip_x0)
+    clipped = np.clip(x0_hat, -CLIP_X0, CLIP_X0)
     if np.array_equal(clipped, x0_hat):
         return eps_hat
     ab = sched.alpha_bar[t - 1]
@@ -201,8 +201,8 @@ def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule
 
 def ddpm_step(model, x_t: np.ndarray, t: int, cond: ConditionBatch | None,
               omega: float, sched: NoiseSchedule,
-              z: np.ndarray | None, clip_x0: float | None = None) -> np.ndarray:
-    """One ancestral reverse step; adds no noise at the terminal step t == 1.
+              z: np.ndarray | None) -> np.ndarray:
+    """One ancestral reverse step with x0 clamped to +-CLIP_X0; no noise at t == 1.
 
     z is the pre-drawn standard-normal field, unused (may be None) at t == 1.
     No production path calls this: the DDIM step at eta = 1, t_prev = t - 1 is
@@ -213,8 +213,7 @@ def ddpm_step(model, x_t: np.ndarray, t: int, cond: ConditionBatch | None,
     if not 1 <= t <= sched.T:
         raise ValueError(f"step index out of range [1, {sched.T}]")
     eps_hat = guided_eps(model, x_t, np.full(x_t.shape[0], t), cond, omega)
-    if clip_x0 is not None:
-        eps_hat = _clip_eps(x_t, t, eps_hat, sched, clip_x0)
+    eps_hat = _clip_eps(x_t, t, eps_hat, sched)
     mean = mu_from_eps(x_t, t, eps_hat, sched)
     if t == 1:
         return mean.astype(np.float32, copy=False)
@@ -247,15 +246,14 @@ def ddim_transition(x_t: np.ndarray, t: int, t_prev: int, eps_hat: np.ndarray,
 
 def ddim_step(model, x_t: np.ndarray, t: int, t_prev: int, cond: ConditionBatch | None,
               omega: float, eta: float, sched: NoiseSchedule,
-              z: np.ndarray | None, clip_x0: float | None = None) -> np.ndarray:
-    """One skip-step reverse transition from step t to step t_prev (< t).
+              z: np.ndarray | None) -> np.ndarray:
+    """One skip-step reverse transition from step t to t_prev (< t), x0 clamped to +-CLIP_X0.
 
     z is the pre-drawn standard-normal field, unused (may be None) when the
     step's variance is zero: at eta == 0 or t_prev == 0.
     """
     eps_hat = guided_eps(model, x_t, np.full(x_t.shape[0], t), cond, omega)
-    if clip_x0 is not None:
-        eps_hat = _clip_eps(x_t, t, eps_hat, sched, clip_x0)
+    eps_hat = _clip_eps(x_t, t, eps_hat, sched)
     mean, sigma2 = ddim_transition(x_t, t, t_prev, eps_hat, eta, sched)
     if sigma2 == 0.0:
         return mean.astype(np.float32, copy=False)
@@ -281,8 +279,7 @@ def _sample_micro_batch(model, cond: ConditionBatch | None, cfg: SamplerConfig,
         z = None
         if cfg.eta > 0.0 and t_prev > 0:
             z = np.stack([g.standard_normal(shape) for g in gens]).astype(np.float32)
-        x = ddim_step(model, x, t, t_prev, cond, cfg.guidance_scale, cfg.eta, sched, z,
-                      clip_x0=CLIP_X0)
+        x = ddim_step(model, x, t, t_prev, cond, cfg.guidance_scale, cfg.eta, sched, z)
     return x
 
 
@@ -336,9 +333,6 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         "n": n,
         "steps": len(cfg.tau),
         "model_evals": n * evals_per_traj,
-        "eta": cfg.eta,
-        "guidance_scale": cfg.guidance_scale,
-        "seed": cfg.seed,
         "workers": pool_size,
         "blas_threads": blas,
     }

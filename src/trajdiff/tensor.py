@@ -47,6 +47,7 @@ import numpy as np
 from .errors import NumericError
 
 _STATE = threading.local()
+GROUP_NORM_EPS = 1e-5  # added to each group's variance before the inverse square root
 
 
 def _state():
@@ -246,7 +247,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return _make(y, (x,), backward, "softmax_lastdim")
 
 
-def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float,
+def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
                    silu_out: bool, op: str) -> Tensor:
     """Group norm over a channels-last [B, L, C] tensor, then affine, then
     optionally SiLU, as one op.
@@ -260,8 +261,6 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: flo
     coefficients.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if eps <= 0:
-        raise ValueError("group_norm eps must be positive")
     if x.data.ndim != 3:
         raise ValueError(f"{op} expects [B, L, C], got {x.data.shape}")
     B, L, C = x.data.shape
@@ -281,7 +280,7 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: flo
     # two-pass variance: xc is centred up to the rounding of mean32
     shift = mean - mean32
     var = per_group(np.einsum("blc->bc", xc * xc, dtype=np.float64)) / n - shift * shift
-    inv = 1.0 / np.sqrt(np.maximum(var, 0.0) + eps)
+    inv = 1.0 / np.sqrt(np.maximum(var, 0.0) + GROUP_NORM_EPS)
     gam = gamma.data.astype(np.float64)
     scale = (inv * gam).astype(np.float32)[:, None, :]
     z = xc * scale
@@ -317,18 +316,17 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: flo
     return _make(y, (x, gamma, beta), backward, op)
 
 
-def group_norm_silu_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
-                       eps: float = 1e-5) -> Tensor:
+def group_norm_silu_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """silu(group_norm(x)) for a channels-last [B, L, C] tensor, as one op."""
-    return _group_norm_cl(x, groups, gamma, beta, eps, True, "group_norm_silu_cl")
+    return _group_norm_cl(x, groups, gamma, beta, True, "group_norm_silu_cl")
 
 
-def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize per (batch, group) slice of a [B, C, L] tensor, then affine."""
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ValueError(f"group_norm expects [B, C, L], got {x.data.shape}")
-    y = _group_norm_cl(transpose_last2(x), groups, gamma, beta, eps, False, "group_norm")
+    y = _group_norm_cl(transpose_last2(x), groups, gamma, beta, False, "group_norm")
     return transpose_last2(y)
 
 

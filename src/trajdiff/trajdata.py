@@ -25,6 +25,7 @@ EARTH_RADIUS_KM = 6371.0088
 SECONDS_PER_DAY = 86400
 SLOT_SECONDS = 300
 MIN_TRAJECTORY_POINTS = 120
+MAX_CITY_POINTS = 100_000  # CitySpec.max_points cap: 500x the desk count
 
 NUM_DEPARTURE_SLOTS = SECONDS_PER_DAY // SLOT_SECONDS  # 288 five-minute slots
 NUM_GRID_CELLS = 256
@@ -130,11 +131,11 @@ class NormStats:
             raise DataError("attribute stds must be positive")
 
     @classmethod
-    def fit(cls, trajs: list[RawTrajectory], distance_metric: str = "haversine") -> "NormStats":
+    def fit(cls, trajs: list[RawTrajectory]) -> "NormStats":
         if not trajs:
             raise DataError("cannot fit normalization statistics on an empty dataset")
         all_pts = np.concatenate([t.points for t in trajs])
-        attrs = np.stack([raw_motion_attributes(t, distance_metric) for t in trajs])
+        attrs = np.stack([raw_motion_attributes(t) for t in trajs])
         std = attrs.std(axis=0)
         std[std < 1e-12] = 1.0
         return cls(
@@ -143,8 +144,8 @@ class NormStats:
             attr_mean=attrs.mean(axis=0), attr_std=std,
         )
 
-    def grid(self, rows: int = 16, cols: int = 16) -> GridSpec:
-        return GridSpec(self.lng_min, self.lng_max, self.lat_min, self.lat_max, rows, cols)
+    def grid(self) -> GridSpec:
+        return GridSpec(self.lng_min, self.lng_max, self.lat_min, self.lat_max)
 
     def to_dict(self) -> dict:
         return {"lng_min": self.lng_min, "lng_max": self.lng_max,
@@ -326,42 +327,32 @@ class ConditionBatch:
                               self.dest[idx], self.is_null[idx])
 
     def with_dropout(self, rng: np.random.Generator, p: float) -> "ConditionBatch":
-        """Replace each condition by the null condition with probability p."""
+        """Mark each condition null with probability p; its other columns stay as they are."""
         drop = rng.random(len(self)) < p
-        out = ConditionBatch(self.numeric.copy(), self.slot.copy(), self.origin.copy(),
-                             self.dest.copy(), self.is_null | drop)
-        out.numeric[drop] = 0.0
-        out.slot[drop] = 0
-        out.origin[drop] = 0
-        out.dest[drop] = 0
-        return out
+        return ConditionBatch(self.numeric, self.slot, self.origin, self.dest, self.is_null | drop)
 
 
-def raw_motion_attributes(traj: RawTrajectory, distance_metric: str = "haversine") -> np.ndarray:
+def raw_motion_attributes(traj: RawTrajectory) -> np.ndarray:
     """[travel distance km, average move distance km, travel time s, raw point count]."""
     n = traj.points.shape[0]
-    dist = path_length(traj.points, distance_metric)
+    dist = path_length(traj.points)
     travel_time = float(traj.interval) * (n - 1) if traj.interval is not None else 0.0
     return np.array([dist, dist / (n - 1), travel_time, float(n)], dtype=np.float64)
 
 
-def departure_slot(t0: float | np.ndarray):
-    """Five-minute slot of the day for a departure time in epoch seconds;
-    applies elementwise to an array of times."""
-    if t0 is None:
-        raise DataError("trajectory has no departure time; cannot assign a slot")
+def departure_slot(t0: np.ndarray) -> np.ndarray:
+    """Five-minute slot of the day for each of an array of departure times (epoch s)."""
     return (np.asarray(t0, dtype=np.float64) % SECONDS_PER_DAY // SLOT_SECONDS).astype(np.int64)
 
 
 def extract_condition_batch(trajs: list[RawTrajectory], grid: GridSpec,
-                            norm: NormStats | None = None,
-                            distance_metric: str = "haversine") -> ConditionBatch:
+                            norm: NormStats | None = None) -> ConditionBatch:
     """Trip conditions of a trajectory list; numerics are z-scored when
     normalization statistics are supplied."""
     n = len(trajs)
     attrs = np.empty((n, NUM_NUMERIC_ATTRS), dtype=np.float64)
     for i, t in enumerate(trajs):
-        attrs[i] = raw_motion_attributes(t, distance_metric)
+        attrs[i] = raw_motion_attributes(t)
     if norm is not None:
         attrs = (attrs - norm.attr_mean) / norm.attr_std
     ends = np.array([t.points[[0, -1]] for t in trajs], dtype=np.float64).reshape(-1, 2)
@@ -375,22 +366,18 @@ def extract_condition_batch(trajs: list[RawTrajectory], grid: GridSpec,
 # baseline perturbers
 # ---------------------------------------------------------------------------
 
-def perturb_random(traj: RawTrajectory, radius: float = 0.01,
-                   rng: np.random.Generator | None = None) -> RawTrajectory:
+def perturb_random(traj: RawTrajectory, radius: float, rng: np.random.Generator) -> RawTrajectory:
     """Uniform per-point noise in [-radius, radius] degrees on both axes."""
     if radius < 0:
         raise UsageError("perturbation radius must be non-negative")
-    rng = rng if rng is not None else stream(0)
     noise = rng.uniform(-radius, radius, size=traj.points.shape) if radius > 0 else 0.0
     return RawTrajectory(id=traj.id, points=traj.points + noise, t0=traj.t0, interval=traj.interval)
 
 
-def perturb_gaussian(traj: RawTrajectory, sigma: float = 0.01,
-                     rng: np.random.Generator | None = None) -> RawTrajectory:
+def perturb_gaussian(traj: RawTrajectory, sigma: float, rng: np.random.Generator) -> RawTrajectory:
     """I.i.d. zero-mean Gaussian per-point noise with std sigma degrees."""
     if sigma < 0:
         raise UsageError("perturbation sigma must be non-negative")
-    rng = rng if rng is not None else stream(0)
     noise = rng.normal(0.0, sigma, size=traj.points.shape) if sigma > 0 else 0.0
     return RawTrajectory(id=traj.id, points=traj.points + noise, t0=traj.t0, interval=traj.interval)
 
@@ -512,8 +499,8 @@ class CitySpec:
         if any(w <= 0 for w in self.street_popularity):
             raise UsageError("street popularity weights must be positive")
         if not (type(self.min_points) is type(self.max_points) is int
-                and 2 <= self.min_points <= self.max_points):
-            raise UsageError("invalid point-count range")
+                and 2 <= self.min_points <= self.max_points <= MAX_CITY_POINTS):
+            raise UsageError(f"point counts need 2 <= min_points <= max_points <= {MAX_CITY_POINTS}")
         if not (self.jitter_sigma >= 0 and self.point_interval_s > 0):
             raise UsageError("jitter must be non-negative and the point interval positive")
 

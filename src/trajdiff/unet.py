@@ -79,40 +79,35 @@ def _gn_groups(groups: int, channels: int) -> int:
 # embeddings
 # ---------------------------------------------------------------------------
 
-def sinusoidal_time_embedding(t, dim: int) -> np.ndarray:
-    """Deterministic step encoding: sin(t / 10000^(2i/dim)) then cos of the same.
-
-    Accepts a scalar step or an array of steps; returns [dim] or [B, dim].
-    """
+def sinusoidal_time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
+    """Deterministic step encoding of a [B] array of steps: sin(t / 10000^(2i/dim))
+    then cos of the same, as [B, dim]."""
     if dim % 2 != 0:
         raise ValueError("embedding dimension must be even")
-    t = np.asarray(t, dtype=np.float64)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     i = np.arange(dim // 2, dtype=np.float64)
     freq = np.power(10000.0, -2.0 * i / dim)
-    ang = t[:, None] * freq[None, :]
-    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
-    return emb[0] if scalar else emb
+    ang = np.asarray(t, dtype=np.float64)[:, None] * freq[None, :]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
 
 
-def time_mlp(emb: Tensor, params: dict, prefix: str = "time_mlp") -> Tensor:
-    h = tz.linear(emb, params[f"{prefix}.fc1.W"], params[f"{prefix}.fc1.b"])
+def time_mlp(emb: Tensor, params: dict) -> Tensor:
+    """Two-layer SiLU MLP over the step encoding (the time_mlp.* parameters)."""
+    h = tz.linear(emb, params["time_mlp.fc1.W"], params["time_mlp.fc1.b"])
     h = tz.silu(h)
-    return tz.linear(h, params[f"{prefix}.fc2.W"], params[f"{prefix}.fc2.b"])
+    return tz.linear(h, params["time_mlp.fc2.W"], params["time_mlp.fc2.b"])
 
 
-def wide_deep_embed(cond: ConditionBatch, params: dict, prefix: str = "cond") -> Tensor:
+def wide_deep_embed(cond: ConditionBatch, params: dict) -> Tensor:
     """Wide linear path over numerics plus deep embedding-table path over
-    categoricals, summed into one vector; null conditions map to exact zero."""
-    wide = tz.linear(Tensor(cond.numeric), params[f"{prefix}.wide.W"], params[f"{prefix}.wide.b"])
-    e_slot = tz.embedding(params[f"{prefix}.deep.slot"], cond.slot)
-    e_org = tz.embedding(params[f"{prefix}.deep.origin"], cond.origin)
-    e_dst = tz.embedding(params[f"{prefix}.deep.dest"], cond.dest)
+    categoricals (the cond.* parameters); a null row embeds to exact zero."""
+    wide = tz.linear(Tensor(cond.numeric), params["cond.wide.W"], params["cond.wide.b"])
+    e_slot = tz.embedding(params["cond.deep.slot"], cond.slot)
+    e_org = tz.embedding(params["cond.deep.origin"], cond.origin)
+    e_dst = tz.embedding(params["cond.deep.dest"], cond.dest)
     deep = tz.concat_channels([e_slot, e_org, e_dst])
-    deep = tz.linear(deep, params[f"{prefix}.deep.fc1.W"], params[f"{prefix}.deep.fc1.b"])
+    deep = tz.linear(deep, params["cond.deep.fc1.W"], params["cond.deep.fc1.b"])
     deep = tz.silu(deep)
-    deep = tz.linear(deep, params[f"{prefix}.deep.fc2.W"], params[f"{prefix}.deep.fc2.b"])
+    deep = tz.linear(deep, params["cond.deep.fc2.W"], params["cond.deep.fc2.b"])
     out = tz.add(wide, deep)
     keep = (~cond.is_null).astype(np.float32)[:, None]
     return tz.mul(out, Tensor(keep))

@@ -2,6 +2,31 @@ import numpy as np
 import pytest
 
 from trajdiff import tensor as tz
+from trajdiff.metrics import LN2
+
+# JSON schema of a MetricReport (`trajdiff eval` output); needs jsonschema to check
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["density_error", "trip_error", "length_error", "pattern_score",
+                 "grid", "top_n", "length_bins", "n_gen", "n_real", "version"],
+    "properties": {
+        "density_error": {"type": "number", "minimum": 0, "maximum": LN2 + 1e-12},
+        "trip_error": {"type": "number", "minimum": 0, "maximum": LN2 + 1e-12},
+        "length_error": {"type": "number", "minimum": 0, "maximum": LN2 + 1e-12},
+        "pattern_score": {"type": "number", "minimum": 0, "maximum": 1},
+        "grid": {
+            "type": "object",
+            "required": ["lng_min", "lng_max", "lat_min", "lat_max", "rows", "cols"],
+        },
+        "top_n": {"type": "integer", "minimum": 1},
+        "length_bins": {"type": "integer", "minimum": 1},
+        "distance_metric": {"enum": ["haversine", "euclidean"]},
+        "n_gen": {"type": "integer", "minimum": 0},
+        "n_real": {"type": "integer", "minimum": 0},
+        "version": {"type": "string"},
+    },
+}
 
 
 def numeric_grad(make_loss, t: tz.Tensor, h: float = 1e-3) -> np.ndarray:

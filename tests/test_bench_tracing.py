@@ -1,7 +1,10 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps trajdiff functions by
-name. Deleting or renaming any of them breaks the benchmark's per-layer
-metrics, so it must fail here too."""
+name, and its size functions read some of their arguments by position.
+Deleting, renaming or re-ordering any of them breaks the benchmark's
+per-layer metrics, so it must fail here too."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 from trajdiff import diffusion, metrics, trajdata, unet
@@ -27,3 +30,10 @@ def test_every_traced_name_exists_and_is_restored(monkeypatch):
     finally:
         tracer.uninstall()
     assert _sampled_names() == originals
+
+
+def test_benchmark_selftest_passes():
+    # runs every workload at tiny size, untraced and traced (about 20 s on 2 cores)
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPORT_SCHEMA
 from trajdiff import cli
 from trajdiff.cli import main
-from trajdiff.metrics import REPORT_SCHEMA, grid_density
-from trajdiff.trajdata import GridSpec, load_dataset, save_dataset, synth_city
+from trajdiff.metrics import grid_density
+from trajdiff.trajdata import (MAX_CITY_POINTS, CitySpec, GridSpec, load_dataset, save_dataset,
+                               synth_city)
 
 
 def run(*argv):
@@ -30,6 +33,22 @@ def ckpt(tmp_path_factory, city):
     assert run("train", "--data", city, "--out", path, "--steps", 2, "--batch", 8,
                "--T", 20, "--length", 16, "--base-channels", 4) == 0
     return path
+
+
+SPEC_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                         st.floats(), st.sampled_from([1e308, -1e308]), st.text(max_size=8))
+SPEC_VALUES = st.one_of(SPEC_SCALARS, st.lists(SPEC_SCALARS, max_size=3))
+# point counts stay within a few MB of trajectory even without the cap, or
+# overflow int64 outright
+POINT_COUNTS = st.one_of(st.integers(-10, MAX_CITY_POINTS + 10), st.integers(2**64, 2**70))
+OTHER_CITY_KEYS = [f.name for f in dataclasses.fields(CitySpec)
+                   if not f.name.endswith("_points")] + ["bogus", ""]
+CITY_SPECS = st.one_of(
+    st.builds(lambda counts, rest: {**rest, **counts},
+              st.fixed_dictionaries({}, optional={"min_points": POINT_COUNTS,
+                                                  "max_points": POINT_COUNTS}),
+              st.dictionaries(st.sampled_from(OTHER_CITY_KEYS), SPEC_VALUES, max_size=2)),
+    SPEC_VALUES)
 
 
 class TestSynth:
@@ -57,12 +76,25 @@ class TestSynth:
                                       '{"jitter_sigma": "wide"}', "not json",
                                       '{"lng_max": Infinity}', '{"point_interval_s": Infinity}',
                                       '{"street_popularity": [1, Infinity, 1]}',
-                                      '{"street_popularity": [1e308, 1e308, 1e308]}'])
+                                      '{"street_popularity": [1e308, 1e308, 1e308]}',
+                                      '{"max_points": 100000000000000000000000000000}',
+                                      f'{{"max_points": {MAX_CITY_POINTS + 1}}}'])
     def test_bad_city_spec_usage_error(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
         assert run("synth", "--out", tmp_path / "c.jsonl", "--n", 2, "--city-spec", spec) == 1
         assert "city spec" in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=CITY_SPECS)
+    def test_any_city_spec_exits_typed(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = run("synth", "--out", tmp_path / "c.jsonl", "--n", 2, "--city-spec", spec)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("settings", [{"n": "3"}, {"n": -1}, {"seed": 1.5}], ids=json.dumps)
     def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
@@ -389,7 +421,6 @@ class TestPlot:
     def test_empty_dataset_exit_2(self, tmp_path):
         empty = tmp_path / "none.jsonl"
         empty.write_text("")
-        assert run("plot", "--data", empty, "--out", tmp_path / "x.svg") == 1 or True
         assert run("plot", "--data", empty, "--out", tmp_path / "x.svg") == 2
 
 

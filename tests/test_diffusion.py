@@ -3,7 +3,7 @@ import pytest
 
 from trajdiff import diffusion
 from trajdiff import tensor as tz
-from trajdiff.diffusion import (CLIP_X0, Adam, SamplerConfig, TrainConfig, ddim_step,
+from trajdiff.diffusion import (Adam, SamplerConfig, TrainConfig, ddim_step,
                                 ddim_transition, ddpm_step, guided_eps, sample,
                                 skip_subsequence, train, training_loss)
 from trajdiff.errors import NumericError
@@ -121,6 +121,23 @@ class TestTrain:
         x0 = np.zeros((4, 2, 16), np.float32)
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             train(huge, x0, None, TrainConfig(steps=1, batch_size=4, seed=0), sched)
+
+
+class TestConfigChecks:
+    # each value would otherwise construct and only fail, or silently yield
+    # non-finite output, once training or sampling runs
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ValueError, match="eta"):
+            SamplerConfig(eta=float("nan"))
+
+    def test_infinite_guidance_rejected(self):
+        with pytest.raises(ValueError, match="guidance"):
+            SamplerConfig(sample_steps=1, guidance_scale=float("inf"))
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=lr)
 
 
 class TestGuidedEps:
@@ -336,7 +353,7 @@ class TestSample:
 
         x = draw()
         for t in range(sched.T, 0, -1):
-            x = ddpm_step(model, x, t, None, 0.0, sched, draw() if t > 1 else None, clip_x0=CLIP_X0)
+            x = ddpm_step(model, x, t, None, 0.0, sched, draw() if t > 1 else None)
         np.testing.assert_allclose(out, x, atol=1e-5)
 
     def test_schedule_mismatch_rejected(self, sched):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajdiff.metrics import (LN2, REPORT_SCHEMA, Distribution, density_error,
+from conftest import REPORT_SCHEMA
+from trajdiff.metrics import (LN2, Distribution, density_error,
                               evaluate, grid_density, jsd, length_error,
                               pattern_score, top_cells, trip_error)
 from trajdiff.rng import stream

@@ -19,13 +19,12 @@ TINY = TrajUNetConfig(length=16, base_channels=4, channel_multipliers=(1, 2),
 
 class TestSinusoidalEmbedding:
     def test_t0_halves(self):
-        e = sinusoidal_time_embedding(0, 128)
+        e = sinusoidal_time_embedding(np.array([0]), 128)[0]
         assert np.all(e[:64] == 0.0)
         assert np.all(e[64:] == 1.0)
 
     def test_adjacent_steps_differ(self):
-        e1 = sinusoidal_time_embedding(1, 128)
-        e2 = sinusoidal_time_embedding(2, 128)
+        e1, e2 = sinusoidal_time_embedding(np.array([1, 2]), 128)
         assert np.linalg.norm(e1 - e2) > 0
 
     def test_pairwise_distinct_over_500_steps(self):
@@ -40,12 +39,13 @@ class TestSinusoidalEmbedding:
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
-            sinusoidal_time_embedding(1, localization=None) if False else sinusoidal_time_embedding(1, 127)
+            sinusoidal_time_embedding(np.array([1]), 127)
 
     def test_batch_matches_scalar(self):
+        # each row is the encoding of its step alone
         batch = sinusoidal_time_embedding(np.array([3, 9]), 64)
-        np.testing.assert_array_equal(batch[0], sinusoidal_time_embedding(3, 64))
-        np.testing.assert_array_equal(batch[1], sinusoidal_time_embedding(9, 64))
+        np.testing.assert_array_equal(batch[0], sinusoidal_time_embedding(np.array([3]), 64)[0])
+        np.testing.assert_array_equal(batch[1], sinusoidal_time_embedding(np.array([9]), 64)[0])
 
 
 class TestTimeMlp:
