@@ -1,15 +1,21 @@
 """Dense float32 tensors with reverse-mode autodiff and the 1D layer kit.
 
-Storage is float32, row-major numpy; reductions and normalization statistics
-accumulate in float64 so finite-difference gradient checks stay meaningful.
+Storage is float32, row-major numpy; scalar reductions (sum_all, mse) and
+softmax accumulate in float64 so finite-difference gradient checks stay
+meaningful. Normalization statistics start from float32 BLAS sums over the
+length, one per (batch, channel), and are float64 from there on.
 Every forward op verifies its output is finite and raises NumericError
 otherwise: NaN/Inf never propagates silently.
 
 The 1D kernels are channels-last, [B, L, C], with one op per layer:
 conv1d_cl runs one GEMM per kernel tap over the B*L rows and adds each
 shifted product into the output, forward and backward, with no window matrix;
-group_norm_silu_cl is group norm, affine and SiLU in one op whose per-group
-statistics accumulate in float64 and whose backward forms dx in one pass.
+group_norm_silu_cl is group norm, affine and SiLU in one op: float32 BLAS
+sums per (batch, channel), float64 per-group statistics from those, a
+centring correction that keeps them accurate when a group's mean dwarfs its
+spread, a three-pass SiLU, and a backward that forms dx in one pass.
+conv1d_cl also takes a bias per (batch, channel), which is how the UNet
+injects its embedding.
 maxpool1d_k2, upsample_nearest_2x and concat_channels take the axis they
 work along. The [B, C, L] entry points conv1d and group_norm transpose in and
 out of the same kernels; the weights stay [Cout, Cin, K] in either layout.
@@ -252,13 +258,19 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
     """Group norm over a channels-last [B, L, C] tensor, then affine, then
     optionally SiLU, as one op.
 
-    The statistics accumulate in float64, per-(b, c) sums over the length
-    and then per group, without a float64 copy of x: first the mean, then
-    the variance of xc = x - mean. With x_hat = inv * xc, normalization and
-    affine fold into z = a * xc + beta. The backward forms the per-(b, c)
-    sums of dz and dz * xc once (BLAS over the length, float64 after) and
-    writes dx = a * dz + b * xc + c, with inv folded into the per-(b, c)
-    coefficients.
+    The per-(b, c) sums over the length are float32 BLAS products (ones @ v,
+    on C-contiguous arrays, so the summation order does not depend on the
+    caller's layout); everything after them is float64. One [C, C] float64
+    matmul averages each channel's group and repeats it back. The mean comes
+    from the sums of x; xc = x - mean32 is then centred up to the float32
+    error of that mean, d, which the sums of xc measure exactly enough to fold
+    back in: x_hat = inv * (xc - d), with the variance from the sums of
+    xc * xc less d * d. Normalization and affine fold into z = a * xc + b per
+    (b, c). SiLU takes three passes as h * (1 + tanh h) with h = z / 2, the
+    halving folded into a and b (silu(z) = z * sigmoid(z), sigmoid(z) =
+    (1 + tanh(z / 2)) / 2). The backward forms the per-(b, c) sums of dz and
+    dz * xc once, the same way, and writes dx = a' * dz + b' * xc + c' with
+    per-(b, c) coefficients.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 3:
@@ -268,49 +280,53 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         raise ValueError(f"channels {C} not divisible by groups {groups}")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise ValueError("gamma/beta must have shape [C]")
-    n = L * (C // groups)
+    cg = C // groups
+    group_of = np.arange(C) // cg
+    # [B, C] per-channel sums @ avg -> each channel's group mean; an empty
+    # length (L = 0) gives an empty output
+    avg = (group_of[:, None] == group_of[None, :]) / float(max(L * cg, 1))
+    ones = np.ones(L, dtype=np.float32)
 
-    def per_group(v):  # [B, C] per-channel sums -> each channel's group sum
-        return np.repeat(v.reshape(B, groups, -1).sum(axis=2), C // groups, axis=1)
+    def mean_of(v):  # float32 [B, L, C] -> float64 [B, C] group means
+        return (ones @ v).astype(np.float64) @ avg
 
-    xd = x.data
-    mean = per_group(np.einsum("blc->bc", xd, dtype=np.float64)) / n
-    mean32 = mean.astype(np.float32)
+    xd = np.ascontiguousarray(x.data)
+    mean32 = mean_of(xd).astype(np.float32)
     xc = xd - mean32[:, None, :]
-    # two-pass variance: xc is centred up to the rounding of mean32
-    shift = mean - mean32
-    var = per_group(np.einsum("blc->bc", xc * xc, dtype=np.float64)) / n - shift * shift
+    d = mean_of(xc)
+    z = xc * xc
+    var = mean_of(z) - d * d
     inv = 1.0 / np.sqrt(np.maximum(var, 0.0) + GROUP_NORM_EPS)
     gam = gamma.data.astype(np.float64)
-    scale = (inv * gam).astype(np.float32)[:, None, :]
-    z = xc * scale
-    z += beta.data
+    half = 0.5 if silu_out else 1.0
+    scale = (half * inv * gam).astype(np.float32)[:, None, :]
+    np.multiply(xc, scale, out=z)  # z's buffer is free once var is known
+    z += (half * (beta.data - d * inv * gam)).astype(np.float32)[:, None, :]
     if silu_out:
-        s = z * 0.5  # sigmoid(z) = (1 + tanh(z / 2)) / 2
-        np.tanh(s, out=s)
-        s *= 0.5
-        s += 0.5
-        y = z * s
+        u = np.tanh(z)  # z holds h = z / 2; u = 1 + tanh(h) = 2 sigmoid(2h)
+        u += 1.0
+        y = np.multiply(z, u, out=z)
     else:
         y = z
 
     def backward(g):
         if silu_out:
-            dz = 1.0 - s  # silu'(z) = s + y * (1 - s)
+            dz = 2.0 - u  # 2 silu'(z) = u + y * (2 - u)
             dz *= y
-            dz += s
+            dz += u
             dz *= g
         else:
             dz = g
-        ones = np.ones(L, dtype=np.float32)
-        sum_dz = (ones @ dz).astype(np.float64)
-        sum_dzxh = inv * (ones @ (dz * xc))
-        m1 = per_group(gam * sum_dz) / n
-        m2 = per_group(gam * sum_dzxh) / n
-        # dx = inv * (gamma * dz - m1 - x_hat * m2), x_hat = inv * xc
+        # dz carries the factor 1 / half, which a and the sums take back out
+        t = dz * xc
+        sum_dz = half * (ones @ dz).astype(np.float64)
+        sum_dzxh = inv * (half * (ones @ t) - d * sum_dz)
+        m1 = (gam * sum_dz) @ avg
+        m2 = (gam * sum_dzxh) @ avg
+        # dx = inv * (gamma * dz - m1 - x_hat * m2), x_hat = inv * (xc - d)
         gx = dz * scale
-        gx -= xc * (inv * inv * m2).astype(np.float32)[:, None, :]
-        gx -= (inv * m1).astype(np.float32)[:, None, :]
+        gx -= np.multiply(xc, (inv * inv * m2).astype(np.float32)[:, None, :], out=t)
+        gx += (inv * (inv * d * m2 - m1)).astype(np.float32)[:, None, :]
         return gx, sum_dzxh.sum(axis=0), sum_dz.sum(axis=0)
 
     return _make(y, (x, gamma, beta), backward, op)
@@ -443,9 +459,10 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Shape-preserving 1D convolution of a channels-last tensor: stride 1,
     zero padding (k-1)/2, odd k.
 
-    x: [B, L, Cin], w: [Cout, Cin, K], b: [Cout]; returns [B, L, Cout]. The
-    input gradient is the same shifted-GEMM convolution of the output
-    gradient with the channel-transposed, length-flipped kernel.
+    x: [B, L, Cin], w: [Cout, Cin, K], b: [Cout] or, one bias row per batch
+    element, [B, Cout]; returns [B, L, Cout]. The input gradient is the same
+    shifted-GEMM convolution of the output gradient with the
+    channel-transposed, length-flipped kernel.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -462,16 +479,18 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = _conv_taps(x.data, w.data)
     if b is not None:
         b = _as_tensor(b)
-        if b.data.shape != (Cout,):
-            raise ValueError(f"conv1d bias must have shape [{Cout}]")
-        y += b.data
+        if b.data.shape not in ((Cout,), (B, Cout)):
+            raise ValueError(f"conv1d bias must have shape [{Cout}] or [{B}, {Cout}]")
+        y += b.data.reshape(-1, 1, Cout)
 
     def backward(g):
         gx = _conv_taps(g, w.data.transpose(1, 0, 2)[:, :, ::-1])
         grads = (gx, _conv_weight_grad(x.data, g, K))
         if b is None:
             return grads
-        return grads + (np.ones(B * L, dtype=np.float32) @ g.reshape(B * L, Cout),)
+        if b.data.ndim == 1:
+            return grads + (np.ones(B * L, dtype=np.float32) @ g.reshape(B * L, Cout),)
+        return grads + (np.ones(L, dtype=np.float32) @ g,)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _make(y, inputs, backward, "conv1d")

@@ -490,6 +490,9 @@ class CitySpec:
             raise UsageError("city bounds, jitter, interval and total popularity must be finite")
         if not (self.lng_max > self.lng_min and self.lat_max > self.lat_min):
             raise UsageError("city bounding box is degenerate")
+        width, height = self.lng_max - self.lng_min, self.lat_max - self.lat_min
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise UsageError("city bounding box extent must be finite")
         if len(self.street_fractions) < 2:
             raise UsageError("city needs at least a 2 x 2 street lattice")
         if any(not 0.0 < f < 1.0 for f in self.street_fractions):
@@ -503,6 +506,8 @@ class CitySpec:
             raise UsageError(f"point counts need 2 <= min_points <= max_points <= {MAX_CITY_POINTS}")
         if not (self.jitter_sigma >= 0 and self.point_interval_s > 0):
             raise UsageError("jitter must be non-negative and the point interval positive")
+        if not self.jitter_sigma < min(width, height):
+            raise UsageError("jitter must be below the shorter side of the bounding box")
 
     @property
     def street_lngs(self) -> np.ndarray:

@@ -118,7 +118,8 @@ def wide_deep_embed(cond: ConditionBatch, params: dict) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def resnet_block(x: Tensor, emb: Tensor, params: dict, prefix: str, groups: int) -> Tensor:
-    """GN -> SiLU -> conv, add projected embedding, GN -> SiLU -> conv, skip.
+    """GN -> SiLU -> conv1 with the projected embedding as a per-(b, c) bias,
+    GN -> SiLU -> conv2, skip.
 
     x is channels-last [B, L, C]. Channel change happens in the first conv;
     the skip is identity when the channel count is preserved, else a
@@ -128,9 +129,8 @@ def resnet_block(x: Tensor, emb: Tensor, params: dict, prefix: str, groups: int)
     c_out = params[f"{prefix}.conv1.w"].shape[0]
     h = tz.group_norm_silu_cl(x, _gn_groups(groups, c_in), params[f"{prefix}.gn1.gamma"],
                               params[f"{prefix}.gn1.beta"])
-    h = tz.conv1d_cl(h, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
     inj = tz.linear(emb, params[f"{prefix}.emb.W"], params[f"{prefix}.emb.b"])
-    h = tz.add(h, tz.reshape(inj, (inj.shape[0], 1, c_out)))
+    h = tz.conv1d_cl(h, params[f"{prefix}.conv1.w"], tz.add(inj, params[f"{prefix}.conv1.b"]))
     h = tz.group_norm_silu_cl(h, _gn_groups(groups, c_out), params[f"{prefix}.gn2.gamma"],
                               params[f"{prefix}.gn2.beta"])
     h = tz.conv1d_cl(h, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])

@@ -78,7 +78,9 @@ class TestSynth:
                                       '{"street_popularity": [1, Infinity, 1]}',
                                       '{"street_popularity": [1e308, 1e308, 1e308]}',
                                       '{"max_points": 100000000000000000000000000000}',
-                                      f'{{"max_points": {MAX_CITY_POINTS + 1}}}'])
+                                      f'{{"max_points": {MAX_CITY_POINTS + 1}}}',
+                                      '{"lng_min": -1e308, "lng_max": 1e308}',
+                                      '{"jitter_sigma": 1e308}'])
     def test_bad_city_spec_usage_error(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
         spec.write_text(text)

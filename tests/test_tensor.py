@@ -102,6 +102,16 @@ class TestConv1d:
         with pytest.raises(ValueError, match="odd"):
             tz.conv1d(Tensor(rand((1, 2, 8))), Tensor(rand((3, 2, 2))))
 
+    def test_row_bias_adds_per_batch_element(self):
+        x, w, b = rand((3, 8, 2), seed=40), rand((4, 2, 3), seed=41), rand((3, 4), seed=42)
+        y = tz.conv1d_cl(Tensor(x), Tensor(w), Tensor(b)).data
+        plain = tz.conv1d_cl(Tensor(x), Tensor(w)).data
+        np.testing.assert_array_equal(y, plain + b[:, None, :])
+
+    def test_row_bias_batch_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="bias must have shape"):
+            tz.conv1d_cl(Tensor(rand((3, 8, 2))), Tensor(rand((4, 2, 3))), Tensor(rand((4, 4))))
+
 
 class TestGroupNorm:
     def test_constant_input_maps_to_zero(self):
@@ -153,6 +163,35 @@ class TestGroupNormSilu:
         tol = 4e-6 * max(1.0, np.abs(expect).max())
         assert np.abs(fused - expect).max() < tol
         assert np.abs(fused - chained).max() < tol
+
+    @pytest.mark.parametrize("shape,groups,offset,spread", [
+        ((2, 8, 16), 4, 1e3, 1.0),      # mean about 1e3 times the spread
+        ((3, 6, 5), 3, -2e3, 2.0),
+        ((2, 48, 64), 8, 1.0, 1e-3),
+        ((2, 48, 64), 8, 0.0, 3.0),     # the largest desk shape, C=48 at L=64
+    ])
+    def test_float32_sums_keep_statistics_accurate(self, shape, groups, offset, spread):
+        # the per-(b, c) sums over the length run in float32; a group whose
+        # mean dwarfs its spread must still normalize to float32 roundoff
+        C = shape[1]
+        x = rand(shape, seed=33, scale=spread) + np.float32(offset)
+        gamma, beta = rand((C,), seed=34) + 1.0, rand((C,), seed=35)
+        fused = tz.group_norm_silu_cl(Tensor(x.transpose(0, 2, 1)), groups, Tensor(gamma),
+                                      Tensor(beta)).data.transpose(0, 2, 1)
+        expect = group_norm_silu_oracle(x, groups, gamma, beta)
+        assert np.abs(fused - expect).max() < 4e-6 * max(1.0, np.abs(expect).max())
+
+    def test_constant_group_matches_oracle(self):
+        # batch 1, group 0 is one constant over its channels and length, so
+        # it normalizes to 0 and maps to silu(beta)
+        C = 8
+        x = rand((2, C, 12), seed=36)
+        x[1, :4] = 5.25
+        gamma, beta = rand((C,), seed=37) + 1.0, rand((C,), seed=38)
+        fused = tz.group_norm_silu_cl(Tensor(x.transpose(0, 2, 1)), 2, Tensor(gamma),
+                                      Tensor(beta)).data.transpose(0, 2, 1)
+        expect = group_norm_silu_oracle(x, 2, gamma, beta)
+        assert np.abs(fused - expect).max() < 4e-6 * max(1.0, np.abs(expect).max())
 
     def test_channels_last_shape_checks(self):
         ones, zeros = Tensor(np.ones(4, np.float32)), Tensor(np.zeros(4, np.float32))
@@ -367,6 +406,7 @@ GRAD_CASES = {
     "mse": lambda p: tz.mse(p["xmat"], p["ymat"]),
     "reshape": lambda p: _proj_loss(tz.reshape(p["xmat"], (2, 2, 3))),
     "conv1d_cl": lambda p: _proj_loss(tz.conv1d_cl(p["xcl"], p["w4"], p["b4"])),
+    "conv1d_cl_row_bias": lambda p: _proj_loss(tz.conv1d_cl(p["xcl"], p["w4"], p["b34"])),
     "conv1d_cl_k5": lambda p: _proj_loss(tz.conv1d_cl(p["xcl_short"], p["w5"], p["b4"])),
     "conv1d_cl_k7_wider_than_input": lambda p: _proj_loss(tz.conv1d_cl(p["xcl_short"], p["w7"])),
     "group_norm_silu_cl": lambda p: _proj_loss(tz.group_norm_silu_cl(p["xcl4"], 2, p["gamma4"], p["beta4"])),
@@ -385,6 +425,7 @@ def grad_params():
         "w4": mk((4, 2, 3), 12),
         "wk1": mk((4, 2, 1), 13),
         "b4": mk((4,), 14),
+        "b34": mk((3, 4), 33),
         "gamma": Tensor(rand((2,), 15, scale=0.5) + 1.0, requires_grad=True),
         "beta": mk((2,), 16),
         "xmat": mk((4, 3), 17),
