@@ -31,14 +31,14 @@ import numpy as np
 from . import __version__
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
-from .diffusion import SamplerConfig, TrainConfig, sample, train
+from .diffusion import MICRO_BATCH, SamplerConfig, TrainConfig, sample, train
 from .errors import DataError, NumericError, UsageError
 from .metrics import evaluate
 from .rng import stream
 from .schedule import linear_beta_schedule
 from .svgplot import plot_heatmap, plot_lines
 from .trajdata import (SLOT_SECONDS, CitySpec, ConditionBatch, GridSpec, NormStats,
-                       RawTrajectory, batch_to_points, extract_condition_batch,
+                       RawTrajectory, batch_to_points, box_problem, extract_condition_batch,
                        extent, load_dataset, make_batch, resample, save_dataset, synth_city)
 from .unet import TrajUNet, TrajUNetConfig
 
@@ -77,10 +77,12 @@ TRAIN_DEFAULTS = {k: s.default for k, s in TRAIN_SETTINGS.items()}
 
 GENERATE_SETTINGS = {
     "n": Setting(int, 0, None), "steps": Setting(int, 1, None, "sample steps S (default: T / 5)"),
-    "eta": Setting(float, 0.0, 0.0), "omega": Setting(float, None, 3.0),
-    "seed": Setting(int, None, 0), "workers": Setting(int, 1, 1),
-    "batch": Setting(int, 1, 128, "sampling micro-batch size"),
+    "eta": Setting(float, 0.0, SamplerConfig.eta),
+    "omega": Setting(float, None, SamplerConfig.guidance_scale),
+    "seed": Setting(int, None, SamplerConfig.seed), "workers": Setting(int, 1, 1),
+    "batch": Setting(int, 1, MICRO_BATCH, "sampling micro-batch size"),
 }
+THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on generate's --workers
 
 EVAL_SETTINGS = {
     "grid": Setting(str, None, "16x16"), "topn": Setting(int, 1, 10), "bins": Setting(int, 1, 50),
@@ -122,12 +124,13 @@ def _resolve(args: argparse.Namespace, table: dict) -> dict:
     for k, s in table.items():
         if (flag := getattr(args, k)) is not None:
             cfg[k] = flag
-        _check(k, s, cfg[k])
+        _check("--" + k.replace("_", "-"), s, cfg[k])
     return cfg
 
 
 def _check(name: str, s: Setting, v) -> None:
-    """Usage error unless v fits its row (None fits a row whose default is None)."""
+    """Usage error that names the input as name unless v fits its row (None
+    fits a row whose default is None)."""
     if v is None and s.default is None:
         return
     if isinstance(s.kind, tuple):
@@ -138,7 +141,7 @@ def _check(name: str, s: Setting, v) -> None:
         ok, what = type(v) is s.kind, {int: "an integer", str: "a string"}[s.kind]
     if not ok or (s.low is not None and v < s.low):
         bound = f" of at least {s.low}" if s.low is not None else ""
-        raise UsageError(f"--{name.replace('_', '-')} must be {what}{bound}, got {v!r}")
+        raise UsageError(f"{name} must be {what}{bound}, got {v!r}")
 
 
 def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
@@ -191,28 +194,26 @@ def _grid_shape(text: str) -> tuple[int, int]:
 
 
 def _bbox(text: str) -> tuple[float, float, float, float]:
-    """The four finite numbers of a LNGMIN,LNGMAX,LATMIN,LATMAX flag, each
-    maximum above its minimum."""
+    """The usable bounding box of a LNGMIN,LNGMAX,LATMIN,LATMAX flag."""
     try:
         bbox = tuple(float(x) for x in text.split(","))
     except ValueError:
         bbox = ()
-    if not (len(bbox) == 4 and all(math.isfinite(v) for v in bbox)
-            and bbox[1] > bbox[0] and bbox[3] > bbox[2]):
-        raise UsageError(f"bad --bbox {text!r}, expected four finite numbers "
-                         "LNGMIN,LNGMAX,LATMIN,LATMAX with each max above its min")
+    why = box_problem(*bbox) if len(bbox) == 4 else "expected LNGMIN,LNGMAX,LATMIN,LATMAX"
+    if why:
+        raise UsageError(f"bad --bbox {text!r}: {why}")
     return bbox
 
 
-def _meta_grid(meta) -> GridSpec | None:
+def _meta_grid(path, meta) -> GridSpec | None:
     """Grid over the city bounding box recorded in a dataset header, if any."""
-    if not meta or "city" not in meta:
+    if not isinstance(meta, dict) or "city" not in meta:
         return None
-    c = meta["city"]
     try:
+        c = meta["city"]
         return GridSpec(c["lng_min"], c["lng_max"], c["lat_min"], c["lat_max"])
-    except (KeyError, TypeError):
-        return None
+    except (KeyError, TypeError, DataError) as e:
+        raise DataError(f"{path}: header city: {e!r}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +256,8 @@ def cmd_train(args) -> int:
 
     result = load_dataset(args.data)
     trajs = result.trajectories
-    if not trajs:
-        raise DataError(f"{args.data}: no trainable trajectories")
-
     norm = NormStats.fit(trajs)
-    grid = _meta_grid(result.meta) or norm.grid()
+    grid = _meta_grid(args.data, result.meta) or norm.grid()
     batch = make_batch(trajs, cfg["length"], norm)
     conds = extract_condition_batch(trajs, grid, norm)
 
@@ -286,10 +284,7 @@ def cmd_train(args) -> int:
 
 
 def _load_conditions(path, norm: NormStats, grid: GridSpec, n: int, seed: int) -> ConditionBatch:
-    result = load_dataset(path, min_points=2)
-    if not result.trajectories:
-        raise DataError(f"{path}: no usable condition trajectories")
-    conds = extract_condition_batch(result.trajectories, grid, norm)
+    conds = extract_condition_batch(load_dataset(path, min_points=2).trajectories, grid, norm)
     idx = stream(seed, _COND_STREAM_ID).integers(0, len(conds), size=n)
     return conds.take(idx)
 
@@ -302,13 +297,14 @@ def cmd_generate(args) -> int:
     n = cfg["n"]
     if n is None:
         raise UsageError("--n is required")
-    env_cap = os.environ.get("TRAJDIFF_THREADS")
     workers = cfg["workers"]
-    if env_cap is not None:
+    if (cap := os.environ.get("TRAJDIFF_THREADS")) is not None:
         try:
-            workers = max(1, min(workers, int(env_cap)))
-        except ValueError as e:
-            raise UsageError(f"TRAJDIFF_THREADS must be an integer, got {env_cap!r}") from e
+            cap = int(cap)
+        except ValueError:
+            pass  # _check names the text as not an integer
+        _check("TRAJDIFF_THREADS", THREADS_CAP, cap)
+        workers = min(workers, cap)
     _check_out_path(args.out)
     model, sched, norm, grid, header = load_checkpoint(args.ckpt)
 
@@ -369,10 +365,8 @@ def cmd_eval(args) -> int:
     gen = load_dataset(args.gen, min_points=2).trajectories
     real_result = load_dataset(args.real, min_points=2)
     real = real_result.trajectories
-    if not gen or not real:
-        raise DataError("both --gen and --real must contain trajectories")
     if bbox is None:
-        meta_grid = _meta_grid(real_result.meta)
+        meta_grid = _meta_grid(args.real, real_result.meta)
         bbox = ((meta_grid.lng_min, meta_grid.lng_max, meta_grid.lat_min, meta_grid.lat_max)
                 if meta_grid else extent([t.points for t in real]))
     grid = GridSpec(*bbox, rows, cols)
@@ -397,10 +391,7 @@ def cmd_plot(args) -> int:
     t0 = time.time()
     shape = _grid_shape(args.grid)
     _check_out_path(args.out)
-    trajs = load_dataset(args.data, min_points=2).trajectories
-    if not trajs:
-        raise DataError(f"{args.data}: nothing to plot")
-    points = [t.points for t in trajs]
+    points = [t.points for t in load_dataset(args.data, min_points=2)]
     if args.mode == "lines":
         svg = plot_lines(points)
     else:

@@ -29,6 +29,9 @@ from .trajdata import ConditionBatch
 # inert for a perfect denoiser (data lives in [-1, 1]).
 CLIP_X0 = 1.5
 
+# Trajectories per sampling micro-batch; `trajdiff generate --batch` defaults to it.
+MICRO_BATCH = 128
+
 
 @dataclass
 class TrainConfig:
@@ -285,7 +288,7 @@ def _sample_micro_batch(model, cond: ConditionBatch | None, cfg: SamplerConfig,
 
 def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
            sched: NoiseSchedule, n: int | None = None, workers: int = 1,
-           micro_batch: int = 128) -> tuple[np.ndarray, dict]:
+           micro_batch: int = MICRO_BATCH) -> tuple[np.ndarray, dict]:
     """Generate trajectories in normalized coordinates.
 
     Returns (batch [n, C, L], stats). Trajectory i's randomness comes from

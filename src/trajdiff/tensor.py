@@ -350,23 +350,19 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[..., In] @ W[In, Out] (+ b[Out])."""
-    x, W = _as_tensor(x), _as_tensor(W)
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x[..., In] @ W[In, Out] + b[Out]."""
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.data.shape[-1] != W.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {W.data.shape}")
-    y = x.data @ W.data
-    if b is not None:
-        b = _as_tensor(b)
-        y = y + b.data
+    y = x.data @ W.data + b.data
 
     def backward(g):
         gf = g.reshape(-1, g.shape[-1])
-        grads = (g @ W.data.T, x.data.reshape(-1, x.data.shape[-1]).T @ np.ascontiguousarray(gf))
-        return grads if b is None else grads + (gf.sum(axis=0, dtype=np.float64),)
+        return (g @ W.data.T, x.data.reshape(-1, x.data.shape[-1]).T @ np.ascontiguousarray(gf),
+                gf.sum(axis=0, dtype=np.float64))
 
-    inputs = (x, W) if b is None else (x, W, b)
-    return _make(y, inputs, backward, "linear")
+    return _make(y, (x, W, b), backward, "linear")
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:

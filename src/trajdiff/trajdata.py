@@ -53,12 +53,26 @@ class RawTrajectory:
             raise DataError(f"trajectory {self.id!r} has a non-finite point, t0 or interval")
 
 
-def _check_box(box, what: str) -> None:
-    """A lng/lat bounding box must be finite and have positive extent."""
-    if not all(math.isfinite(v) for v in (box.lng_min, box.lng_max, box.lat_min, box.lat_max)):
-        raise DataError(f"{what} bounding box must be finite")
-    if not (box.lng_max > box.lng_min and box.lat_max > box.lat_min):
-        raise DataError(f"{what} bounding box is degenerate")
+def _finite(v) -> bool:
+    """math.isfinite, where an int beyond the float range is not finite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def box_problem(lng_min, lng_max, lat_min, lat_max) -> str | None:
+    """Why these bounds are no usable lng/lat box, naming them, or None for a
+    box with finite bounds, each max above its min and a finite extent."""
+    if not all(map(_finite, (lng_min, lng_max, lat_min, lat_max))):
+        why = "must be finite"
+    elif not (lng_max > lng_min and lat_max > lat_min):
+        why = "needs each max above its min"
+    elif not (_finite(lng_max - lng_min) and _finite(lat_max - lat_min)):
+        why = "extent must be finite"
+    else:
+        return None
+    return f"{why}, got lng [{lng_min}, {lng_max}], lat [{lat_min}, {lat_max}]"
 
 
 def extent(point_arrays) -> tuple[float, float, float, float]:
@@ -80,7 +94,8 @@ class GridSpec:
     cols: int = 16
 
     def __post_init__(self):
-        _check_box(self, "grid")
+        if why := box_problem(self.lng_min, self.lng_max, self.lat_min, self.lat_max):
+            raise DataError(f"grid bounding box {why}")
         if self.rows < 1 or self.cols < 1:
             raise DataError("grid needs at least one row and column")
 
@@ -120,7 +135,8 @@ class NormStats:
     attr_std: np.ndarray = field(default_factory=lambda: np.ones(4))
 
     def __post_init__(self):
-        _check_box(self, "normalization")
+        if why := box_problem(self.lng_min, self.lng_max, self.lat_min, self.lat_max):
+            raise DataError(f"normalization bounding box {why}")
         self.attr_mean = np.asarray(self.attr_mean, dtype=np.float64)
         self.attr_std = np.asarray(self.attr_std, dtype=np.float64)
         if not self.attr_mean.shape == self.attr_std.shape == (NUM_NUMERIC_ATTRS,):
@@ -346,15 +362,14 @@ def departure_slot(t0: np.ndarray) -> np.ndarray:
 
 
 def extract_condition_batch(trajs: list[RawTrajectory], grid: GridSpec,
-                            norm: NormStats | None = None) -> ConditionBatch:
-    """Trip conditions of a trajectory list; numerics are z-scored when
-    normalization statistics are supplied."""
+                            norm: NormStats) -> ConditionBatch:
+    """Trip conditions of a trajectory list: motion attributes z-scored with
+    norm's statistics, endpoint cells on grid, and departure slots."""
     n = len(trajs)
     attrs = np.empty((n, NUM_NUMERIC_ATTRS), dtype=np.float64)
     for i, t in enumerate(trajs):
         attrs[i] = raw_motion_attributes(t)
-    if norm is not None:
-        attrs = (attrs - norm.attr_mean) / norm.attr_std
+    attrs = (attrs - norm.attr_mean) / norm.attr_std
     ends = np.array([t.points[[0, -1]] for t in trajs], dtype=np.float64).reshape(-1, 2)
     cells = grid.cell_indices(ends)[0].reshape(n, 2)
     return ConditionBatch(numeric=attrs.astype(np.float32),
@@ -390,7 +405,7 @@ def perturb_gaussian(traj: RawTrajectory, sigma: float, rng: np.random.Generator
 class LoadResult:
     trajectories: list[RawTrajectory]
     dropped_short: int = 0
-    skipped_bad: int = 0
+    skipped_bad: int = 0  # always 0: a malformed line aborts the load
     meta: dict | None = None
 
     def __iter__(self):
@@ -408,12 +423,12 @@ def _parse_line(obj: dict) -> RawTrajectory:
                          interval=obj.get("interval"))
 
 
-def load_dataset(path, min_points: int = MIN_TRAJECTORY_POINTS,
-                 skip_bad: bool = False) -> LoadResult:
+def load_dataset(path, min_points: int = MIN_TRAJECTORY_POINTS) -> LoadResult:
     """Read a JSONL dataset; trajectories shorter than min_points are dropped.
 
-    Malformed lines abort with a line-numbered DataError unless skip_bad is
-    set, in which case they are counted and skipped.
+    A malformed line aborts with a line-numbered DataError, and so does a
+    file with no trajectory of at least min_points points, so every
+    LoadResult holds at least one trajectory.
     """
     result = LoadResult(trajectories=[])
     with open(path, "r", encoding="utf-8") as fh:
@@ -428,18 +443,14 @@ def load_dataset(path, min_points: int = MIN_TRAJECTORY_POINTS,
                     continue
                 traj = _parse_line(obj)
             except (ValueError, DataError) as e:
-                if skip_bad:
-                    result.skipped_bad += 1
-                    continue
                 raise DataError(f"{path}: line {lineno}: {e}") from e
             if traj.points.shape[0] < min_points:
                 result.dropped_short += 1
                 continue
             result.trajectories.append(traj)
     if not result.trajectories:
-        log.warning("dataset %s contains no usable trajectories "
-                    "(%d dropped short, %d bad lines)", path, result.dropped_short,
-                    result.skipped_bad)
+        raise DataError(f"{path}: no usable trajectory ({result.dropped_short} dropped "
+                        f"as shorter than min_points={min_points})")
     if result.dropped_short:
         log.info("dropped %d trajectories shorter than %d points",
                  result.dropped_short, min_points)
@@ -480,19 +491,15 @@ class CitySpec:
     street_popularity: tuple[float, ...] = (0.6, 2.6, 0.8)
     jitter_sigma: float = 0.002
     point_interval_s: float = 5.0
-    min_points: int = 120
+    min_points: int = MIN_TRAJECTORY_POINTS
     max_points: int = 200
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lng_min, self.lng_max, self.lat_min, self.lat_max,
-                                        self.jitter_sigma, self.point_interval_s,
-                                        sum(self.street_popularity)))):
-            raise UsageError("city bounds, jitter, interval and total popularity must be finite")
-        if not (self.lng_max > self.lng_min and self.lat_max > self.lat_min):
-            raise UsageError("city bounding box is degenerate")
-        width, height = self.lng_max - self.lng_min, self.lat_max - self.lat_min
-        if not (math.isfinite(width) and math.isfinite(height)):
-            raise UsageError("city bounding box extent must be finite")
+        if why := box_problem(self.lng_min, self.lng_max, self.lat_min, self.lat_max):
+            raise UsageError(f"city bounding box {why}")
+        if not all(map(_finite, (self.jitter_sigma, self.point_interval_s,
+                                 sum(self.street_popularity)))):
+            raise UsageError("city jitter, interval and total popularity must be finite")
         if len(self.street_fractions) < 2:
             raise UsageError("city needs at least a 2 x 2 street lattice")
         if any(not 0.0 < f < 1.0 for f in self.street_fractions):
@@ -506,7 +513,7 @@ class CitySpec:
             raise UsageError(f"point counts need 2 <= min_points <= max_points <= {MAX_CITY_POINTS}")
         if not (self.jitter_sigma >= 0 and self.point_interval_s > 0):
             raise UsageError("jitter must be non-negative and the point interval positive")
-        if not self.jitter_sigma < min(width, height):
+        if not self.jitter_sigma < min(self.lng_max - self.lng_min, self.lat_max - self.lat_min):
             raise UsageError("jitter must be below the shorter side of the bounding box")
 
     @property

@@ -135,6 +135,10 @@ HEADER_EDITS = {
     "parameter table": lambda h: h.update(params={}),
     "grid bounding box must be finite": lambda h: h["grid"].update(lng_max=float("inf")),
     "normalization bounding box must be finite": lambda h: h["norm"].update(lat_min=float("nan")),
+    "grid bounding box extent must be finite": lambda h: h["grid"].update(lng_min=-1e308,
+                                                                          lng_max=1e308),
+    "normalization bounding box extent must be finite": lambda h: h["norm"].update(lat_min=-1e308,
+                                                                                   lat_max=1e308),
 }
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import REPORT_SCHEMA
 from trajdiff import cli
 from trajdiff.cli import main
+from trajdiff.errors import DataError
 from trajdiff.metrics import grid_density
 from trajdiff.trajdata import (MAX_CITY_POINTS, CitySpec, GridSpec, load_dataset, save_dataset,
                                synth_city)
@@ -35,6 +36,19 @@ def ckpt(tmp_path_factory, city):
     return path
 
 
+def edited_header(city, out, edit):
+    """A copy of city with its header's meta object passed through edit(meta)."""
+    header, *rest = city.read_text().splitlines()
+    head = json.loads(header)
+    edit(head["meta"])
+    out.write_text("\n".join([json.dumps(head)] + rest) + "\n")
+    return out
+
+
+# finite bounds whose width overflows float64
+OVERFLOWING_BOX = {"lng_min": -1e308, "lng_max": 1e308}
+
+
 SPEC_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
                          st.floats(), st.sampled_from([1e308, -1e308]), st.text(max_size=8))
 SPEC_VALUES = st.one_of(SPEC_SCALARS, st.lists(SPEC_SCALARS, max_size=3))
@@ -55,9 +69,10 @@ class TestSynth:
     def test_zero_trajectories_valid_file(self, tmp_path):
         out = tmp_path / "empty.jsonl"
         assert run("synth", "--out", out, "--n", 0, "--seed", 1) == 0
-        res = load_dataset(out)
-        assert len(res) == 0
-        assert res.meta["n"] == 0
+        with pytest.raises(DataError, match="no usable trajectory"):
+            load_dataset(out)
+        header, = out.read_text().splitlines()
+        assert json.loads(header)["meta"]["n"] == 0
 
     def test_fixed_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -80,7 +95,8 @@ class TestSynth:
                                       '{"max_points": 100000000000000000000000000000}',
                                       f'{{"max_points": {MAX_CITY_POINTS + 1}}}',
                                       '{"lng_min": -1e308, "lng_max": 1e308}',
-                                      '{"jitter_sigma": 1e308}'])
+                                      '{"jitter_sigma": 1e308}', '{"jitter_sigma": 1%s}' % ("0" * 400)],
+                             ids=lambda text: text[:60])
     def test_bad_city_spec_usage_error(self, tmp_path, capsys, text):
         spec = tmp_path / "spec.json"
         spec.write_text(text)
@@ -181,6 +197,25 @@ class TestTrain:
         assert run("train", "--data", city, "--out", tmp_path, "--steps", 1) == 2
         assert "is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["city"].update(OVERFLOWING_BOX), "grid bounding box extent must be finite"),
+        (lambda m: m["city"].update(lng_min="108.9"), "TypeError"),
+        (lambda m: m["city"].pop("lat_max"), "KeyError('lat_max')"),
+        (lambda m: m.update(city=5), "TypeError"),
+    ], ids=["overflow", "string bound", "missing bound", "not an object"])
+    def test_bad_header_city_exit_2(self, city, tmp_path, capsys, edit, message):
+        data = edited_header(city, tmp_path / "bad.jsonl", edit)
+        assert run("train", "--data", data, "--out", tmp_path / "x.ckpt", "--steps", 1) == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl: header city: " in err and message in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_non_object_header_frames_by_data(self, city, tmp_path):
+        data = tmp_path / "plain.jsonl"
+        data.write_text('{"meta": 5}\n' + city.read_text().split("\n", 1)[1])
+        assert run("train", "--data", data, "--out", tmp_path / "x.ckpt", "--steps", 0,
+                   "--T", 20, "--length", 16, "--base-channels", 4) == 0
+
     def test_manifest_environment_block(self, city, tmp_path):
         out = tmp_path / "m.ckpt"
         assert run("train", "--data", city, "--out", out, "--steps", 2, "--batch", 4,
@@ -225,10 +260,11 @@ class TestGenerate:
                    "--steps", 21, "--uncond") == 1
 
     def test_bad_thread_cap_usage_error(self, ckpt, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TRAJDIFF_THREADS", "abc")
-        assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
-                   "--steps", 1, "--uncond") == 1
-        assert "TRAJDIFF_THREADS" in capsys.readouterr().err
+        for cap in ("abc", "0", "-3"):
+            monkeypatch.setenv("TRAJDIFF_THREADS", cap)
+            assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
+                       "--steps", 1, "--uncond") == 1
+            assert "TRAJDIFF_THREADS must be an integer of at least 1" in capsys.readouterr().err
 
     def test_thread_settings_in_manifest(self, ckpt, tmp_path):
         out = tmp_path / "p.jsonl"
@@ -322,12 +358,20 @@ class TestEval:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bbox", ["108.9,inf,34.18,34.34", "nan,109.1,34.18,34.34",
-                                      "108.9,109.1,34.18", "109.1,108.9,34.18,34.34", "a,b,c,d"])
+                                      "108.9,109.1,34.18", "109.1,108.9,34.18,34.34", "a,b,c,d",
+                                      "-1e308,1e308,34.18,34.34"])
     def test_bad_bbox_usage_error(self, city, tmp_path, capsys, monkeypatch, bbox):
         monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("read data before --bbox"))
         out = tmp_path / "r.json"
-        assert run("eval", "--gen", city, "--real", city, "--out", out, "--bbox", bbox) == 1
+        # one token, so argparse reads a leading minus as part of the value
+        assert run("eval", "--gen", city, "--real", city, "--out", out, f"--bbox={bbox}") == 1
         assert "usage error" in capsys.readouterr().err and not out.exists()
+
+    def test_header_box_overflow_exit_2(self, city, tmp_path, capsys):
+        real = edited_header(city, tmp_path / "wide.jsonl", lambda m: m["city"].update(OVERFLOWING_BOX))
+        assert run("eval", "--gen", city, "--real", real, "--out", tmp_path / "r.json") == 2
+        assert "wide.jsonl: header city: DataError('grid bounding box extent must be finite" \
+            in capsys.readouterr().err
 
     def test_bbox_sets_grid_frame(self, city, tmp_path):
         out = tmp_path / "r.json"
@@ -488,9 +532,10 @@ class TestConfigLoader:
         assert "--metric must be one of" in capsys.readouterr().err
 
     def test_bad_thread_cap_usage_error_before_checkpoint(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TRAJDIFF_THREADS", "abc")
-        assert run_config(tmp_path, "generate", "{}", "--n", 1) == 1
-        assert "TRAJDIFF_THREADS" in capsys.readouterr().err
+        for cap in ("abc", "0", "-3"):
+            monkeypatch.setenv("TRAJDIFF_THREADS", cap)
+            assert run_config(tmp_path, "generate", "{}", "--n", 1) == 1
+            assert "TRAJDIFF_THREADS" in capsys.readouterr().err
 
     def test_undecodable_config_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

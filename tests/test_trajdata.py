@@ -1,6 +1,6 @@
 import json
-import logging
 import math
+import re
 import subprocess
 import sys
 
@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiff.cli import _bbox
 from trajdiff.errors import DataError, UsageError
 from trajdiff.rng import stream
 from trajdiff.trajdata import (CitySpec, GridSpec, NormStats, RawTrajectory,
-                               batch_to_points, denormalize, departure_slot,
+                               batch_to_points, box_problem, denormalize, departure_slot,
                                extract_condition_batch, haversine_km, load_dataset,
                                make_batch, normalize, path_length, perturb_gaussian,
                                perturb_random, raw_motion_attributes, resample,
@@ -28,13 +29,18 @@ def jsonl_line(tid, pts, t0=0.0):
 
 
 class TestLoadDataset:
-    def test_empty_file_warns_and_returns_empty(self, tmp_path, caplog):
+    def test_empty_file_is_data_error(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
-        with caplog.at_level(logging.WARNING):
-            res = load_dataset(p)
-        assert len(res) == 0
-        assert any("no usable trajectories" in r.message for r in caplog.records)
+        with pytest.raises(DataError, match="empty.jsonl: no usable trajectory"):
+            load_dataset(p)
+
+    def test_all_short_is_data_error_naming_the_count(self, tmp_path):
+        p = tmp_path / "short.jsonl"
+        p.write_text(json.dumps({"meta": {}}) + "\n"
+                     + jsonl_line("a", [(0.001 * i, 0.0) for i in range(5)]) + "\n")
+        with pytest.raises(DataError, match="1 dropped as shorter than min_points=6"):
+            load_dataset(p, min_points=6)
 
     def test_short_trajectory_dropped_and_counted(self, tmp_path):
         pts119 = [(0.001 * i, 0.001 * i) for i in range(119)]
@@ -45,17 +51,6 @@ class TestLoadDataset:
         assert len(res) == 1
         assert res.dropped_short == 1
         assert res.trajectories[0].id == "ok"
-
-    def test_skip_bad_keeps_valid_lines_only(self, tmp_path):
-        pts = [(0.001 * i, 0.0) for i in range(130)]
-        lines = [jsonl_line("a", pts), "{not json", jsonl_line("b", pts),
-                 json.dumps({"id": "c"}), jsonl_line("d", pts)]
-        p = tmp_path / "mixed.jsonl"
-        p.write_text("\n".join(lines) + "\n")
-        res = load_dataset(p, skip_bad=True)
-        # line-by-line oracle: exactly the parseable, complete records survive
-        assert [t.id for t in res] == ["a", "b", "d"]
-        assert res.skipped_bad == 2
 
     def test_malformed_line_aborts_with_line_number(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -106,6 +101,41 @@ class TestLoadDataset:
         for a, b in zip(res, trajs):
             np.testing.assert_allclose(a.points, b.points, atol=5e-17)
             assert a.t0 == b.t0 and a.interval == b.interval
+
+
+BOUNDS = st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan,
+                                                  0.0, 1.0]))
+QUADS = st.tuples(BOUNDS, BOUNDS, BOUNDS, BOUNDS)
+BOXES = st.one_of(QUADS, QUADS.map(lambda b: (b[0], b[0], b[2], b[3])),
+                  QUADS.map(lambda b: (b[0], b[1], b[2], b[2])))
+
+
+class TestBoxRule:
+    @settings(max_examples=300, deadline=None)
+    @given(BOXES)
+    def test_every_box_check_follows_the_one_rule(self, box):
+        why = box_problem(*box)
+        flag = ",".join(map(repr, box))
+        for make, error in ((GridSpec, DataError), (NormStats, DataError),
+                            (lambda *b: _bbox(flag), UsageError)):
+            if why is None:
+                make(*box)
+            else:
+                with pytest.raises(error, match=re.escape(why)):
+                    make(*box)
+        if why is not None:
+            with pytest.raises(UsageError, match=re.escape(why)):
+                CitySpec(*box)
+
+    @pytest.mark.parametrize("box, why", [
+        ((-1e308, 1e308, 34.18, 34.34), "extent must be finite"),
+        ((108.9, 109.1, 34.18, math.inf), "must be finite"),
+        ((108.9, 108.9, 34.18, 34.34), "needs each max above its min"),
+        ((108.9, 10**400, 34.18, 34.34), "must be finite"),
+        ((-10**308, 10**308, 34.18, 34.34), "extent must be finite"),
+    ])
+    def test_reason(self, box, why):
+        assert box_problem(*box).startswith(why)
 
 
 class TestResample:
@@ -194,6 +224,7 @@ class TestNormalize:
 
 class TestAttributes:
     GRID = GridSpec(0.0, 0.16, 0.0, 0.16)
+    NORM = NormStats(0.0, 0.16, 0.0, 0.16)  # default statistics: the identity z-score
 
     def test_departure_slot_boundaries(self):
         # 00:04:59, 23:59:59, midnight, and 00:04:59 of the next day
@@ -218,7 +249,7 @@ class TestAttributes:
     def test_condition_vector_fields(self):
         t = make_traj([(0.005, 0.005)] + [(0.05 + 0.001 * i, 0.05) for i in range(100)]
                       + [(0.155, 0.155)], t0=3600.0)
-        cb = extract_condition_batch([t], self.GRID)
+        cb = extract_condition_batch([t], self.GRID, self.NORM)
         assert cb.origin[0] == 0
         assert cb.dest[0] == 255
         assert cb.slot[0] == 12
@@ -232,18 +263,14 @@ class TestAttributes:
         assert np.abs(vals.mean(axis=0)).max() < 0.2
         assert np.abs(vals[:, :2].std(axis=0) - 1.0).max() < 0.2
 
-    @pytest.mark.parametrize("with_norm", [False, True])
-    def test_columns_match_per_trajectory_reference(self, with_norm):
+    def test_columns_match_per_trajectory_reference(self):
         trajs = synth_city(seed=6, n_trajectories=40)
         trajs.append(make_traj([(108.95, 34.2), (108.96, 34.21)], t0=-1.0, interval=None))
-        stats = NormStats.fit(trajs)
-        grid = stats.grid()
-        norm = stats if with_norm else None
+        norm = NormStats.fit(trajs)
+        grid = norm.grid()
         numeric, slot, origin, dest = [], [], [], []
         for t in trajs:
-            attrs = raw_motion_attributes(t)
-            if norm is not None:
-                attrs = (attrs - norm.attr_mean) / norm.attr_std
+            attrs = (raw_motion_attributes(t) - norm.attr_mean) / norm.attr_std
             numeric.append(attrs.astype(np.float32))
             slot.append(int((t.t0 % 86400) // 300))
             cells, _ = grid.cell_indices(t.points[[0, -1]])
@@ -257,7 +284,7 @@ class TestAttributes:
         assert not cb.is_null.any()
 
     def test_empty_list_gives_empty_batch(self):
-        cb = extract_condition_batch([], self.GRID)
+        cb = extract_condition_batch([], self.GRID, self.NORM)
         assert len(cb) == 0 and cb.numeric.shape == (0, 4)
 
     def test_euclidean_variant_available(self):
