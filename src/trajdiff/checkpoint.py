@@ -90,7 +90,7 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
         # one spec past the table's length shows the table is short, so a
         # huge block count in the config cannot make this walk long
         shapes = {k: shape for k, shape, _ in itertools.islice(param_specs(config), len(table) + 1)}
-    except (DataError, KeyError, TypeError, ValueError) as e:
+    except (DataError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: invalid checkpoint header: {e!r}") from e
     if not (type(grid.rows) is type(grid.cols) is int and grid.n_cells <= NUM_GRID_CELLS):
         raise DataError(f"{path}: grid must have at most {NUM_GRID_CELLS} integer cells")

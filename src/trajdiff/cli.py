@@ -166,8 +166,12 @@ def _environment(blas_threads: int | None) -> dict:
     """The manifest's environment block: what explains a run's timing."""
     return {"cores": len(os.sched_getaffinity(0)),
             "blas_threads": blas_threads,
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+            "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF)}
+
+
+def _peak_rss_mb(who) -> float:
+    """Peak resident set size in MB of who, a resource.RUSAGE_* constant."""
+    return round(resource.getrusage(who).ru_maxrss / 1024, 1)  # ru_maxrss is in KiB on Linux
 
 
 def _check_out_path(path) -> None:
@@ -337,7 +341,11 @@ def cmd_generate(args) -> int:
                                             "version": __version__})
     _write_manifest(args.out, "generate", cfg, inputs, [args.out], t0,
                     extra={"model_evals": stats["model_evals"], "sample_steps": stats["steps"],
-                           "workers": stats["workers"], **_environment(stats["blas_threads"])})
+                           "workers": stats["workers"], **_environment(stats["blas_threads"]),
+                           # pool workers are child processes, so their
+                           # activations are not in peak_rss_mb
+                           "workers_peak_rss_mb": (_peak_rss_mb(resource.RUSAGE_CHILDREN)
+                                                   if stats["workers"] > 1 else None)})
     print(f"generated {n} trajectories with {stats['steps']} steps "
           f"({stats['model_evals']} model evals) -> {args.out}")
     return 0

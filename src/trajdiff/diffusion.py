@@ -5,14 +5,14 @@ sampler has a single reverse-chain loop.
 
 Sampling randomness is keyed per trajectory index (see trajdiff.rng), and
 work is partitioned into fixed micro-batches by index, so generated output
-is bit-identical for any worker count. Training is single-writer on the
-parameter set.
+is bit-identical for any worker count. More than one worker means a pool of
+forked processes, each running its micro-batches with OpenBLAS at one
+thread (see sample). Training is single-writer on the parameter set.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,12 +267,12 @@ def ddim_step(model, x_t: np.ndarray, t: int, t_prev: int, cond: ConditionBatch 
 # batch sampling
 # ---------------------------------------------------------------------------
 
-def _sample_micro_batch(model, cond: ConditionBatch | None, cfg: SamplerConfig,
-                        sched: NoiseSchedule, indices: np.ndarray,
-                        length: int, channels: int) -> np.ndarray:
-    """Run the reverse chain for one fixed micro-batch of trajectory indices."""
-    gens = [stream(cfg.seed, int(i)) for i in indices]
-    shape = (channels, length)
+def _sample_micro_batch(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
+                        sched: NoiseSchedule, lo: int, hi: int) -> np.ndarray:
+    """Run the reverse chain for one fixed micro-batch, trajectories lo..hi-1."""
+    cond = cond_batch.take(np.arange(lo, hi)) if cond_batch is not None else None
+    gens = [stream(cfg.seed, i) for i in range(lo, hi)]
+    shape = (model.config.in_channels, model.config.length)
     x = np.stack([g.standard_normal(shape) for g in gens]).astype(np.float32)
 
     tau = cfg.tau
@@ -286,6 +286,47 @@ def _sample_micro_batch(model, cond: ConditionBatch | None, cfg: SamplerConfig,
     return x
 
 
+# (model, cond_batch, cfg, sched) of the pool this process works for; set by
+# _start_worker and only ever inside a pool worker process
+_worker_job = None
+
+
+def _start_worker(model, cond_batch, cfg, sched) -> None:
+    """Pool initializer: keep the sampling job and run OpenBLAS at one thread."""
+    global _worker_job
+    _worker_job = (model, cond_batch, cfg, sched)
+    tz.set_blas_threads(1)
+
+
+def _sample_in_worker(lo: int, hi: int) -> np.ndarray:
+    return _sample_micro_batch(*_worker_job, lo, hi)
+
+
+def _sample_pooled(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
+                   sched: NoiseSchedule, bounds: list[tuple[int, int]], pool_size: int,
+                   out: np.ndarray) -> None:
+    """Run the micro-batches on pool_size forked worker processes, into out."""
+    # imported here: multiprocessing adds about 20 ms to the start-up of every
+    # process, and runs with one worker never need it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    # fork hands the job to the workers as the caller's memory: nothing is pickled
+    with ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(model, cond_batch, cfg, sched)) as pool:
+        futures = {pool.submit(_sample_in_worker, lo, hi): (lo, hi) for lo, hi in bounds}
+        try:
+            for f in as_completed(futures):
+                lo, hi = futures[f]
+                out[lo:hi] = f.result()
+        except BaseException:
+            # the first failure drops the micro-batches not yet started; leaving
+            # the block then waits for the running ones, so no worker outlives it
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
            sched: NoiseSchedule, n: int | None = None, workers: int = 1,
            micro_batch: int = MICRO_BATCH) -> tuple[np.ndarray, dict]:
@@ -295,10 +336,14 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
     stream (seed, i); micro-batch boundaries depend only on the index, so any
     worker count yields identical bytes.
 
-    When min(workers, micro-batches) > 1 the micro-batches run on a thread
-    pool of that size. The pool is then the parallelism, so OpenBLAS runs
-    single-threaded inside it and gets the caller's thread count back after
-    it, whether the pool returns or raises. One worker leaves BLAS alone.
+    When min(workers, micro-batches) > 1 the micro-batches run on a pool of
+    that many worker processes, forked from the caller, so they run free of
+    the interpreter lock and see the model, conditions and schedule without
+    pickling them. Each worker runs OpenBLAS at one thread, since the pool is
+    then the parallelism; the caller's own count is never changed. The first
+    micro-batch to fail cancels those not yet started, and its error, such as
+    a NumericError, reaches the caller once every worker has exited. One
+    worker runs everything in this process and leaves BLAS alone.
     """
     if sched.T != cfg.total_steps:
         raise ValueError("sampler and schedule disagree on the step count")
@@ -310,25 +355,17 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         n = len(cond_batch)
     if cond_batch is not None and len(cond_batch) != n:
         raise ValueError("condition count does not match requested sample count")
-    length = model.config.length
-    channels = model.config.in_channels
-    out = np.empty((n, channels, length), dtype=np.float32)
+    out = np.empty((n, model.config.in_channels, model.config.length), dtype=np.float32)
     bounds = [(s, min(s + micro_batch, n)) for s in range(0, n, micro_batch)]
 
-    def run(b):
-        lo, hi = b
-        idx = np.arange(lo, hi)
-        cond = cond_batch.take(idx) if cond_batch is not None else None
-        out[lo:hi] = _sample_micro_batch(model, cond, cfg, sched, idx, length, channels)
-
     pool_size = max(1, min(workers, len(bounds)))
+    blas = tz.blas_threads()
     if pool_size == 1:
-        blas = tz.blas_threads()
-        for b in bounds:
-            run(b)
+        for lo, hi in bounds:
+            out[lo:hi] = _sample_micro_batch(model, cond_batch, cfg, sched, lo, hi)
     else:
-        with tz.single_threaded_blas() as blas, ThreadPoolExecutor(max_workers=pool_size) as pool:
-            list(pool.map(run, bounds))
+        _sample_pooled(model, cond_batch, cfg, sched, bounds, pool_size, out)
+        blas = None if blas is None else 1  # what each worker set
 
     guided = cfg.guidance_scale != 0.0 and cond_batch is not None
     evals_per_traj = len(cfg.tau) * (2 if guided else 1)

@@ -35,14 +35,14 @@ a new forward pass raises; dropping each record as it runs lowers the peak
 memory but frees and re-maps large buffers on every step, which costs more
 than it saves. Independent threads own independent tapes.
 
-This module also owns the numeric runtime's threads: single_threaded_blas
-runs a block with OpenBLAS at one thread and restores the caller's count
-after it.
+This module also owns the numeric runtime's threads: blas_threads reads
+OpenBLAS's thread count and set_blas_threads sets it for the whole process.
+Each sampling pool worker calls the latter once, in its own process, so the
+caller's count is never changed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -620,38 +620,9 @@ def blas_threads() -> int | None:
     return None if lib is None else int(lib[0]())
 
 
-# The thread count is process-wide, so overlapping single_threaded_blas blocks
-# (pools on two threads) share one saved count: the first to enter saves it,
-# the last to leave restores it.
-_blas_lock = threading.Lock()
-_blas_holders = 0
-_blas_saved = 0
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Run the block with OpenBLAS at one thread, then restore the caller's count.
-
-    The count comes back whether the block returns or raises. Yields the count
-    in force inside the block, or None (changing nothing) when no OpenBLAS can
-    be controlled. The setting is process-wide: other threads that call BLAS
-    meanwhile run single-threaded too.
-    """
-    global _blas_holders, _blas_saved
+def set_blas_threads(n: int) -> None:
+    """Set OpenBLAS's thread count for this whole process; does nothing where
+    OpenBLAS cannot be controlled."""
     lib = _openblas()
-    if lib is None:
-        yield None
-        return
-    get, set_ = lib
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_holders += 1
-    try:
-        yield int(get())
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                set_(_blas_saved)
+    if lib is not None:
+        lib[1](n)

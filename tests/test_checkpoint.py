@@ -127,6 +127,7 @@ HEADER_EDITS = {
                                                 "offset": 0, "nbytes": 4}),
     "lng_min": lambda h: h["norm"].pop("lng_min"),
     "4 entries": lambda h: h["norm"].update(attr_mean=[0.0, 0.0]),
+    "OverflowError": lambda h: h["norm"].update(attr_mean=[10**400, 0.0, 0.0, 0.0]),
     "at least one step": lambda h: h["schedule"].update(T=0),
     "length": lambda h: h["config"].update(length=15),
     "bogus": lambda h: h["config"].update(bogus=1),

@@ -249,6 +249,7 @@ class TestGenerate:
                    "--uncond", "--omega", 0, "--seed", 2) == 0
         manifest = json.loads((tmp_path / "g.jsonl.manifest.json").read_text())
         assert manifest["model_evals"] == 5 * 4
+        assert manifest["workers_peak_rss_mb"] is None  # one worker samples in-process
 
         assert run("generate", "--ckpt", ckpt, "--out", out, "--n", 5, "--steps", 4,
                    "--cond-file", city, "--omega", 3, "--seed", 2) == 0
@@ -275,6 +276,8 @@ class TestGenerate:
         assert manifest["blas_threads"] in (1, None)
         assert manifest["cores"] >= 1
         assert manifest["peak_rss_mb"] > 0
+        # the workers are child processes: their peak shows apart from the caller's
+        assert manifest["workers_peak_rss_mb"] > 0
 
     @pytest.mark.parametrize("flag, value", [("--batch", 0), ("--n", -1), ("--eta", -1),
                                              ("--eta", "nan"), ("--omega", "inf"),
@@ -309,6 +312,19 @@ class TestGenerate:
         bad.write_bytes(bytes(blob))
         assert run("generate", "--ckpt", bad, "--out", tmp_path / "x.jsonl", "--n", 1,
                    "--uncond") == 2
+
+    def test_overflowing_header_number_exit_2(self, ckpt, tmp_path, capsys):
+        # a 400-digit integer parses as JSON but overflows float64 in the norm stats
+        blob = ckpt.read_bytes()
+        head_end = 9 + int.from_bytes(blob[5:9], "little")
+        header = json.loads(blob[9:head_end])
+        header["norm"]["attr_mean"][0] = 10**400
+        head = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "big.ckpt"
+        bad.write_bytes(blob[:5] + len(head).to_bytes(4, "little") + head + blob[head_end:])
+        assert run("generate", "--ckpt", bad, "--out", tmp_path / "x.jsonl", "--n", 1,
+                   "--uncond") == 2
+        assert "invalid checkpoint header: OverflowError" in capsys.readouterr().err
 
 
 class TestEval:

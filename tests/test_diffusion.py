@@ -1,3 +1,6 @@
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -385,21 +388,23 @@ class FakeBlas:
 
 
 class TestBlasThreads:
-    """A pool of two or more workers runs BLAS single-threaded; one worker leaves it alone."""
+    """Each worker of a pool of two or more runs BLAS at one thread, in its own
+    process; the caller's count is never set. One worker leaves BLAS alone."""
 
     CFG = SamplerConfig(total_steps=100, sample_steps=3, eta=1.0, guidance_scale=0.0, seed=2)
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """BLAS counts observed inside _sample_micro_batch."""
-        counts = []
-        inner = diffusion._sample_micro_batch
-
-        def observing(*args, **kwargs):
-            counts.append(tz.blas_threads())
-            return inner(*args, **kwargs)
+        """Make each micro-batch's output the BLAS count its worker saw (NaN for
+        None): a worker process's own side effects never reach the caller."""
+        def observing(model, cond_batch, cfg, sched, lo, hi):
+            count = tz.blas_threads()
+            return np.full((hi - lo, 2, 16), np.nan if count is None else count, np.float32)
 
         monkeypatch.setattr(diffusion, "_sample_micro_batch", observing)
+
+        def counts(out, micro_batch=4):
+            return [None if np.isnan(v) else int(v) for v in out[::micro_batch, 0, 0]]
         return counts
 
     @pytest.fixture
@@ -412,57 +417,66 @@ class TestBlasThreads:
     def _model():
         return StubModel(lambda x_t, t, cond: np.zeros_like(x_t), length=16)
 
-    def test_pool_sees_one_thread_and_restores(self, sched, seen, fake):
-        _, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
-        assert seen == [1, 1, 1]
-        assert fake.sets == [1, 2]
+    def test_pool_workers_see_one_thread_caller_untouched(self, sched, seen, fake):
+        out, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert seen(out) == [1, 1, 1]
+        assert fake.sets == []
         assert fake.count == 2
         assert (stats["workers"], stats["blas_threads"]) == (2, 1)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers, micro_batch", [(1, 4), (4, 12)])
     def test_single_worker_never_changes_blas(self, sched, seen, fake, workers, micro_batch):
         # (4, 12): four workers asked for, but one micro-batch makes a pool of one
-        _, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=workers,
-                          micro_batch=micro_batch)
+        out, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=workers,
+                            micro_batch=micro_batch)
         assert fake.sets == []
-        assert set(seen) == {2}
+        assert set(seen(out, micro_batch)) == {2}
         assert (stats["workers"], stats["blas_threads"]) == (1, 2)
 
-    def test_count_restored_after_worker_raises(self, sched, fake, monkeypatch):
+    def test_worker_error_reaches_caller(self, sched, fake, monkeypatch):
         def failing(*args, **kwargs):
             assert tz.blas_threads() == 1
             raise NumericError("conv1d produced non-finite values")
 
         monkeypatch.setattr(diffusion, "_sample_micro_batch", failing)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="conv1d produced non-finite values"):
             sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
         assert fake.count == 2
-        assert fake.sets == [1, 2]
+        assert fake.sets == []
+        assert multiprocessing.active_children() == []
 
-    def test_overlapping_pools_restore_once_the_last_ends(self, fake):
-        # pools on two threads: the first to end must not restore the count
-        # under the second
-        first, second = tz.single_threaded_blas(), tz.single_threaded_blas()
-        assert first.__enter__() == 1
-        assert second.__enter__() == 1
-        first.__exit__(None, None, None)
-        assert fake.count == 1
-        second.__exit__(None, None, None)
-        assert fake.count == 2
-        assert fake.sets == [1, 2]
+    def test_failure_cancels_micro_batches_not_started(self, sched, monkeypatch, tmp_path):
+        started = tmp_path / "started"
+
+        def slow_or_failing(model, cond_batch, cfg, sched, lo, hi):
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{lo}\n")
+            if lo == 0:
+                raise NumericError("micro-batch 0 failed")
+            time.sleep(0.2)
+            return np.zeros((hi - lo, 2, 16), np.float32)
+
+        monkeypatch.setattr(diffusion, "_sample_micro_batch", slow_or_failing)
+        with pytest.raises(NumericError, match="micro-batch 0 failed"):
+            sample(self._model(), None, self.CFG, sched, n=40, workers=2, micro_batch=1)
+        assert multiprocessing.active_children() == []
+        # all 40 would take 4 s of sleeping; only those already handed to a
+        # worker when micro-batch 0 failed may run
+        assert len(started.read_text().split()) < 20
 
     def test_no_controllable_blas_changes_nothing(self, sched, seen, monkeypatch):
         monkeypatch.setattr(tz, "_openblas", lambda: None)
-        _, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
-        assert seen == [None, None, None]
+        out, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert seen(out) == [None, None, None]
         assert (stats["workers"], stats["blas_threads"]) == (2, None)
 
     def test_loaded_openblas(self, sched, seen):
         if tz.blas_threads() is None:
             pytest.skip("no controllable OpenBLAS in this process")
         caller = tz.blas_threads()
-        sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
-        assert seen == [1, 1, 1]
+        out, _ = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert seen(out) == [1, 1, 1]
         assert tz.blas_threads() == caller
 
 
