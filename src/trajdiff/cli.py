@@ -1,10 +1,10 @@
 """Command-line front end: synth | train | generate | eval | plot.
 
 synth, train, generate and eval each declare their settings once, as a table
-of name -> Setting(type, minimum, default) that yields the flags, the
---config keys, the defaults and the checks. Settings resolve as flags >
---config JSON > defaults; every resolved value, and TRAJDIFF_THREADS, is
-checked before any input is read. Every subcommand writes its outputs and
+of name -> Setting(type, minimum, default, help, maximum) that yields the
+flags, the --config keys, the defaults and the checks. Settings resolve as
+flags > --config JSON > defaults; every resolved value, and TRAJDIFF_THREADS,
+is checked before any input is read. Every subcommand writes its outputs and
 drops a run manifest (resolved settings, seed, input hashes, wall time,
 output paths) next to the primary output.
 
@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import resource
 import sys
@@ -39,22 +38,30 @@ from .schedule import linear_beta_schedule
 from .svgplot import plot_heatmap, plot_lines
 from .trajdata import (SLOT_SECONDS, CitySpec, ConditionBatch, GridSpec, NormStats,
                        RawTrajectory, batch_to_points, box_problem, extract_condition_batch,
-                       extent, load_dataset, make_batch, resample, save_dataset, synth_city)
-from .unet import TrajUNet, TrajUNetConfig
+                       extent, is_finite, load_dataset, make_batch, resample, save_dataset,
+                       synth_city)
+from .unet import MAX_LENGTH, TrajUNet, TrajUNetConfig
 
 log = logging.getLogger(__name__)
 
 _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 
+# Caps on eval and plot sizes that are allocated at once: a 1000x1000 grid
+# (the paper's is 16x16) and 10 000 length-histogram bins (its default is 50).
+MAX_GRID_CELLS = 1_000_000
+MAX_BINS = 10_000
+
 
 class Setting(NamedTuple):
     """A settings-table row. kind: int, float (finite; ints admitted, bools
-    not), str or a tuple of choices. A low of None means no minimum; a default
-    of None means unset, and only such a setting may be null in --config."""
+    not), str or a tuple of choices. A low or high of None means no minimum
+    or maximum; a default of None means unset, and only such a setting may be
+    null in --config."""
     kind: type | tuple
     low: float | None
     default: object
     help: str | None = None
+    high: int | None = None
 
 
 SYNTH_SETTINGS = {"n": Setting(int, 0, 2000), "seed": Setting(int, None, 0)}
@@ -85,9 +92,11 @@ GENERATE_SETTINGS = {
 THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on generate's --workers
 
 EVAL_SETTINGS = {
-    "grid": Setting(str, None, "16x16"), "topn": Setting(int, 1, 10), "bins": Setting(int, 1, 50),
+    "grid": Setting(str, None, "16x16"), "topn": Setting(int, 1, 10),
+    "bins": Setting(int, 1, 50, high=MAX_BINS),
     "metric": Setting(("haversine", "euclidean"), None, "haversine"),
-    "length": Setting(int, 2, None, "resample both sets to this length before scoring"),
+    "length": Setting(int, 2, None, "resample both sets to this length before scoring",
+                      high=MAX_LENGTH),
 }
 
 
@@ -136,11 +145,13 @@ def _check(name: str, s: Setting, v) -> None:
     if isinstance(s.kind, tuple):
         ok, what = v in s.kind, "one of " + ", ".join(s.kind)
     elif s.kind is float:
-        ok, what = type(v) is int or (type(v) is float and math.isfinite(v)), "a finite number"
+        ok, what = type(v) in (int, float) and is_finite(v), "a finite number"
     else:
         ok, what = type(v) is s.kind, {int: "an integer", str: "a string"}[s.kind]
-    if not ok or (s.low is not None and v < s.low):
+    if not ok or (s.low is not None and v < s.low) or (s.high is not None and v > s.high):
         bound = f" of at least {s.low}" if s.low is not None else ""
+        if s.high is not None:
+            bound += f" and at most {s.high}"
         raise UsageError(f"{name} must be {what}{bound}, got {v!r}")
 
 
@@ -187,13 +198,16 @@ def _check_out_path(path) -> None:
 
 
 def _grid_shape(text: str) -> tuple[int, int]:
-    """(rows, cols) of a ROWSxCOLS grid flag; both must be positive."""
+    """(rows, cols) of a ROWSxCOLS grid flag; both must be positive, with at
+    most MAX_GRID_CELLS cells."""
     try:
         rows, cols = (int(x) for x in text.lower().split("x"))
     except (AttributeError, ValueError) as e:
         raise UsageError(f"bad grid spec {text!r}, expected ROWSxCOLS") from e
     if rows < 1 or cols < 1:
         raise UsageError(f"grid spec {text!r} needs at least one row and one column")
+    if rows * cols > MAX_GRID_CELLS:
+        raise UsageError(f"grid spec {text!r} has more than {MAX_GRID_CELLS} cells")
     return rows, cols
 
 

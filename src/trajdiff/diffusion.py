@@ -22,7 +22,7 @@ from .errors import NumericError
 from .rng import stream
 from .schedule import NoiseSchedule, mu_from_eps, predict_x0_from_eps, q_sample
 from .tensor import Tensor
-from .trajdata import ConditionBatch
+from .trajdata import ConditionBatch, is_finite
 
 # Clamp the clean-sample estimate to this many normalized units during
 # sampling; keeps the reverse chain contractive for imperfect models and is
@@ -45,7 +45,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.cond_dropout_prob <= 1.0:
             raise ValueError("condition dropout probability must lie in [0, 1]")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (is_finite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning rate must be finite and positive")
 
 
@@ -69,7 +69,7 @@ class SamplerConfig:
     tau: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta >= 0 and math.isfinite(self.guidance_scale)):
+        if not (is_finite(self.eta) and self.eta >= 0 and is_finite(self.guidance_scale)):
             raise ValueError(f"need a finite eta >= 0 and a finite guidance scale, "
                              f"got eta={self.eta}, guidance_scale={self.guidance_scale}")
         self.tau = skip_subsequence(self.total_steps, self.sample_steps)

@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Most diffusion steps a schedule may have: 20x the paper's T=500, and a cap
+# on the step arrays every schedule allocates at once.
+MAX_T = 10_000
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -40,6 +44,8 @@ def linear_beta_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSch
     """Linearly spaced beta in [beta_start, beta_end] over T steps."""
     if T < 1:
         raise ValueError("schedule needs at least one step")
+    if T > MAX_T:
+        raise ValueError(f"schedule allows at most {MAX_T} steps, got {T}")
     if not (0.0 < beta_start < 1.0 and 0.0 < beta_end < 1.0):
         raise ValueError("beta bounds must lie in (0, 1)")
     if T > 1 and not beta_start < beta_end:

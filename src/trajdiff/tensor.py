@@ -20,7 +20,7 @@ maxpool1d_k2, upsample_nearest_2x and concat_channels take the axis they
 work along. The [B, C, L] entry points conv1d and group_norm transpose in and
 out of the same kernels; the weights stay [Cout, Cin, K] in either layout.
 
-Tracking uses a thread-local tape (a Wengert list). When grad mode is on and
+Tracking uses one module-level tape (a Wengert list). When grad mode is on and
 some input requires grad, an op appends one record (out, inputs, backward_fn);
 backward_fn(g) maps the output's gradient to one gradient per input, in the
 output's broadcast shape, and touches no tensor. backward() is the one place
@@ -33,7 +33,8 @@ of several tensors (add hands the same g to both inputs). The whole tape
 lives until the walk ends and is then cleared, so a second backward without
 a new forward pass raises; dropping each record as it runs lowers the peak
 memory but frees and re-maps large buffers on every step, which costs more
-than it saves. Independent threads own independent tapes.
+than it saves. There is one tape per process: sampling pool workers are
+forked processes, and no code runs tensor ops on a second thread.
 
 This module also owns the numeric runtime's threads: blas_threads reads
 OpenBLAS's thread count and set_blas_threads sets it for the whole process.
@@ -46,38 +47,33 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import threading
 
 import numpy as np
 
 from .errors import NumericError
 
-_STATE = threading.local()
 GROUP_NORM_EPS = 1e-5  # added to each group's variance before the inverse square root
 
-
-def _state():
-    if not hasattr(_STATE, "tape"):
-        _STATE.tape = []
-        _STATE.grad_enabled = True
-    return _STATE
+_tape: list = []  # (out, inputs, backward_fn) records in execution order
+_grad_enabled = True
 
 
 class no_grad:
-    """Context manager that disables tape recording on this thread."""
+    """Context manager that disables tape recording."""
 
     def __enter__(self):
-        st = _state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
 
     def __exit__(self, *exc):
-        _state().grad_enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 def reset_tape() -> None:
     """Drop any recorded ops (start of a fresh training step)."""
-    _state().tape = []
+    _tape.clear()
 
 
 class Tensor:
@@ -135,10 +131,9 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str
     out.grad = None
     out.requires_grad = False
     out._f64 = None
-    st = _state()
-    if st.grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        st.tape.append((out, inputs, backward_fn))
+        _tape.append((out, inputs, backward_fn))
     return out
 
 
@@ -558,18 +553,17 @@ def backward(loss: Tensor) -> None:
         raise TypeError("backward expects a Tensor loss")
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    st = _state()
-    if not st.tape:
+    if not _tape:
         raise RuntimeError("backward on an empty tape (no tracked forward pass)")
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(st.tape):
+    for out, inputs, backward_fn in reversed(_tape):
         if out.grad is None:
             continue
         for t, g in zip(inputs, backward_fn(out.grad), strict=True):
             if t.requires_grad:
                 g = _unbroadcast(np.asarray(g, dtype=np.float32), t.data.shape)
                 t.grad = g if t.grad is None else t.grad + g
-    st.tape = []
+    _tape.clear()
 
 
 # ---------------------------------------------------------------------------

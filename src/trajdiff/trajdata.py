@@ -53,8 +53,9 @@ class RawTrajectory:
             raise DataError(f"trajectory {self.id!r} has a non-finite point, t0 or interval")
 
 
-def _finite(v) -> bool:
-    """math.isfinite, where an int beyond the float range is not finite."""
+def is_finite(v) -> bool:
+    """math.isfinite, where an int beyond the float range is not finite: the
+    one finite-number rule for settings, spec fields and bounds."""
     try:
         return math.isfinite(v)
     except OverflowError:
@@ -64,11 +65,11 @@ def _finite(v) -> bool:
 def box_problem(lng_min, lng_max, lat_min, lat_max) -> str | None:
     """Why these bounds are no usable lng/lat box, naming them, or None for a
     box with finite bounds, each max above its min and a finite extent."""
-    if not all(map(_finite, (lng_min, lng_max, lat_min, lat_max))):
+    if not all(map(is_finite, (lng_min, lng_max, lat_min, lat_max))):
         why = "must be finite"
     elif not (lng_max > lng_min and lat_max > lat_min):
         why = "needs each max above its min"
-    elif not (_finite(lng_max - lng_min) and _finite(lat_max - lat_min)):
+    elif not (is_finite(lng_max - lng_min) and is_finite(lat_max - lat_min)):
         why = "extent must be finite"
     else:
         return None
@@ -279,8 +280,9 @@ def batch_to_points(batch_data: np.ndarray, norm: NormStats) -> list[np.ndarray]
 class ConditionVector:
     """Motion attributes of one trip: z-scored numerics plus categoricals.
 
-    The null variant is the zero-information condition used for the
-    unconditional branch; its embedding is exactly the zero vector.
+    A null condition carries no information: its embedding is exactly the
+    zero vector. Training's condition dropout marks rows null; the
+    unconditional model pass takes no conditions at all.
     """
 
     numeric: np.ndarray = field(default_factory=lambda: np.zeros(NUM_NUMERIC_ATTRS, dtype=np.float32))
@@ -328,14 +330,6 @@ class ConditionBatch:
             origin=np.array([c.origin_cell for c in conds], dtype=np.int64),
             dest=np.array([c.dest_cell for c in conds], dtype=np.int64),
             is_null=np.array([c.is_null for c in conds], dtype=bool),
-        )
-
-    @classmethod
-    def null(cls, n: int) -> "ConditionBatch":
-        return cls(
-            numeric=np.zeros((n, NUM_NUMERIC_ATTRS), np.float32),
-            slot=np.zeros(n, np.int64), origin=np.zeros(n, np.int64),
-            dest=np.zeros(n, np.int64), is_null=np.ones(n, bool),
         )
 
     def take(self, idx: np.ndarray) -> "ConditionBatch":
@@ -497,7 +491,7 @@ class CitySpec:
     def __post_init__(self):
         if why := box_problem(self.lng_min, self.lng_max, self.lat_min, self.lat_max):
             raise UsageError(f"city bounding box {why}")
-        if not all(map(_finite, (self.jitter_sigma, self.point_interval_s,
+        if not all(map(is_finite, (self.jitter_sigma, self.point_interval_s,
                                  sum(self.street_popularity)))):
             raise UsageError("city jitter, interval and total popularity must be finite")
         if len(self.street_fractions) < 2:

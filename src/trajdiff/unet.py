@@ -26,6 +26,11 @@ from .trajdata import ConditionVector  # noqa: F401
 # configuration
 # ---------------------------------------------------------------------------
 
+# Most points per modelled trajectory: 20x the paper's length of 200, and a
+# cap on the [B, 2, length] arrays that training and sampling allocate.
+MAX_LENGTH = 4096
+
+
 @dataclass(frozen=True)
 class TrajUNetConfig:
     length: int = 64
@@ -44,6 +49,8 @@ class TrajUNetConfig:
         if min(self.in_channels, self.base_channels, *self.channel_multipliers,
                self.time_embed_dim) < 1:
             raise ValueError("channel counts and the embedding dimension must be positive")
+        if self.length > MAX_LENGTH:
+            raise ValueError(f"length {self.length} exceeds the cap of {MAX_LENGTH}")
         down = 2 ** (levels - 1)
         if self.length % down != 0 or self.length < 2 * down:
             raise ValueError(f"length {self.length} incompatible with {levels} levels "
@@ -99,7 +106,8 @@ def time_mlp(emb: Tensor, params: dict) -> Tensor:
 
 def wide_deep_embed(cond: ConditionBatch, params: dict) -> Tensor:
     """Wide linear path over numerics plus deep embedding-table path over
-    categoricals (the cond.* parameters); a null row embeds to exact zero."""
+    categoricals (the cond.* parameters). A null row, which training's
+    condition dropout marks, embeds to exact zero."""
     wide = tz.linear(Tensor(cond.numeric), params["cond.wide.W"], params["cond.wide.b"])
     e_slot = tz.embedding(params["cond.deep.slot"], cond.slot)
     e_org = tz.embedding(params["cond.deep.origin"], cond.origin)
@@ -278,6 +286,9 @@ class TrajUNet:
         self.params = params
 
     def forward(self, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | None) -> Tensor:
+        """Predicted noise [B, C, L] for x_t at steps t. cond=None is the
+        unconditional pass: the condition encoder is skipped and nothing is
+        added to the step embedding, which is what a batch of null rows adds."""
         cfg = self.config
         x_t = np.asarray(x_t, dtype=np.float32)
         if x_t.ndim != 3 or x_t.shape[1] != cfg.in_channels or x_t.shape[2] != cfg.length:
@@ -286,15 +297,13 @@ class TrajUNet:
         t = np.atleast_1d(np.asarray(t))
         if t.shape != (B,):
             raise ValueError(f"need one step index per batch element, got {t.shape}")
-        if cond is None:
-            cond = ConditionBatch.null(B)
-        if len(cond) != B:
+        if cond is not None and len(cond) != B:
             raise ValueError(f"batch/condition count mismatch: {B} vs {len(cond)}")
 
         p = self.params
-        temb = time_mlp(Tensor(sinusoidal_time_embedding(t, cfg.time_embed_dim)), p)
-        cemb = wide_deep_embed(cond, p)
-        emb = tz.add(temb, cemb)
+        emb = time_mlp(Tensor(sinusoidal_time_embedding(t, cfg.time_embed_dim)), p)
+        if cond is not None:
+            emb = tz.add(emb, wide_deep_embed(cond, p))
 
         # channels-last [B, L, C] from the stem to the output conv
         h = tz.conv1d_cl(Tensor(x_t.transpose(0, 2, 1)), p["stem.w"], p["stem.b"])

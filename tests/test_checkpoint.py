@@ -129,7 +129,10 @@ HEADER_EDITS = {
     "4 entries": lambda h: h["norm"].update(attr_mean=[0.0, 0.0]),
     "OverflowError": lambda h: h["norm"].update(attr_mean=[10**400, 0.0, 0.0, 0.0]),
     "at least one step": lambda h: h["schedule"].update(T=0),
+    # sizes that would allocate terabytes are refused before anything is allocated
+    "at most 10000 steps": lambda h: h["schedule"].update(T=10**12),
     "length": lambda h: h["config"].update(length=15),
+    "exceeds the cap": lambda h: h["config"].update(length=2**40),
     "bogus": lambda h: h["config"].update(bogus=1),
     "cells": lambda h: h["grid"].update(rows=32),
     "seed": lambda h: h.pop("seed"),

@@ -45,6 +45,17 @@ def edited_header(city, out, edit):
     return out
 
 
+def edited_checkpoint(ckpt, out, edit):
+    """A copy of ckpt with its JSON header passed through edit(header)."""
+    blob = ckpt.read_bytes()
+    head_end = 9 + int.from_bytes(blob[5:9], "little")
+    header = json.loads(blob[9:head_end])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    out.write_bytes(blob[:5] + len(head).to_bytes(4, "little") + head + blob[head_end:])
+    return out
+
+
 # finite bounds whose width overflows float64
 OVERFLOWING_BOX = {"lng_min": -1e308, "lng_max": 1e308}
 
@@ -173,7 +184,9 @@ class TestTrain:
                                           {"lr": True}, {"lr": -1}, {"beta_end": "0.1"},
                                           {"beta_start": 0.5, "beta_end": 0.1},
                                           {"cond_dropout": 2}, {"length": 10}, {"T": None},
-                                          {"beta_start": 1e-20, "beta_end": 2e-20}],
+                                          {"beta_start": 1e-20, "beta_end": 2e-20},
+                                          pytest.param({"lr": 10**400}, id="lr-10**400"),
+                                          pytest.param({"beta_end": -10**400}, id="beta_end--10**400")],
                              ids=json.dumps)
     def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
         # the data file does not exist: the settings are checked before it is read
@@ -186,6 +199,17 @@ class TestTrain:
     def test_non_finite_flag_usage_error(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt",
                    "--lr", "nan") == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--T", 10**12, "schedule allows at most 10000 steps"),
+        ("--length", 2**40, "exceeds the cap of 4096")])
+    def test_oversized_flag_usage_error_before_allocating(self, tmp_path, capsys, flag, value,
+                                                          message):
+        # the data file does not exist: the size is refused before it is read
+        assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt",
+                   flag, value) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_data_directory_exit_2(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path, "--out", tmp_path / "x.ckpt") == 2
@@ -289,7 +313,9 @@ class TestGenerate:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("settings", ['{"workers": "2"}', '{"batch": true}', '{"eta": "0"}',
-                                          '{"omega": NaN}', '{"steps": 2.0}'])
+                                          '{"omega": NaN}', '{"steps": 2.0}',
+                                          pytest.param('{"omega": 1%s}' % ("0" * 400), id="omega-10**400"),
+                                          pytest.param('{"eta": 1%s}' % ("0" * 400), id="eta-10**400")])
     def test_bad_config_value_usage_error(self, tmp_path, capsys, settings):
         cfg = tmp_path / "gen.json"
         cfg.write_text(settings)
@@ -315,16 +341,24 @@ class TestGenerate:
 
     def test_overflowing_header_number_exit_2(self, ckpt, tmp_path, capsys):
         # a 400-digit integer parses as JSON but overflows float64 in the norm stats
-        blob = ckpt.read_bytes()
-        head_end = 9 + int.from_bytes(blob[5:9], "little")
-        header = json.loads(blob[9:head_end])
-        header["norm"]["attr_mean"][0] = 10**400
-        head = json.dumps(header).encode("utf-8")
-        bad = tmp_path / "big.ckpt"
-        bad.write_bytes(blob[:5] + len(head).to_bytes(4, "little") + head + blob[head_end:])
+        bad = edited_checkpoint(ckpt, tmp_path / "big.ckpt",
+                                lambda h: h["norm"].update(attr_mean=[10**400, 0.0, 0.0, 0.0]))
         assert run("generate", "--ckpt", bad, "--out", tmp_path / "x.jsonl", "--n", 1,
                    "--uncond") == 2
         assert "invalid checkpoint header: OverflowError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("schedule", "T", 10**12, "at most 10000 steps"),
+        ("config", "length", 2**40, "exceeds the cap of 4096")])
+    def test_oversized_header_size_exit_2(self, ckpt, tmp_path, capsys, monkeypatch, section, key,
+                                          value, message):
+        monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled a refused size"))
+        bad = edited_checkpoint(ckpt, tmp_path / "big.ckpt",
+                                lambda h: h[section].update({key: value}))
+        assert run("generate", "--ckpt", bad, "--out", tmp_path / "x.jsonl", "--n", 1,
+                   "--uncond") == 2
+        err = capsys.readouterr().err
+        assert "invalid checkpoint header" in err and message in err and "Traceback" not in err
 
 
 class TestEval:
@@ -373,6 +407,18 @@ class TestEval:
                    flag, value) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "100000x100000", "more than 1000000 cells"),
+        ("--bins", 10**10, "--bins must be an integer of at least 1 and at most 10000"),
+        ("--length", 10**10, "--length must be an integer of at least 2 and at most 4096")])
+    def test_oversized_flag_usage_error_before_reading(self, city, tmp_path, capsys, monkeypatch,
+                                                       flag, value, message):
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("read data before the cap"))
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path / "r.json",
+                   flag, value) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("bbox", ["108.9,inf,34.18,34.34", "nan,109.1,34.18,34.34",
                                       "108.9,109.1,34.18", "109.1,108.9,34.18,34.34", "a,b,c,d",
                                       "-1e308,1e308,34.18,34.34"])
@@ -397,7 +443,9 @@ class TestEval:
         assert [grid[k] for k in ("lng_min", "lng_max", "lat_min", "lat_max")] == [108.9, 109.1, 34.18, 34.34]
 
     @pytest.mark.parametrize("settings", [{"bins": 0}, {"topn": -3}, {"topn": "10"},
-                                          {"grid": "16x0"}, {"grid": 16}, {"length": 1}],
+                                          {"grid": "16x0"}, {"grid": 16}, {"length": 1},
+                                          {"bins": 10**10}, {"length": 10**10},
+                                          {"grid": "100000x100000"}],
                              ids=json.dumps)
     def test_bad_config_value_usage_error(self, city, tmp_path, settings):
         cfg = tmp_path / "eval.json"
@@ -469,7 +517,8 @@ class TestPlot:
         assert len(got) == len(want)
         assert np.abs(got - want).max() <= 1.0 / 255 + 1e-9
 
-    @pytest.mark.parametrize("mode, grid", [("heatmap", "0x3"), ("lines", "bogus")])
+    @pytest.mark.parametrize("mode, grid", [("heatmap", "0x3"), ("lines", "bogus"),
+                                            ("heatmap", "100000x100000")])
     def test_bad_grid_usage_error_before_reading(self, tmp_path, capsys, mode, grid):
         assert run("plot", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.svg",
                    "--mode", mode, "--grid", grid) == 1
@@ -517,8 +566,10 @@ MISSING_INPUT = {
 }
 TABLES = {"synth": cli.SYNTH_SETTINGS, "train": cli.TRAIN_SETTINGS,
           "generate": cli.GENERATE_SETTINGS, "eval": cli.EVAL_SETTINGS}
+# the integers beyond the float range are finite as ints but not as floats
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
-                    st.text(max_size=8))
+                    st.text(max_size=8), st.integers(2**1024, 10**400),
+                    st.integers(-10**400, -2**1024))
 VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
 
 

@@ -13,7 +13,7 @@ from trajdiff.errors import NumericError
 from trajdiff.rng import stream
 from trajdiff.schedule import linear_beta_schedule, mu_from_eps, q_sample
 from trajdiff.tensor import Tensor
-from trajdiff.trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, ConditionBatch
+from trajdiff.trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, ConditionBatch, ConditionVector
 from trajdiff.unet import TrajUNet, TrajUNetConfig
 
 
@@ -34,6 +34,11 @@ class StubModel:
     def __call__(self, x_t, t, cond):
         self.calls += x_t.shape[0]
         return Tensor(self.fn(np.asarray(x_t, np.float32), t, cond))
+
+
+def null_batch(n: int) -> ConditionBatch:
+    """n conditions that are all null, as training's dropout marks them."""
+    return ConditionBatch.from_vectors([ConditionVector(is_null=True)] * n)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,23 @@ class TestTrain:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_no_conditions_trains_as_an_all_null_batch(self, sched):
+        # cond_data=None skips the condition encoder; an all-null batch without
+        # dropout (whose draws would move the rng) runs it and multiplies it by
+        # zero. Losses and every parameter agree byte for byte: the encoder's
+        # zero gradients leave Adam's moments, and so its weights, at rest.
+        x0 = stream(14).normal(size=(6, 2, 16)).astype(np.float32)
+        runs = []
+        for cond, dropout in ((None, 0.1), (null_batch(6), 0.0)):
+            model = TrajUNet(TINY, rng=stream(13))
+            hist = train(model, x0, cond, TrainConfig(steps=5, batch_size=4, seed=3,
+                                                      cond_dropout_prob=dropout), sched)
+            runs.append((hist, model.params))
+        (hist_none, p_none), (hist_null, p_null) = runs
+        assert hist_none.tobytes() == hist_null.tobytes()
+        for name in p_null:
+            assert p_none[name].data.tobytes() == p_null[name].data.tobytes(), name
+
     def test_divergence_aborts(self, sched):
         huge = StubModel(lambda x_t, t, cond: np.full_like(x_t, 2e20), length=16)
         x0 = np.zeros((4, 2, 16), np.float32)
@@ -137,10 +159,17 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match="guidance"):
             SamplerConfig(sample_steps=1, guidance_scale=float("inf"))
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
     def test_non_finite_learning_rate_rejected(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("field", ["eta", "guidance_scale"])
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+    def test_int_beyond_float_range_rejected(self, field, value):
+        # an int too large for a float is not finite, and not an OverflowError
+        with pytest.raises(ValueError, match="finite eta"):
+            SamplerConfig(sample_steps=1, **{field: value})
 
 
 class TestGuidedEps:
@@ -157,8 +186,7 @@ class TestGuidedEps:
     def test_omega_zero_is_exactly_conditional(self):
         model = self._cond_model()
         x = np.zeros((3, 2, 8), np.float32)
-        cond = ConditionBatch.null(3)
-        cond.is_null[:] = False
+        cond = ConditionBatch.from_vectors([ConditionVector()] * 3)
         out = guided_eps(model, x, np.ones(3, int), cond, 0.0)
         np.testing.assert_array_equal(out, np.ones_like(x))
         assert model.calls == 3  # single pass
@@ -174,14 +202,13 @@ class TestGuidedEps:
         model = StubModel(lambda x_t, t, cond: np.full_like(x_t, 1.5))
         x = np.zeros((2, 2, 8), np.float32)
         for omega in (0.0, 1.0, 3.0, 10.0):
-            out = guided_eps(model, x, np.ones(2, int), ConditionBatch.null(2), omega)
+            out = guided_eps(model, x, np.ones(2, int), null_batch(2), omega)
             np.testing.assert_allclose(out, 1.5, atol=1e-6)
 
     def test_affine_in_omega(self):
         model = self._cond_model()
         x = np.zeros((2, 2, 8), np.float32)
-        cond = ConditionBatch.null(2)
-        cond.is_null[:] = False
+        cond = ConditionBatch.from_vectors([ConditionVector()] * 2)
         t = np.ones(2, int)
         g0 = guided_eps(model, x, t, cond, 0.0)
         g1 = guided_eps(model, x, t, cond, 1.0)
@@ -300,8 +327,7 @@ class TestSample:
         assert stats["model_evals"] == 4 * 10
 
         counting.calls = 0
-        cond = ConditionBatch.null(4)
-        cond.is_null[:] = False
+        cond = ConditionBatch.from_vectors([ConditionVector()] * 4)
         cfg = SamplerConfig(total_steps=100, sample_steps=10, eta=0.0, guidance_scale=3.0, seed=1)
         _, stats = sample(counting, cond, cfg, sched, n=4)
         assert counting.calls == 4 * 2 * 10

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajdiff.schedule import (NoiseSchedule, linear_beta_schedule, mu_from_eps,
+from trajdiff.schedule import (MAX_T, NoiseSchedule, linear_beta_schedule, mu_from_eps,
                                predict_x0_from_eps, q_sample)
 
 
@@ -83,6 +83,11 @@ class TestLinearSchedule:
         # the last two: 1 - beta rounds to 1, so alpha_bar cannot fall
         with pytest.raises(ValueError):
             linear_beta_schedule(*args)
+
+    @pytest.mark.parametrize("T", [MAX_T + 1, 10**12])
+    def test_step_count_above_cap_rejected_before_allocating(self, T):
+        with pytest.raises(ValueError, match=f"at most {MAX_T} steps"):
+            linear_beta_schedule(T, 1e-4, 0.05)
 
     def test_arrays_are_frozen(self, sched500):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import numeric_grad
 from trajdiff import tensor as tz
+from trajdiff import unet
 from trajdiff.rng import stream
 from trajdiff.tensor import Tensor
 from trajdiff.trajdata import ConditionBatch, ConditionVector
@@ -15,6 +16,21 @@ from trajdiff.unet import (TrajUNet, TrajUNetConfig, attention, attention_weight
 # embedding injection is not cancelled by the following group norm
 TINY = TrajUNetConfig(length=16, base_channels=4, channel_multipliers=(1, 2),
                       resnet_blocks_per_level=1, groups=2)
+
+
+def null_batch(n: int) -> ConditionBatch:
+    """n conditions that are all null, as training's dropout marks them."""
+    return ConditionBatch.from_vectors([ConditionVector(is_null=True)] * n)
+
+
+def dense_model(config: TrajUNetConfig, seed: int) -> TrajUNet:
+    """A model with every parameter drawn from N(0, 0.2^2): none is
+    zero-initialized, so the output depends on every path, the condition
+    encoder's included."""
+    rng = stream(seed)
+    return TrajUNet(config, params={
+        name: Tensor(rng.normal(0.0, 0.2, size=shape).astype(np.float32), requires_grad=True)
+        for name, shape, _ in unet.param_specs(config)})
 
 
 class TestSinusoidalEmbedding:
@@ -82,8 +98,8 @@ class TestTimeMlp:
 class TestWideDeepEmbed:
     def test_null_condition_embeds_to_exact_zero(self):
         params = init_params(TINY, stream(3))
-        out1 = wide_deep_embed(ConditionBatch.null(4), params)
-        out2 = wide_deep_embed(ConditionBatch.null(4), params)
+        out1 = wide_deep_embed(null_batch(4), params)
+        out2 = wide_deep_embed(null_batch(4), params)
         assert np.all(out1.data == 0)
         np.testing.assert_array_equal(out1.data, out2.data)
 
@@ -232,7 +248,7 @@ class TestForward:
         np.testing.assert_array_equal(out_p, out[perm])
 
     def test_null_condition_matches_none(self):
-        model = TrajUNet(TINY, rng=stream(10))
+        model = dense_model(TINY, 10)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 2, 16)).astype(np.float32)
         t = np.array([2, 9, 15])
@@ -243,6 +259,38 @@ class TestForward:
         with tz.no_grad():
             np.testing.assert_array_equal(model(x, t, junk).data, model(x, t, None).data)
 
+    @pytest.mark.parametrize("config", [TINY, TrajUNetConfig()], ids=["tiny", "desk"])
+    def test_no_condition_is_bitwise_an_all_null_batch(self, config):
+        # an all-null batch embeds to exact zero, so adding nothing is the same model
+        model = dense_model(config, 20)
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, 2, config.length)).astype(np.float32)
+        t = np.array([1, 50, 100])
+        cond = ConditionBatch.from_vectors(
+            [ConditionVector(numeric=rng.normal(size=4), departure_slot=5 * i, origin_cell=i,
+                             dest_cell=40 + i) for i in range(3)])
+        with tz.no_grad():
+            out_none = model(x, t, None).data
+            np.testing.assert_array_equal(out_none, model(x, t, null_batch(3)).data)
+            # the condition path does reach the output of this model
+            assert np.abs(out_none - model(x, t, cond).data).max() > 0
+
+    def test_no_condition_skips_the_encoder(self, monkeypatch):
+        calls = []
+
+        def counting(cond, params):
+            calls.append(len(cond))
+            return wide_deep_embed(cond, params)
+
+        monkeypatch.setattr(unet, "wide_deep_embed", counting)
+        model = TrajUNet(TINY, rng=stream(22))
+        x = np.zeros((2, 2, 16), np.float32)
+        t = np.array([1, 2])
+        model(x, t, None)
+        assert calls == []
+        model(x, t, null_batch(2))
+        assert calls == [2]
+
     def test_wrong_length_rejected(self):
         model = TrajUNet(TINY, rng=stream(11))
         with pytest.raises(ValueError, match="expected input"):
@@ -251,11 +299,16 @@ class TestForward:
     def test_condition_count_mismatch_rejected(self):
         model = TrajUNet(TINY, rng=stream(12))
         with pytest.raises(ValueError, match="mismatch"):
-            model(np.zeros((2, 2, 16), np.float32), np.array([1, 2]), ConditionBatch.null(3))
+            model(np.zeros((2, 2, 16), np.float32), np.array([1, 2]), null_batch(3))
 
     def test_indivisible_length_config_rejected(self):
         with pytest.raises(ValueError, match="length"):
             TrajUNetConfig(length=20, channel_multipliers=(1, 2, 2, 4))
+
+    @pytest.mark.parametrize("length", [unet.MAX_LENGTH + 8, 2**40])
+    def test_length_above_cap_rejected(self, length):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            TrajUNetConfig(length=length)
 
     def test_full_model_gradcheck_subsampled(self):
         model = TrajUNet(TINY, rng=stream(13))
