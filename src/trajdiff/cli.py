@@ -46,10 +46,15 @@ log = logging.getLogger(__name__)
 
 _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 
-# Caps on eval and plot sizes that are allocated at once: a 1000x1000 grid
-# (the paper's is 16x16) and 10 000 length-histogram bins (its default is 50).
+# Caps on sizes that are allocated at once: a 1000x1000 eval or plot grid
+# (the paper's is 16x16), 10 000 length-histogram bins (its default is 50), a
+# million trajectories per generate call, ten million training steps (the loss
+# history) and a training batch of 100 000 (the paper's is 1024).
 MAX_GRID_CELLS = 1_000_000
 MAX_BINS = 10_000
+MAX_TRAJECTORIES = 1_000_000
+MAX_TRAIN_STEPS = 10_000_000
+MAX_BATCH = 100_000
 
 
 class Setting(NamedTuple):
@@ -72,7 +77,8 @@ SYNTH_SETTINGS = {"n": Setting(int, 0, 2000), "seed": Setting(int, None, 0)}
 # terminal signal at 2% (with 0.05 at T=100 the forward process stops 28% short
 # of the sampling prior); lr=1e-3 converges ~3x faster at desk batch size.
 TRAIN_SETTINGS = {
-    "steps": Setting(int, 0, TrainConfig.steps), "batch": Setting(int, 1, TrainConfig.batch_size),
+    "steps": Setting(int, 0, TrainConfig.steps, high=MAX_TRAIN_STEPS),
+    "batch": Setting(int, 1, TrainConfig.batch_size, high=MAX_BATCH),
     "T": Setting(int, 1, 100), "length": Setting(int, 1, TrajUNetConfig.length),
     "base_channels": Setting(int, 1, TrajUNetConfig.base_channels),
     "beta_start": Setting(float, None, 1e-4), "beta_end": Setting(float, None, 0.15),
@@ -83,7 +89,8 @@ TRAIN_SETTINGS = {
 TRAIN_DEFAULTS = {k: s.default for k, s in TRAIN_SETTINGS.items()}
 
 GENERATE_SETTINGS = {
-    "n": Setting(int, 0, None), "steps": Setting(int, 1, None, "sample steps S (default: T / 5)"),
+    "n": Setting(int, 0, None, high=MAX_TRAJECTORIES),
+    "steps": Setting(int, 1, None, "sample steps S (default: T / 5)"),
     "eta": Setting(float, 0.0, SamplerConfig.eta),
     "omega": Setting(float, None, SamplerConfig.guidance_scale),
     "seed": Setting(int, None, SamplerConfig.seed), "workers": Setting(int, 1, 1),
@@ -174,9 +181,10 @@ def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
 
 
 def _environment(blas_threads: int | None) -> dict:
-    """The manifest's environment block: what explains a run's timing."""
+    """The manifest's environment block: what explains a run's timing and memory."""
     return {"cores": len(os.sched_getaffinity(0)),
             "blas_threads": blas_threads,
+            "malloc_thresholds": tz.malloc_thresholds(),
             "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF)}
 
 

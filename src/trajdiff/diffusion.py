@@ -142,7 +142,8 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
           cfg: TrainConfig, sched: NoiseSchedule) -> np.ndarray:
     """Optimize the model in place; returns the per-step loss history.
 
-    Aborts with NumericError if the loss goes non-finite.
+    Aborts with NumericError if an op's output or the loss goes non-finite;
+    the message names the step, counted from 0.
     """
     x0_data = np.asarray(x0_data, dtype=np.float32)
     n = x0_data.shape[0]
@@ -159,8 +160,11 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
         cond = cond_data.take(idx) if cond_data is not None else None
         opt.zero_grad()
         tz.reset_tape()
-        loss = training_loss(model, x0, cond, sched, rng,
-                             cond_dropout_prob=cfg.cond_dropout_prob)
+        try:
+            loss = training_loss(model, x0, cond, sched, rng,
+                                 cond_dropout_prob=cfg.cond_dropout_prob)
+        except NumericError as e:
+            raise NumericError(f"step {step_i}: {e}") from e
         val = loss.item()
         if not math.isfinite(val):
             raise NumericError(f"training diverged at step {step_i}: loss={val}")

@@ -21,25 +21,37 @@ work along. The [B, C, L] entry points conv1d and group_norm transpose in and
 out of the same kernels; the weights stay [Cout, Cin, K] in either layout.
 
 Tracking uses one module-level tape (a Wengert list). When grad mode is on and
-some input requires grad, an op appends one record (out, inputs, backward_fn);
-backward_fn(g) maps the output's gradient to one gradient per input, in the
-output's broadcast shape, and touches no tensor. backward() is the one place
-that writes an input's .grad: it walks the records in exact reverse execution
-order, skips records whose output got no gradient and inputs that do not
-require grad, casts each gradient to float32, sums it down to the input's
-shape, stores the first one as it is and adds later ones out of place.
-Gradient arrays are never written in place, so one array may be the gradient
-of several tensors (add hands the same g to both inputs). The whole tape
-lives until the walk ends and is then cleared, so a second backward without
-a new forward pass raises; dropping each record as it runs lowers the peak
-memory but frees and re-maps large buffers on every step, which costs more
-than it saves. There is one tape per process: sampling pool workers are
-forked processes, and no code runs tensor ops on a second thread.
+some input requires grad, an op appends one record (slot, inputs, backward_fn).
+The slot is the output's gradient slot: its shape and, during backward, the
+gradient summed into it so far. The output Tensor points at its slot, never
+the other way round, so the tape keeps no op output alive. Each input is
+recorded as its slot (a tracked op output), as the Tensor itself (a
+requires_grad leaf) or as None. backward_fn(g) maps the output's gradient to
+one gradient per input, in the output's broadcast shape, touches no tensor
+and holds only the arrays it reads: sum_all and maxpool1d_k2 keep no more of
+their input than its shape. backward() is the one place that writes
+gradients: it pops the records in exact reverse execution order, skips those
+whose slot got no gradient, casts each input's gradient to float32, sums it
+down to the input's shape, stores the first one as it is and adds later ones
+out of place. Gradient arrays are never written in place, so one array may be
+the gradient of several inputs (add hands the same g to both). Each popped
+record is dropped with its slot's gradient, so saved activations and
+activation gradients are freed as the walk passes them, and only leaves end
+up with a .grad. The walk empties the tape, so a second backward without a
+new forward pass raises. There is one tape per process: sampling pool workers
+are forked processes, and no code runs tensor ops on a second thread.
 
-This module also owns the numeric runtime's threads: blas_threads reads
-OpenBLAS's thread count and set_blas_threads sets it for the whole process.
-Each sampling pool worker calls the latter once, in its own process, so the
-caller's count is never changed.
+This module also owns the numeric runtime: blas_threads reads OpenBLAS's
+thread count and set_blas_threads sets it for the whole process. Each
+sampling pool worker calls the latter once, in its own process, so the
+caller's count is never changed. Under glibc, importing the module pins
+malloc's mmap threshold at 32 MiB and its trim threshold at 64 MiB, the
+largest values glibc's own dynamic adjustment reaches on 64-bit. Freeing
+during the walk would otherwise hand the step's large buffers back to the
+kernel (glibc unmaps blocks above the mmap threshold when they are freed, and
+trims the heap top above the trim threshold) only to fault them in again on
+the next step; pinned, a training step reuses the heap the previous one grew.
+malloc_thresholds reports the pinned values; off glibc nothing is pinned.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ from .errors import NumericError
 
 GROUP_NORM_EPS = 1e-5  # added to each group's variance before the inverse square root
 
-_tape: list = []  # (out, inputs, backward_fn) records in execution order
+_tape: list = []  # (slot, inputs, backward_fn) records in execution order
 _grad_enabled = True
 
 
@@ -76,10 +88,26 @@ def reset_tape() -> None:
     _tape.clear()
 
 
-class Tensor:
-    """n-dimensional float32 array with an optional gradient buffer."""
+class _Slot:
+    """A tracked op output's place on the tape: its shape and, during
+    backward, the gradient summed into it so far."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_f64")
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+
+class Tensor:
+    """n-dimensional float32 array with an optional gradient buffer.
+
+    grad is dLoss/dtensor after backward for a leaf, a tensor made with
+    requires_grad=True that backward reached; it stays None on op outputs,
+    whose gradients live in their tape slots only while the walk needs them.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_f64", "_slot", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
@@ -89,6 +117,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._f64: float | None = None
+        self._slot: _Slot | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,7 +148,7 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str,
           check: bool = True) -> Tensor:
-    """Wrap an op result; record (out, inputs, backward_fn) when tracking.
+    """Wrap an op result; record (slot, inputs, backward_fn) when tracking.
 
     backward_fn(g) returns one gradient per input. check=False is for pure
     data-movement ops that cannot create non-finite values from finite inputs.
@@ -131,9 +160,13 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str
     out.grad = None
     out.requires_grad = False
     out._f64 = None
+    out._slot = None
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape.append((out, inputs, backward_fn))
+        out._slot = _Slot(out.data.shape)
+        targets = tuple(t._slot if t._slot is not None else (t if t.requires_grad else None)
+                        for t in inputs)
+        _tape.append((out._slot, targets, backward_fn))
     return out
 
 
@@ -166,7 +199,8 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -197,7 +231,8 @@ def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     acc = float(np.sum(x.data, dtype=np.float64))
     y = np.asarray(acc, dtype=np.float32)
-    out = _make(y, (x,), lambda g: (np.broadcast_to(g, x.data.shape),), "sum_all")
+    shape = x.data.shape
+    out = _make(y, (x,), lambda g: (np.broadcast_to(g, shape),), "sum_all")
     out._f64 = acc
     return out
 
@@ -227,10 +262,10 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
+    xd = x.data
     with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x.data))
-    y = x.data * s
-    return _make(y, (x,), lambda g: (g * (s * (1.0 + x.data * (1.0 - s))),), "silu")
+        s = 1.0 / (1.0 + np.exp(-xd))
+    return _make(xd * s, (x,), lambda g: (g * (s * (1.0 + xd * (1.0 - s))),), "silu")
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -350,11 +385,12 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.data.shape[-1] != W.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {W.data.shape}")
-    y = x.data @ W.data + b.data
+    xd, Wd = x.data, W.data
+    y = xd @ Wd + b.data
 
     def backward(g):
         gf = g.reshape(-1, g.shape[-1])
-        return (g @ W.data.T, x.data.reshape(-1, x.data.shape[-1]).T @ np.ascontiguousarray(gf),
+        return (g @ Wd.T, xd.reshape(-1, xd.shape[-1]).T @ np.ascontiguousarray(gf),
                 gf.sum(axis=0, dtype=np.float64))
 
     return _make(y, (x, W, b), backward, "linear")
@@ -365,8 +401,8 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[2] != b.data.shape[1] or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"bmm shape mismatch: {a.data.shape} @ {b.data.shape}")
-    y = a.data @ b.data
-    return _make(y, (a, b), lambda g: (g @ b.data.swapaxes(1, 2), a.data.swapaxes(1, 2) @ g), "bmm")
+    ad, bd = a.data, b.data
+    return _make(ad @ bd, (a, b), lambda g: (g @ bd.swapaxes(1, 2), ad.swapaxes(1, 2) @ g), "bmm")
 
 
 def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -378,9 +414,10 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValueError(f"embedding index out of range [0, {table.data.shape[0]})")
     y = table.data[idx]
+    shape = table.data.shape
 
     def backward(g):
-        acc = np.zeros_like(table.data)
+        acc = np.zeros(shape, dtype=np.float32)
         np.add.at(acc, idx, g)
         return (acc,)
 
@@ -467,19 +504,21 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if K % 2 == 0:
         raise ValueError("conv1d kernel size must be odd")
 
-    y = _conv_taps(x.data, w.data)
+    xd, wd = x.data, w.data
+    y = _conv_taps(xd, wd)
     if b is not None:
         b = _as_tensor(b)
         if b.data.shape not in ((Cout,), (B, Cout)):
             raise ValueError(f"conv1d bias must have shape [{Cout}] or [{B}, {Cout}]")
         y += b.data.reshape(-1, 1, Cout)
+    bias_ndim = None if b is None else b.data.ndim
 
     def backward(g):
-        gx = _conv_taps(g, w.data.transpose(1, 0, 2)[:, :, ::-1])
-        grads = (gx, _conv_weight_grad(x.data, g, K))
-        if b is None:
+        gx = _conv_taps(g, wd.transpose(1, 0, 2)[:, :, ::-1])
+        grads = (gx, _conv_weight_grad(xd, g, K))
+        if bias_ndim is None:
             return grads
-        if b.data.ndim == 1:
+        if bias_ndim == 1:
             return grads + (np.ones(B * L, dtype=np.float32) @ g.reshape(B * L, Cout),)
         return grads + (np.ones(L, dtype=np.float32) @ g,)
 
@@ -509,7 +548,8 @@ def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
     """Non-overlapping max pooling with window 2; halves the length axis
     (the last for [B, C, L], axis 1 for [B, L, C])."""
     x = _as_tensor(x)
-    shape, pair_axis = _pairs(x.data.shape, axis, "maxpool1d_k2")
+    in_shape = x.data.shape
+    shape, pair_axis = _pairs(in_shape, axis, "maxpool1d_k2")
     first, second = np.moveaxis(x.data.reshape(shape), pair_axis, 0)
     take_first = first >= second  # ties go to the first of the pair
     y = np.where(take_first, first, second)
@@ -519,7 +559,7 @@ def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
         g_first, g_second = np.moveaxis(gp, pair_axis, 0)
         np.copyto(g_first, g, where=take_first)
         np.copyto(g_second, g, where=~take_first)
-        return (gp.reshape(x.data.shape),)
+        return (gp.reshape(in_shape),)
 
     return _make(y, (x,), backward, "maxpool1d_k2", check=False)
 
@@ -544,10 +584,11 @@ def upsample_nearest_2x(x: Tensor, axis: int = -1) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss through the recorded tape.
 
-    Consumes the tape: calling again without a new tracked forward pass
-    raises. Every requires_grad tensor touched by the pass ends up with
-    dLoss/dtensor summed into .grad. This is the only code that writes an op
-    input's .grad, and it never writes a gradient array in place.
+    Consumes the tape, record by record: each record and its slot's gradient
+    are dropped once walked, and calling again without a new tracked forward
+    pass raises. Every requires_grad leaf the pass reaches ends up with
+    dLoss/dleaf summed into .grad. This is the only code that writes
+    gradients, and it never writes a gradient array in place.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor loss")
@@ -555,19 +596,22 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if not _tape:
         raise RuntimeError("backward on an empty tape (no tracked forward pass)")
-    loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(_tape):
-        if out.grad is None:
+    if loss._slot is None:
+        raise RuntimeError("backward from a loss that no tracked op produced")
+    loss._slot.grad = np.ones_like(loss.data)
+    while _tape:
+        slot, inputs, backward_fn = _tape.pop()
+        g, slot.grad = slot.grad, None
+        if g is None:
             continue
-        for t, g in zip(inputs, backward_fn(out.grad), strict=True):
-            if t.requires_grad:
-                g = _unbroadcast(np.asarray(g, dtype=np.float32), t.data.shape)
-                t.grad = g if t.grad is None else t.grad + g
-    _tape.clear()
+        for t, gi in zip(inputs, backward_fn(g), strict=True):
+            if t is not None:
+                gi = _unbroadcast(np.asarray(gi, dtype=np.float32), t.shape)
+                t.grad = gi if t.grad is None else t.grad + gi
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads
+# BLAS threads and malloc thresholds
 # ---------------------------------------------------------------------------
 
 # (get, set) thread-count symbols, in the order they are tried: the
@@ -620,3 +664,33 @@ def set_blas_threads(n: int) -> None:
     lib = _openblas()
     if lib is not None:
         lib[1](n)
+
+
+# glibc's mallopt parameter numbers, and the values pinned at import: the
+# largest mmap threshold glibc's dynamic adjustment reaches on 64-bit
+# (DEFAULT_MMAP_THRESHOLD_MAX) and twice that as the trim threshold, the
+# pairing that adjustment keeps
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_THRESHOLDS = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap and trim thresholds; False off glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    if getattr(libc, "gnu_get_libc_version", None) is None:
+        return False
+    libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return bool(libc.mallopt(_M_MMAP_THRESHOLD, _MALLOC_THRESHOLDS["mmap_threshold"])
+                and libc.mallopt(_M_TRIM_THRESHOLD, _MALLOC_THRESHOLDS["trim_threshold"]))
+
+
+_malloc_pinned = _pin_malloc_thresholds()
+
+
+def malloc_thresholds() -> dict | None:
+    """glibc malloc's mmap and trim thresholds in bytes as pinned at import,
+    or None where nothing was pinned (not glibc)."""
+    return dict(_MALLOC_THRESHOLDS) if _malloc_pinned else None

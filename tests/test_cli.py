@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import REPORT_SCHEMA
 from trajdiff import cli
+from trajdiff import tensor as tz
 from trajdiff.cli import main
 from trajdiff.errors import DataError
 from trajdiff.metrics import grid_density
@@ -202,7 +203,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--T", 10**12, "schedule allows at most 10000 steps"),
-        ("--length", 2**40, "exceeds the cap of 4096")])
+        ("--length", 2**40, "exceeds the cap of 4096"),
+        ("--steps", 10**15, "--steps must be an integer of at least 0 and at most 10000000"),
+        ("--batch", 10**15, "--batch must be an integer of at least 1 and at most 100000")])
     def test_oversized_flag_usage_error_before_allocating(self, tmp_path, capsys, flag, value,
                                                           message):
         # the data file does not exist: the size is refused before it is read
@@ -249,6 +252,10 @@ class TestTrain:
         assert manifest["cores"] >= 1
         assert manifest["peak_rss_mb"] > 0
         assert manifest["blas_threads"] is None or manifest["blas_threads"] >= 1
+        # pinned at import under glibc (see trajdiff.tensor), null elsewhere
+        assert manifest["malloc_thresholds"] in (
+            None, {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20})
+        assert manifest["malloc_thresholds"] == tz.malloc_thresholds()
 
 
 class TestGenerate:
@@ -311,6 +318,15 @@ class TestGenerate:
         assert run("generate", "--ckpt", tmp_path / "nope.ckpt", "--out", tmp_path / "x.jsonl",
                    "--n", 4, "--uncond", flag, value) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_oversized_flag_usage_error_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # the checkpoint does not exist: the count is refused before it is read
+        monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled a refused count"))
+        assert run("generate", "--ckpt", tmp_path / "nope.ckpt", "--out", tmp_path / "x.jsonl",
+                   "--n", 10**15, "--uncond") == 1
+        err = capsys.readouterr().err
+        assert "--n must be an integer of at least 0 and at most 1000000" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("settings", ['{"workers": "2"}', '{"batch": true}', '{"eta": "0"}',
                                           '{"omega": NaN}', '{"steps": 2.0}',

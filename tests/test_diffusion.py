@@ -141,6 +141,23 @@ class TestTrain:
         for name in p_null:
             assert p_none[name].data.tobytes() == p_null[name].data.tobytes(), name
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_op_failure_names_the_step(self, sched, monkeypatch, k):
+        # a NaN written into the stem conv's weights after k optimizer steps
+        # makes step k's forward fail at that conv
+        model = TrajUNet(TINY, rng=stream(15))
+        adam_step = diffusion.Adam.step
+
+        def step_then_poison(opt):
+            adam_step(opt)
+            if opt.t == k:
+                model.params["stem.w"].data[0, 0, 0] = np.nan
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_then_poison)
+        x0 = stream(16).normal(size=(6, 2, 16)).astype(np.float32)
+        with pytest.raises(NumericError, match=rf"^step {k}: conv1d produced non-finite values$"):
+            train(model, x0, None, TrainConfig(steps=k + 5, batch_size=4, seed=0), sched)
+
     def test_divergence_aborts(self, sched):
         huge = StubModel(lambda x_t, t, cond: np.full_like(x_t, 2e20), length=16)
         x0 = np.zeros((4, 2, 16), np.float32)

@@ -1,3 +1,5 @@
+import resource
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_grads_match, numeric_grad
+from trajdiff import diffusion, schedule, unet
 from trajdiff import tensor as tz
 from trajdiff.errors import NumericError
+from trajdiff.rng import stream
 from trajdiff.tensor import Tensor
 
 
@@ -380,6 +384,99 @@ class TestAccumulation:
             num = numeric_grad(lambda: replay(f64, lambda x: x.data.astype(np.float64)), t)
             scale = max(float(np.abs(num).max()), 1e-6)
             assert float(np.abs(t.grad - num).max()) / scale < 1e-3
+
+
+def _saved_arrays(backward_fn) -> list:
+    """The arrays a backward closure holds."""
+    cells = [c.cell_contents for c in backward_fn.__closure__ or ()]
+    return [v for v in cells if isinstance(v, np.ndarray)]
+
+
+class TestTapeMemory:
+    """The tape keeps only what backward reads, and backward frees it as it
+    walks: op outputs live only as long as their caller holds them, and each
+    record's saved arrays die once the walk has passed it."""
+
+    @staticmethod
+    def leaves():
+        return (Tensor(rand((2, 8, 4), seed=1), requires_grad=True),
+                Tensor(rand((4, 4, 3), seed=2), requires_grad=True),
+                Tensor(rand((4,), seed=3) + 1.0, requires_grad=True),
+                Tensor(rand((4,), seed=4), requires_grad=True))
+
+    @staticmethod
+    def forward(x, w, gamma, beta):
+        h = tz.conv1d_cl(x, w)
+        h = tz.group_norm_silu_cl(h, 2, gamma, beta)
+        h = tz.softmax_lastdim(tz.silu(tz.maxpool1d_k2(h, axis=1)))
+        return tz.sum_all(tz.mul(h, Tensor(rand(h.shape, seed=5))))
+
+    def test_op_output_dies_while_its_record_is_on_the_tape(self):
+        x, w, gamma, beta = self.leaves()
+        h = tz.conv1d_cl(x, w)
+        ref = weakref.ref(h)
+        y = tz.group_norm_silu_cl(h, 2, gamma, beta)
+        del h
+        assert len(tz._tape) == 2
+        assert ref() is None
+        tz.backward(tz.sum_all(y))
+        assert x.grad is not None and w.grad is not None
+
+    def test_saved_arrays_die_as_the_walk_passes_them(self):
+        leaves = self.leaves()
+        loss = self.forward(*leaves)
+        held = {id(t.data) for t in leaves}
+        refs = [[weakref.ref(a) for a in _saved_arrays(fn) if id(a) not in held]
+                for _, _, fn in tz._tape]
+        assert sum(map(len, refs)) >= 10
+        # the first record is walked last: by then every later record is gone
+        alive = []
+
+        def checked(fn):
+            def first(g):
+                alive.extend(r for later in refs[1:] for r in later if r() is not None)
+                return fn(g)
+            return first
+
+        slot, inputs, fn = tz._tape[0]
+        tz._tape[0] = (slot, inputs, checked(fn))
+        del slot, inputs, fn
+        tz.backward(loss)
+        assert alive == []
+        assert all(r() is None for record in refs for r in record)
+        assert all(t.grad is not None for t in leaves)
+
+    def test_only_leaves_get_grad(self):
+        x = Tensor(rand((3, 4)), requires_grad=True)
+        c = Tensor(rand((3, 4), seed=1))
+        h = tz.silu(tz.mul(x, c))
+        loss = tz.sum_all(tz.mul(h, h))
+        tz.backward(loss)
+        assert x.grad is not None
+        assert h.grad is None and loss.grad is None and c.grad is None
+        assert h.requires_grad and loss.requires_grad
+
+    @pytest.mark.skipif(tz.malloc_thresholds() is None,
+                        reason="malloc thresholds are pinned only under glibc")
+    def test_training_steps_reuse_their_memory(self, monkeypatch):
+        # desk-size steps (base 16, L 64, B 64) free their activations during
+        # backward; with glibc's default thresholds each step handed about
+        # 12 000 pages back to the kernel and faulted them in again, pinned
+        # it faults a few dozen at most
+        faults = []
+        adam_step = diffusion.Adam.step
+
+        def step_and_count(opt):
+            adam_step(opt)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_and_count)
+        model = unet.TrajUNet(unet.TrajUNetConfig(length=64, base_channels=16), rng=stream(0))
+        x0 = stream(1).normal(size=(256, 2, 64)).astype(np.float32)
+        diffusion.train(model, x0, None, diffusion.TrainConfig(steps=13, batch_size=64),
+                        schedule.linear_beta_schedule(100, 1e-4, 0.15))
+        per_step = (faults[-1] - faults[2]) / (len(faults) - 3)
+        assert per_step < 256, f"{per_step:.0f} minor faults per training step"
 
 
 def _proj_loss(out, seed=99):
