@@ -53,7 +53,7 @@ def main():
     heldout_file.write_text("\n".join([header] + records[cut:]) + "\n")
 
     t_train = run("train", "--data", train_file, "--out", ckpt,
-                  "--steps", args.steps, "--batch", 128, "--seed", args.seed)
+                  "--steps", args.steps, "--seed", args.seed)
     print(f"training took {t_train:.0f}s")
 
     run("generate", "--ckpt", ckpt, "--out", gen, "--n", args.gen_n,

@@ -49,12 +49,14 @@ _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 # Caps on sizes that are allocated at once: a 1000x1000 eval or plot grid
 # (the paper's is 16x16), 10 000 length-histogram bins (its default is 50), a
 # million trajectories per generate call, ten million training steps (the loss
-# history) and a training batch of 100 000 (the paper's is 1024).
+# history) and a training batch of 100 000 (the paper's is 1024). sample
+# forks min(workers, micro-batches) processes, so --workers has a cap too.
 MAX_GRID_CELLS = 1_000_000
 MAX_BINS = 10_000
 MAX_TRAJECTORIES = 1_000_000
 MAX_TRAIN_STEPS = 10_000_000
 MAX_BATCH = 100_000
+MAX_WORKERS = 256
 
 
 class Setting(NamedTuple):
@@ -93,7 +95,8 @@ GENERATE_SETTINGS = {
     "steps": Setting(int, 1, None, "sample steps S (default: T / 5)"),
     "eta": Setting(float, 0.0, SamplerConfig.eta),
     "omega": Setting(float, None, SamplerConfig.guidance_scale),
-    "seed": Setting(int, None, SamplerConfig.seed), "workers": Setting(int, 1, 1),
+    "seed": Setting(int, None, SamplerConfig.seed),
+    "workers": Setting(int, 1, 1, high=MAX_WORKERS),
     "batch": Setting(int, 1, MICRO_BATCH, "sampling micro-batch size"),
 }
 THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on generate's --workers
@@ -374,13 +377,13 @@ def cmd_generate(args) -> int:
 
 
 def _bbox_soft_check(point_lists, norm: NormStats) -> None:
-    margin_lng = 0.05 * (norm.lng_max - norm.lng_min)
-    margin_lat = 0.05 * (norm.lat_max - norm.lat_min)
+    lo = np.array([norm.lng_min, norm.lat_min], float)
+    hi = np.array([norm.lng_max, norm.lat_max], float)
+    margin = 0.05 * (hi - lo)
     allp = np.concatenate(point_lists) if point_lists else np.zeros((0, 2))
     if allp.size == 0:
         return
-    outside = ((allp[:, 0] < norm.lng_min - margin_lng) | (allp[:, 0] > norm.lng_max + margin_lng)
-               | (allp[:, 1] < norm.lat_min - margin_lat) | (allp[:, 1] > norm.lat_max + margin_lat))
+    outside = ((allp < lo - margin) | (allp > hi + margin)).any(axis=1)
     if outside.any():
         log.warning("%.2f%% of generated points fall outside the training bounding box "
                     "(plus 5%% margin)", 100.0 * outside.mean())

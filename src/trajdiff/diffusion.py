@@ -142,8 +142,8 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
           cfg: TrainConfig, sched: NoiseSchedule) -> np.ndarray:
     """Optimize the model in place; returns the per-step loss history.
 
-    Aborts with NumericError if an op's output or the loss goes non-finite;
-    the message names the step, counted from 0.
+    Aborts with NumericError if an op's output, the loss included, goes
+    non-finite; the message names the step, counted from 0.
     """
     x0_data = np.asarray(x0_data, dtype=np.float32)
     n = x0_data.shape[0]
@@ -165,12 +165,9 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
                                  cond_dropout_prob=cfg.cond_dropout_prob)
         except NumericError as e:
             raise NumericError(f"step {step_i}: {e}") from e
-        val = loss.item()
-        if not math.isfinite(val):
-            raise NumericError(f"training diverged at step {step_i}: loss={val}")
         tz.backward(loss)
         opt.step()
-        history[step_i] = val
+        history[step_i] = loss.item()
     return history
 
 

@@ -108,12 +108,12 @@ class GridSpec:
         """Row-major cell index per point; out-of-box points clamp to the
         boundary cell. Returns (indices, clamped_count)."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        outside = ((pts[:, 0] < self.lng_min) | (pts[:, 0] > self.lng_max)
-                   | (pts[:, 1] < self.lat_min) | (pts[:, 1] > self.lat_max))
-        fx = (pts[:, 0] - self.lng_min) / (self.lng_max - self.lng_min) * self.cols
-        fy = (pts[:, 1] - self.lat_min) / (self.lat_max - self.lat_min) * self.rows
-        col = np.clip(np.floor(fx).astype(np.int64), 0, self.cols - 1)
-        row = np.clip(np.floor(fy).astype(np.int64), 0, self.rows - 1)
+        lo = np.array([self.lng_min, self.lat_min], float)
+        hi = np.array([self.lng_max, self.lat_max], float)
+        outside = ((pts < lo) | (pts > hi)).any(axis=1)
+        f = (pts - lo) / (hi - lo) * (self.cols, self.rows)
+        cell = np.floor(f, out=f).astype(np.int64)
+        col, row = np.clip(cell, 0, (self.cols - 1, self.rows - 1), out=cell).T
         return row * self.cols + col, int(outside.sum())
 
     def to_dict(self) -> dict:
@@ -243,18 +243,20 @@ def resample(points: np.ndarray, length: int) -> np.ndarray:
 
 def normalize(points: np.ndarray, norm: NormStats) -> np.ndarray:
     """Affine map of the bounding box onto [-1, 1] x [-1, 1]."""
-    pts = np.asarray(points, dtype=np.float64)
-    out = np.empty_like(pts)
-    out[..., 0] = 2.0 * (pts[..., 0] - norm.lng_min) / (norm.lng_max - norm.lng_min) - 1.0
-    out[..., 1] = 2.0 * (pts[..., 1] - norm.lat_min) / (norm.lat_max - norm.lat_min) - 1.0
+    out = np.array(points, dtype=np.float64)
+    out -= (norm.lng_min, norm.lat_min)
+    out *= 2.0
+    out /= (norm.lng_max - norm.lng_min, norm.lat_max - norm.lat_min)
+    out -= 1.0
     return out
 
 
 def denormalize(points: np.ndarray, norm: NormStats) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    out = np.empty_like(pts)
-    out[..., 0] = (pts[..., 0] + 1.0) / 2.0 * (norm.lng_max - norm.lng_min) + norm.lng_min
-    out[..., 1] = (pts[..., 1] + 1.0) / 2.0 * (norm.lat_max - norm.lat_min) + norm.lat_min
+    out = np.array(points, dtype=np.float64)
+    out += 1.0
+    out /= 2.0
+    out *= (norm.lng_max - norm.lng_min, norm.lat_max - norm.lat_min)
+    out += (norm.lng_min, norm.lat_min)
     return out
 
 
@@ -456,8 +458,7 @@ def save_dataset(path, trajs, meta: dict | None = None) -> None:
         if meta is not None:
             fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for t in trajs:
-            rec = {"id": t.id, "points": [[float(p[0]), float(p[1])] for p in t.points],
-                   "t0": float(t.t0)}
+            rec = {"id": t.id, "points": t.points.tolist(), "t0": float(t.t0)}
             if t.interval is not None:
                 rec["interval"] = float(t.interval)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

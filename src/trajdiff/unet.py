@@ -29,6 +29,9 @@ from .trajdata import ConditionVector  # noqa: F401
 # Most points per modelled trajectory: 20x the paper's length of 200, and a
 # cap on the [B, 2, length] arrays that training and sampling allocate.
 MAX_LENGTH = 4096
+# Most base channels: 4x the paper's 64. The parameter count grows with its
+# square; at the default multipliers 256 gives 65.0M float32 parameters (248 MiB).
+MAX_BASE_CHANNELS = 256
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,9 @@ class TrajUNetConfig:
             raise ValueError("channel counts and the embedding dimension must be positive")
         if self.length > MAX_LENGTH:
             raise ValueError(f"length {self.length} exceeds the cap of {MAX_LENGTH}")
+        if self.base_channels > MAX_BASE_CHANNELS:
+            raise ValueError(f"base_channels {self.base_channels} exceeds the cap of "
+                             f"{MAX_BASE_CHANNELS}")
         down = 2 ** (levels - 1)
         if self.length % down != 0 or self.length < 2 * down:
             raise ValueError(f"length {self.length} incompatible with {levels} levels "

@@ -10,6 +10,7 @@ from trajdiff.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from trajdiff.errors import DataError
 from trajdiff.rng import stream
 from trajdiff.schedule import linear_beta_schedule
+from trajdiff.tensor import Tensor
 from trajdiff.trajdata import GridSpec, NormStats
 from trajdiff.unet import TrajUNet, TrajUNetConfig
 
@@ -74,6 +75,13 @@ class TestRejection:
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(bad)
 
+    def test_trailing_payload_bytes(self, saved, tmp_path):
+        path, *_ = saved
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes(path.read_bytes() + bytes(4096))
+        with pytest.raises(DataError, match="overlong payload"):
+            load_checkpoint(bad)
+
     def test_truncated_header(self, saved, tmp_path):
         path, *_ = saved
         blob = path.read_bytes()
@@ -115,13 +123,20 @@ def _entry(header, name):
     return next(e for e in header["params"] if e["name"] == name)
 
 
-# one header edit per case, keyed by a fragment of the expected error message
+# one header edit per case, keyed by a fragment of the expected error message,
+# or for a parameter-table case by a name whose fragment TABLE_MATCHES gives
 HEADER_EDITS = {
     "lacks parameters": lambda h: h["params"].pop(),
     "shape": lambda h: _entry(h, "stem.w").update(shape=[4, 2, 5]),
     "byte size": lambda h: _entry(h, "stem.b").update(nbytes=12),
     "offset": lambda h: _entry(h, "stem.b").update(offset=-4),
     "truncated": lambda h: _entry(h, "stem.b").update(offset=10**9),
+    "overlapping": lambda h: _entry(h, "stem.b").update(offset=0),
+    "offset 0.0": lambda h: h["params"][0].update(offset=0.0),
+    "offset false": lambda h: h["params"][0].update(offset=False),
+    "shape true": lambda h: _entry(h, "down1.block0.skip.w")["shape"].__setitem__(2, True),
+    "extra key": lambda h: h["params"][0].update(dtype="<f4"),
+    "reordered": lambda h: h["params"].reverse(),
     "repeated": lambda h: h["params"].append(dict(h["params"][0])),
     "unexpected": lambda h: h["params"].append({"name": "extra.w", "shape": [1],
                                                 "offset": 0, "nbytes": 4}),
@@ -133,6 +148,7 @@ HEADER_EDITS = {
     "at most 10000 steps": lambda h: h["schedule"].update(T=10**12),
     "length": lambda h: h["config"].update(length=15),
     "exceeds the cap": lambda h: h["config"].update(length=2**40),
+    "base_channels 257 exceeds the cap of 256": lambda h: h["config"].update(base_channels=257),
     "bogus": lambda h: h["config"].update(bogus=1),
     "cells": lambda h: h["grid"].update(rows=32),
     "seed": lambda h: h.pop("seed"),
@@ -145,13 +161,36 @@ HEADER_EDITS = {
                                                                                    lat_max=1e308),
 }
 
+# A parameter table is refused at its first entry that differs, as JSON, from
+# the one the config implies; the message shows both. Entries 0, 13, 14 and 35
+# of the fixture's 88 are time_mlp.fc1.W, stem.w, stem.b and down1.block0.skip.w.
+TABLE_MATCHES = {
+    "lacks parameters": 'lacks parameters at table entry 87: file has nothing, '
+                        'expected {"name": "out.conv.b"',
+    "shape": r'entry 13: file has {"name": "stem.w", .*"shape": \[4, 2, 5\]}, expected',
+    "byte size": 'entry 14: file has {"name": "stem.b", "nbytes": 12,',
+    "offset": 'entry 14: file has {"name": "stem.b", "nbytes": 16, "offset": -4,',
+    "truncated": 'entry 14: file has {"name": "stem.b", "nbytes": 16, "offset": 1000000000,',
+    # stem.b read from the start of the payload, over time_mlp.fc1.W's bytes
+    "overlapping": 'entry 14: file has {"name": "stem.b", "nbytes": 16, "offset": 0,',
+    # each equal in Python, but not the JSON value the writer writes
+    "offset 0.0": 'entry 0: file has {"name": "time_mlp.fc1.W", "nbytes": 65536, "offset": 0.0,',
+    "offset false": 'entry 0: file has {"name": "time_mlp.fc1.W", "nbytes": 65536, '
+                    '"offset": false,',
+    "shape true": r'entry 35: file has {"name": "down1.block0.skip.w", .*"shape": \[8, 4, true\]}',
+    "extra key": 'entry 0: file has {"dtype": "<f4", "name": "time_mlp.fc1.W",',
+    "reordered": 'entry 0: file has {"name": "out.conv.b",',
+    "repeated": 'unexpected parameter at table entry 88: file has {"name": "time_mlp.fc1.W",',
+    "unexpected": 'unexpected parameter at table entry 88: file has {"name": "extra.w",',
+}
+
 
 class TestHeaderContract:
-    @pytest.mark.parametrize("match", HEADER_EDITS)
-    def test_inconsistent_header_is_data_error(self, saved, tmp_path, match):
+    @pytest.mark.parametrize("case", HEADER_EDITS)
+    def test_inconsistent_header_is_data_error(self, saved, tmp_path, case):
         path, *_ = saved
-        bad = _rewrite_header(path, tmp_path / "bad.ckpt", HEADER_EDITS[match])
-        with pytest.raises(DataError, match=match):
+        bad = _rewrite_header(path, tmp_path / "bad.ckpt", HEADER_EDITS[case])
+        with pytest.raises(DataError, match=TABLE_MATCHES.get(case, case)):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("config", [
@@ -184,6 +223,40 @@ class TestHeaderContract:
         bad.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="non-finite"):
             load_checkpoint(bad)
+
+    def test_non_finite_weight_names_its_parameter(self, saved, tmp_path):
+        path, *_ = saved
+        blob = bytearray(path.read_bytes())
+        head_end = 9 + int.from_bytes(blob[5:9], "little")
+        at = head_end + _entry(json.loads(blob[9:head_end]), "stem.b")["offset"] + 8
+        blob[at:at + 4] = np.float32(np.inf).tobytes()
+        bad = tmp_path / "inf.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="parameter 'stem.b' has non-finite weights"):
+            load_checkpoint(bad)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("edit, name", [
+        (lambda p: p.update({"stem.b": Tensor(np.zeros(5, np.float32))}), "stem.b"),
+        (lambda p: p.update({"extra.w": Tensor(np.zeros(1, np.float32))}), "extra.w"),
+        (lambda p: p.pop("out.conv.b"), "out.conv.b"),
+    ], ids=["wrong shape", "extra", "missing"])
+    def test_params_off_spec_refused_before_writing(self, saved, tmp_path, edit, name):
+        # the loader would refuse such a file, so the writer does not write it
+        _, model, sched, norm, grid = saved
+        edit(model.params)
+        out = tmp_path / "off.ckpt"
+        with pytest.raises(ValueError, match=f"parameters \\['{name}'\\] do not match"):
+            save_checkpoint(out, model, sched, norm, grid, train_steps=0, seed=0)
+        assert not out.exists()
+
+    def test_table_follows_param_specs_not_dict_order(self, saved, tmp_path):
+        path, model, sched, norm, grid = saved
+        model.params = dict(reversed(model.params.items()))
+        out = tmp_path / "rev.ckpt"
+        save_checkpoint(out, model, sched, norm, grid, train_steps=7, seed=1)
+        assert out.read_bytes() == path.read_bytes()
 
 
 @pytest.fixture(scope="module")

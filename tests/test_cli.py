@@ -205,7 +205,8 @@ class TestTrain:
         ("--T", 10**12, "schedule allows at most 10000 steps"),
         ("--length", 2**40, "exceeds the cap of 4096"),
         ("--steps", 10**15, "--steps must be an integer of at least 0 and at most 10000000"),
-        ("--batch", 10**15, "--batch must be an integer of at least 1 and at most 100000")])
+        ("--batch", 10**15, "--batch must be an integer of at least 1 and at most 100000"),
+        ("--base-channels", 10**12, "base_channels 1000000000000 exceeds the cap of 256")])
     def test_oversized_flag_usage_error_before_allocating(self, tmp_path, capsys, flag, value,
                                                           message):
         # the data file does not exist: the size is refused before it is read
@@ -327,6 +328,19 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "--n must be an integer of at least 0 and at most 1000000" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_workers_above_cap_usage_error(self, tmp_path, capsys, monkeypatch, via):
+        # refused from the settings alone: no pool is forked and the
+        # checkpoint, which does not exist, is never read
+        monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled a refused pool"))
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"workers": cli.MAX_WORKERS + 1}))
+        extra = ("--workers", cli.MAX_WORKERS + 1) if via == "flag" else ("--config", cfg)
+        assert run("generate", "--ckpt", tmp_path / "nope.ckpt", "--out", tmp_path / "x.jsonl",
+                   "--n", 4, "--uncond", *extra) == 1
+        err = capsys.readouterr().err
+        assert f"--workers must be an integer of at least 1 and at most {cli.MAX_WORKERS}" in err
 
     @pytest.mark.parametrize("settings", ['{"workers": "2"}', '{"batch": true}', '{"eta": "0"}',
                                           '{"omega": NaN}', '{"steps": 2.0}',

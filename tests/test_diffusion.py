@@ -158,6 +158,16 @@ class TestTrain:
         with pytest.raises(NumericError, match=rf"^step {k}: conv1d produced non-finite values$"):
             train(model, x0, None, TrainConfig(steps=k + 5, batch_size=4, seed=0), sched)
 
+    def test_loss_overflow_is_the_mse_check(self, sched):
+        # float32 outputs of 1e20 are finite, but their mean square is not:
+        # the mse op's own check stops the step before any backward
+        model = TrajUNet(TINY, rng=stream(17))
+        model.params["out.conv.b"].data[:] = 1e20
+        x0 = stream(18).normal(size=(4, 2, 16)).astype(np.float32)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^step 0: mse produced non-finite values$"):
+            train(model, x0, None, TrainConfig(steps=2, batch_size=4, seed=0), sched)
+
     def test_divergence_aborts(self, sched):
         huge = StubModel(lambda x_t, t, cond: np.full_like(x_t, 2e20), length=16)
         x0 = np.zeros((4, 2, 16), np.float32)

@@ -311,6 +311,11 @@ class TestForward:
         with pytest.raises(ValueError, match="exceeds the cap"):
             TrajUNetConfig(length=length)
 
+    @pytest.mark.parametrize("base", [unet.MAX_BASE_CHANNELS + 1, 10**12])
+    def test_base_channels_above_cap_rejected(self, base):
+        with pytest.raises(ValueError, match=f"base_channels {base} exceeds the cap"):
+            TrajUNetConfig(base_channels=base)
+
     def test_full_model_gradcheck_subsampled(self):
         model = TrajUNet(TINY, rng=stream(13))
         rng = np.random.default_rng(10)
