@@ -83,7 +83,7 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
         raise DataError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(blob[9:head_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (RecursionError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"{path}: corrupt checkpoint header: not a JSON object")

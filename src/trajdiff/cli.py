@@ -48,9 +48,10 @@ _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 
 # Caps on sizes that are allocated at once: a 1000x1000 eval or plot grid
 # (the paper's is 16x16), 10 000 length-histogram bins (its default is 50), a
-# million trajectories per generate call, ten million training steps (the loss
-# history) and a training batch of 100 000 (the paper's is 1024). sample
-# forks min(workers, micro-batches) processes, so --workers has a cap too.
+# million trajectories per synth or generate call, ten million training steps
+# (the loss history) and a training batch of 100 000 (the paper's is 1024).
+# sample forks min(workers, micro-batches) processes, so --workers has a cap
+# too.
 MAX_GRID_CELLS = 1_000_000
 MAX_BINS = 10_000
 MAX_TRAJECTORIES = 1_000_000
@@ -71,7 +72,8 @@ class Setting(NamedTuple):
     high: int | None = None
 
 
-SYNTH_SETTINGS = {"n": Setting(int, 0, 2000), "seed": Setting(int, None, 0)}
+SYNTH_SETTINGS = {"n": Setting(int, 0, 2000, high=MAX_TRAJECTORIES),
+                  "seed": Setting(int, None, 0)}
 
 # The recipe's defaults come from TrainConfig and TrajUNetConfig; only the
 # schedule's are set here. Paper scale: T=500, length=200, batch=1024,
@@ -132,7 +134,7 @@ def _resolve(args: argparse.Namespace, table: dict) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, ValueError) as e:
+        except (OSError, RecursionError, ValueError) as e:
             raise DataError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(file_cfg, dict):
             raise DataError(f"config {args.config} is not a JSON object")
@@ -258,7 +260,7 @@ def cmd_synth(args) -> int:
         with open(args.city_spec, "r", encoding="utf-8") as fh:
             try:
                 spec = CitySpec.from_dict(json.load(fh))
-            except (TypeError, ValueError, UsageError) as e:
+            except (RecursionError, TypeError, ValueError, UsageError) as e:
                 raise UsageError(f"bad city spec {args.city_spec}: {e}") from e
         inputs.append(args.city_spec)
     trajs = synth_city(seed=cfg["seed"], n_trajectories=cfg["n"], spec=spec)
@@ -360,7 +362,7 @@ def cmd_generate(args) -> int:
         slot = int(conds.slot[i]) if conds is not None else 0
         out_trajs.append(RawTrajectory(id=f"gen-{i:05d}", points=pts, t0=float(slot * SLOT_SECONDS)))
     save_dataset(args.out, out_trajs, meta={"generator": "diffusion", "seed": cfg["seed"],
-                                            "checkpoint": str(args.ckpt),
+                                            "checkpoint_sha256": _sha256(args.ckpt),
                                             "sampler": {"steps": stats["steps"], "eta": cfg["eta"],
                                                         "omega": cfg["omega"]},
                                             "version": __version__})

@@ -1,7 +1,8 @@
 """Training objective, skip-step DDIM sampling, and classifier-free guidance.
 
 Ancestral DDPM sampling is the eta = 1, S = T case of the DDIM update, so the
-sampler has a single reverse-chain loop.
+sampler has a single reverse-chain loop, and ddpm_step is ddim_step at eta = 1
+between adjacent steps.
 
 Sampling randomness is keyed per trajectory index (see trajdiff.rng), and
 work is partitioned into fixed micro-batches by index, so generated output
@@ -20,6 +21,8 @@ import numpy as np
 from . import tensor as tz
 from .errors import NumericError
 from .rng import stream
+# mu_from_eps is not called here; perfbench/tracing.py wraps it under this
+# module's name
 from .schedule import NoiseSchedule, mu_from_eps, predict_x0_from_eps, q_sample
 from .tensor import Tensor
 from .trajdata import ConditionBatch, is_finite
@@ -206,23 +209,14 @@ def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule
 def ddpm_step(model, x_t: np.ndarray, t: int, cond: ConditionBatch | None,
               omega: float, sched: NoiseSchedule,
               z: np.ndarray | None) -> np.ndarray:
-    """One ancestral reverse step with x0 clamped to +-CLIP_X0; no noise at t == 1.
+    """One ancestral DDPM step: ddim_step from t to t - 1 at eta = 1.
 
-    z is the pre-drawn standard-normal field, unused (may be None) at t == 1.
-    No production path calls this: the DDIM step at eta = 1, t_prev = t - 1 is
-    the same transition. It stays as the ancestral reference that
-    test_full_chain_eta1_tracks_ddpm compares the DDIM chain against, and
-    perfbench/tracing.py wraps it by name.
+    No production path calls this; it stays because perfbench/tracing.py
+    wraps it by name. tests/test_diffusion.py keeps the ancestral posterior
+    step (mu_from_eps plus sqrt(beta_tilde_t) * z) as the oracle of this
+    equivalence.
     """
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"step index out of range [1, {sched.T}]")
-    eps_hat = guided_eps(model, x_t, np.full(x_t.shape[0], t), cond, omega)
-    eps_hat = _clip_eps(x_t, t, eps_hat, sched)
-    mean = mu_from_eps(x_t, t, eps_hat, sched)
-    if t == 1:
-        return mean.astype(np.float32, copy=False)
-    out = mean + np.sqrt(sched.beta_tilde[t - 1]) * z
-    return out.astype(np.float32, copy=False)
+    return ddim_step(model, x_t, t, t - 1, cond, omega, 1.0, sched, z)
 
 
 def ddim_transition(x_t: np.ndarray, t: int, t_prev: int, eps_hat: np.ndarray,

@@ -7,6 +7,10 @@ length, one per (batch, channel), and are float64 from there on.
 Every forward op verifies its output is finite and raises NumericError
 otherwise: NaN/Inf never propagates silently.
 
+Ops take Tensors and read their .data; nothing is coerced. mul alone also
+takes a Python float as its second operand: a constant scale, multiplied in
+as float32 and not recorded as an input.
+
 The 1D kernels are channels-last, [B, L, C], with one op per layer:
 conv1d_cl runs one GEMM per kernel tap over the B*L rows and adds each
 shifted product into the output, forward and backward, with no window matrix;
@@ -134,10 +138,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-
-
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     # the sum stays finite iff every element is finite (activation-scale
     # values cannot overflow the accumulator), so one reduction suffices
@@ -187,48 +187,46 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """a * b; b is a Tensor or a Python float, a constant scale."""
+    ad = a.data
+    if not isinstance(b, Tensor):
+        s = np.float32(b)
+        return _make(ad * s, (a,), lambda g: (g * s,), "mul")
+    bd = b.data
     return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad), "mul")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
     old = x.data.shape
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape", check=False)
 
 
 def transpose_last2(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     y = np.ascontiguousarray(x.data.swapaxes(-1, -2))
     return _make(y, (x,), lambda g: (g.swapaxes(-1, -2),), "transpose_last2", check=False)
 
 
-def concat_channels(tensors, axis: int = 1) -> Tensor:
+def concat_channels(tensors: list[Tensor], axis: int = 1) -> Tensor:
     """Concatenate along the channel axis: 1 for [B, C, ...], 2 (or -1) for [B, L, C]."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
+    if not tensors:
         raise ValueError("concat_channels needs at least one tensor")
-    y = np.concatenate([t.data for t in ts], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
-    return _make(y, tuple(ts), lambda g: np.split(g, splits, axis=axis), "concat_channels",
+    y = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return _make(y, tuple(tensors), lambda g: np.split(g, splits, axis=axis), "concat_channels",
                  check=False)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements as a scalar tensor (float64 accumulation)."""
-    x = _as_tensor(x)
     acc = float(np.sum(x.data, dtype=np.float64))
     y = np.asarray(acc, dtype=np.float32)
     shape = x.data.shape
@@ -239,7 +237,6 @@ def sum_all(x: Tensor) -> Tensor:
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
     """Mean squared error over all elements, as a scalar tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ValueError(f"mse shape mismatch: {a.data.shape} vs {b.data.shape}")
     diff = a.data.astype(np.float64) - b.data.astype(np.float64)
@@ -261,7 +258,6 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def silu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     xd = x.data
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-xd))
@@ -269,7 +265,6 @@ def silu(x: Tensor) -> Tensor:
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     z = x.data.astype(np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -302,7 +297,6 @@ def _group_norm_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
     dz * xc once, the same way, and writes dx = a' * dz + b' * xc + c' with
     per-(b, c) coefficients.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.data.ndim != 3:
         raise ValueError(f"{op} expects [B, L, C], got {x.data.shape}")
     B, L, C = x.data.shape
@@ -369,7 +363,6 @@ def group_norm_silu_cl(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> T
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize per (batch, group) slice of a [B, C, L] tensor, then affine."""
-    x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ValueError(f"group_norm expects [B, C, L], got {x.data.shape}")
     y = _group_norm_cl(transpose_last2(x), groups, gamma, beta, False, "group_norm")
@@ -382,7 +375,6 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x[..., In] @ W[In, Out] + b[Out]."""
-    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.data.shape[-1] != W.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {W.data.shape}")
     xd, Wd = x.data, W.data
@@ -398,7 +390,6 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul: [B, M, K] @ [B, K, N]."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[2] != b.data.shape[1] or a.data.shape[0] != b.data.shape[0]:
         raise ValueError(f"bmm shape mismatch: {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
@@ -407,7 +398,6 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup: table[V, D] indexed by an integer array."""
-    table = _as_tensor(table)
     idx = np.asarray(idx)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ValueError("embedding indices must be integers")
@@ -492,7 +482,6 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     shifted-GEMM convolution of the output gradient with the
     channel-transposed, length-flipped kernel.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
         raise ValueError(f"conv1d expects x[B,L,Cin], w[Cout,Cin,K], got {x.data.shape}, {w.data.shape}")
     B, L, Cin = x.data.shape
@@ -507,7 +496,6 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     xd, wd = x.data, w.data
     y = _conv_taps(xd, wd)
     if b is not None:
-        b = _as_tensor(b)
         if b.data.shape not in ((Cout,), (B, Cout)):
             raise ValueError(f"conv1d bias must have shape [{Cout}] or [{B}, {Cout}]")
         y += b.data.reshape(-1, 1, Cout)
@@ -528,7 +516,6 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """conv1d_cl for a [B, Cin, L] tensor; returns [B, Cout, L]."""
-    x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ValueError(f"conv1d expects x[B,Cin,L], got {x.data.shape}")
     return transpose_last2(conv1d_cl(transpose_last2(x), w, b))
@@ -547,7 +534,6 @@ def _pairs(shape: tuple[int, ...], axis: int, op: str) -> tuple[tuple[int, ...],
 def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
     """Non-overlapping max pooling with window 2; halves the length axis
     (the last for [B, C, L], axis 1 for [B, L, C])."""
-    x = _as_tensor(x)
     in_shape = x.data.shape
     shape, pair_axis = _pairs(in_shape, axis, "maxpool1d_k2")
     first, second = np.moveaxis(x.data.reshape(shape), pair_axis, 0)
@@ -567,7 +553,6 @@ def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
 def upsample_nearest_2x(x: Tensor, axis: int = -1) -> Tensor:
     """Nearest-neighbor upsampling along the length axis (2x): the last for
     [B, C, L], axis 1 for [B, L, C]."""
-    x = _as_tensor(x)
     y = np.repeat(x.data, 2, axis=axis)
 
     def backward(g):

@@ -438,7 +438,7 @@ def load_dataset(path, min_points: int = MIN_TRAJECTORY_POINTS) -> LoadResult:
                     result.meta = obj["meta"]
                     continue
                 traj = _parse_line(obj)
-            except (ValueError, DataError) as e:
+            except (ValueError, DataError, RecursionError) as e:
                 raise DataError(f"{path}: line {lineno}: {e}") from e
             if traj.points.shape[0] < min_points:
                 result.dropped_short += 1

@@ -60,6 +60,9 @@ def edited_checkpoint(ckpt, out, edit):
 # finite bounds whose width overflows float64
 OVERFLOWING_BOX = {"lng_min": -1e308, "lng_max": 1e308}
 
+# well-formed JSON nested past the decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 SPEC_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
                          st.floats(), st.sampled_from([1e308, -1e308]), st.text(max_size=8))
@@ -132,6 +135,19 @@ class TestSynth:
         cfg.write_text(json.dumps(settings))
         assert run("synth", "--out", tmp_path / "c.jsonl", "--config", cfg) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_oversized_n_usage_error_before_allocating(self, tmp_path, capsys, monkeypatch, via):
+        monkeypatch.setattr(cli, "synth_city",
+                            lambda *a, **k: pytest.fail("synthesized a refused count"))
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"n": cli.MAX_TRAJECTORIES + 1}))
+        extra = ("--n", cli.MAX_TRAJECTORIES + 1) if via == "flag" else ("--config", cfg)
+        assert run("synth", "--out", tmp_path / "c.jsonl", *extra) == 1
+        err = capsys.readouterr().err
+        assert f"--n must be an integer of at least 0 and at most {cli.MAX_TRAJECTORIES}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"]
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.jsonl"
@@ -287,6 +303,22 @@ class TestGenerate:
                    "--cond-file", city, "--omega", 3, "--seed", 2) == 0
         manifest = json.loads((tmp_path / "g.jsonl.manifest.json").read_text())
         assert manifest["model_evals"] == 5 * 2 * 4
+
+    def test_output_independent_of_checkpoint_path(self, ckpt, city, tmp_path):
+        # the header records the checkpoint's hash, not the path it was named by
+        outs = []
+        for name in ("a/m.ckpt", "b/other.ckpt"):
+            copy = tmp_path / name
+            copy.parent.mkdir()
+            copy.write_bytes(ckpt.read_bytes())
+            out = copy.parent / "gen.jsonl"
+            assert run("generate", "--ckpt", copy, "--out", out, "--n", 3, "--steps", 2,
+                       "--cond-file", city, "--seed", 4) == 0
+            outs.append(out.read_bytes())
+            manifest = json.loads((copy.parent / "gen.jsonl.manifest.json").read_text())
+            meta = json.loads(outs[-1].splitlines()[0])["meta"]
+            assert meta["checkpoint_sha256"] == manifest["inputs"][str(copy)]
+        assert outs[0] == outs[1]
 
     def test_steps_exceeding_t_usage_error(self, ckpt, tmp_path):
         assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
@@ -583,6 +615,46 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             run("--version")
         assert e.value.code == 0
+
+
+class TestNestedJson:
+    """JSON nested past the decoder's limit ends typed at every JSON boundary."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "plot", "generate"])
+    def test_dataset_line_data_error(self, ckpt, city, tmp_path, capsys, command):
+        data = tmp_path / "deep.jsonl"
+        data.write_text("\n".join(city.read_text().splitlines()[:2] + [DEEP_JSON]) + "\n")
+        argv = {"train": ["--data", data, "--out", tmp_path / "x.ckpt"],
+                "eval": ["--gen", data, "--real", city, "--out", tmp_path / "r.json"],
+                "plot": ["--data", data, "--out", tmp_path / "x.svg"],
+                "generate": ["--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
+                             "--cond-file", data]}[command]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {data}: line 3: " in err and "Traceback" not in err
+
+    def test_config_data_error(self, tmp_path, capsys):
+        assert run_config(tmp_path, "train", DEEP_JSON) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
+
+    def test_city_spec_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(DEEP_JSON)
+        assert run("synth", "--out", tmp_path / "c.jsonl", "--n", 2, "--city-spec", spec) == 1
+        err = capsys.readouterr().err
+        assert "bad city spec" in err and "Traceback" not in err
+
+    def test_checkpoint_header_data_error(self, ckpt, tmp_path, capsys):
+        blob = ckpt.read_bytes()
+        head_end = 9 + int.from_bytes(blob[5:9], "little")
+        head = DEEP_JSON.encode("utf-8")
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(blob[:5] + len(head).to_bytes(4, "little") + head + blob[head_end:])
+        assert run("generate", "--ckpt", bad, "--out", tmp_path / "x.jsonl", "--n", 1,
+                   "--uncond") == 2
+        err = capsys.readouterr().err
+        assert "corrupt checkpoint header" in err and "Traceback" not in err
 
 
 # each command's input path names a missing file, so a run ends at the config

@@ -6,12 +6,12 @@ import pytest
 
 from trajdiff import diffusion
 from trajdiff import tensor as tz
-from trajdiff.diffusion import (Adam, SamplerConfig, TrainConfig, ddim_step,
+from trajdiff.diffusion import (CLIP_X0, Adam, SamplerConfig, TrainConfig, ddim_step,
                                 ddim_transition, ddpm_step, guided_eps, sample,
                                 skip_subsequence, train, training_loss)
 from trajdiff.errors import NumericError
 from trajdiff.rng import stream
-from trajdiff.schedule import linear_beta_schedule, mu_from_eps, q_sample
+from trajdiff.schedule import linear_beta_schedule, mu_from_eps, predict_x0_from_eps, q_sample
 from trajdiff.tensor import Tensor
 from trajdiff.trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, ConditionBatch, ConditionVector
 from trajdiff.unet import TrajUNet, TrajUNetConfig
@@ -39,6 +39,24 @@ class StubModel:
 def null_batch(n: int) -> ConditionBatch:
     """n conditions that are all null, as training's dropout marks them."""
     return ConditionBatch.from_vectors([ConditionVector(is_null=True)] * n)
+
+
+def ancestral_step(model, x_t, t, cond, omega, sched, z):
+    """The ancestral posterior step, the oracle of the DDIM chain at eta = 1.
+
+    Guided eps, re-derived from the implied x0 clamped to +-CLIP_X0, gives the
+    posterior mean mu_from_eps; sqrt(beta_tilde_t) * z is added when t > 1.
+    Computed in float64.
+    """
+    x_t = x_t.astype(np.float64)
+    eps_hat = guided_eps(model, x_t, np.full(x_t.shape[0], t), cond, omega).astype(np.float64)
+    x0_hat = np.clip(predict_x0_from_eps(x_t, t, eps_hat, sched), -CLIP_X0, CLIP_X0)
+    ab = sched.alpha_bar[t - 1]
+    eps_hat = (x_t - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
+    mean = mu_from_eps(x_t, t, eps_hat, sched)
+    if t == 1:
+        return mean.astype(np.float32)
+    return (mean + np.sqrt(sched.beta_tilde[t - 1]) * z).astype(np.float32)
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +302,18 @@ class TestDdpmStep:
         assert all(b <= a + 1e-7 for a, b in zip(tail, tail[1:]))
         assert tail[-1] < dists[0]
 
+    def test_is_ddim_step_at_eta1(self, sched):
+        # guided, with a model large enough that the x0 clamp acts
+        model = StubModel(lambda x_t, t, cond: (0.2 if cond is None else -2.0) * x_t)
+        cond = null_batch(3)
+        x = 3.0 * stream(26).normal(size=(3, 2, 8)).astype(np.float32)
+        z = stream(27).standard_normal(x.shape).astype(np.float32)
+        for t in (1, 2, 50, sched.T):
+            a = ddpm_step(model, x, t, cond, 2.0, sched, z)
+            b = ddim_step(model, x, t, t - 1, cond, 2.0, 1.0, sched, z)
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
 
 class TestDdimStep:
     def test_eta_zero_is_deterministic(self, sched):
@@ -312,7 +342,7 @@ class TestDdimStep:
 
         x_a = x_init.copy()
         for t in range(sched.T, 0, -1):
-            x_a = ddpm_step(model, x_a, t, None, 0.0, sched, zs[sched.T - t])
+            x_a = ancestral_step(model, x_a, t, None, 0.0, sched, zs[sched.T - t])
         x_b = x_init.copy()
         for t in range(sched.T, 0, -1):
             z = zs[sched.T - t] if t > 1 else np.zeros_like(x_b)
@@ -409,7 +439,7 @@ class TestSample:
 
         x = draw()
         for t in range(sched.T, 0, -1):
-            x = ddpm_step(model, x, t, None, 0.0, sched, draw() if t > 1 else None)
+            x = ancestral_step(model, x, t, None, 0.0, sched, draw() if t > 1 else None)
         np.testing.assert_allclose(out, x, atol=1e-5)
 
     def test_schedule_mismatch_rejected(self, sched):

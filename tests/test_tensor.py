@@ -322,6 +322,21 @@ class TestBackward:
         tz.backward(loss)
         np.testing.assert_allclose(w.grad, [8.0])
 
+    def test_float_scale_matches_constant_tensor(self):
+        # a float scale records only the tensor operand and gives the bytes
+        # of the same scale as a 0-d float32 constant, forward and backward
+        x = rand((3, 4), seed=9)
+        results = []
+        for scale in (0.3, Tensor(np.float32(0.3))):
+            tz.reset_tape()
+            w = Tensor(x, requires_grad=True)
+            y = tz.mul(w, scale)
+            _, inputs, _ = tz._tape[-1]
+            assert len(inputs) == (1 if isinstance(scale, float) else 2)
+            tz.backward(tz.sum_all(tz.mul(y, y)))
+            results.append((y.data.tobytes(), w.grad.tobytes()))
+        assert results[0] == results[1]
+
 
 class TestAccumulation:
     """backward() is the one place that writes an op input's .grad: it sums
