@@ -75,14 +75,17 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
     must equal, as JSON values, the one _layout makes from the stored config,
     and the payload must be exactly as long as that table says."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic)")
-    head_end = 9 + int.from_bytes(blob[5:9], "little")
-    if head_end > len(blob):
+        # the magic is checked before the rest is read, so a large file that
+        # is not a checkpoint costs nine bytes
+        prefix = fh.read(len(MAGIC) + 4)
+        if len(prefix) < len(MAGIC) + 4 or prefix[:len(MAGIC)] != MAGIC:
+            raise DataError(f"{path}: not a checkpoint (bad magic)")
+        body = fh.read()
+    head_end = int.from_bytes(prefix[len(MAGIC):], "little")
+    if head_end > len(body):
         raise DataError(f"{path}: truncated checkpoint header")
     try:
-        header = json.loads(blob[9:head_end].decode("utf-8"))
+        header = json.loads(body[:head_end].decode("utf-8"))
     except (RecursionError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from e
     if not isinstance(header, dict):
@@ -118,12 +121,12 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
                    if w is None else "wrong parameter")
             raise DataError(f"{path}: {why} at table entry {i}: file has "
                             f"{(h or 'nothing')[:200]}, expected {w or 'nothing'}")
-    size, got = sum(e["nbytes"] for e in layout), len(blob) - head_end
+    size, got = sum(e["nbytes"] for e in layout), len(body) - head_end
     if got != size:
         raise DataError(f"{path}: {'truncated' if got < size else 'overlong'} payload of "
                         f"{got} bytes, expected {size}")
 
-    flat = np.frombuffer(blob, dtype="<f4", offset=head_end).copy()
+    flat = np.frombuffer(body, dtype="<f4", offset=head_end).copy()
     finite = np.isfinite(flat)
     if not finite.all():
         at = 4 * int(finite.argmin())

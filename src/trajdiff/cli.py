@@ -5,8 +5,10 @@ of name -> Setting(type, minimum, default, help, maximum) that yields the
 flags, the --config keys, the defaults and the checks. Settings resolve as
 flags > --config JSON > defaults; every resolved value, and TRAJDIFF_THREADS,
 is checked before any input is read. Every subcommand writes its outputs and
-drops a run manifest (resolved settings, seed, input hashes, wall time,
-output paths) next to the primary output.
+returns (settings, inputs, outputs, extra); main then drops one run manifest
+(resolved settings, seed, input hashes, wall time, output paths, the
+environment block, then extra) next to the primary output, the first of
+outputs.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure, 4 internal
 error (any other exception; the traceback goes to stderr).
@@ -140,7 +142,7 @@ def _resolve(args: argparse.Namespace, table: dict) -> dict:
             raise DataError(f"config {args.config} is not a JSON object")
         unknown = set(file_cfg) - set(table)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise UsageError(f"unknown config keys: {_shown(sorted(unknown))}")
         cfg.update(file_cfg)
     for k, s in table.items():
         if (flag := getattr(args, k)) is not None:
@@ -164,33 +166,53 @@ def _check(name: str, s: Setting, v) -> None:
         bound = f" of at least {s.low}" if s.low is not None else ""
         if s.high is not None:
             bound += f" and at most {s.high}"
-        raise UsageError(f"{name} must be {what}{bound}, got {v!r}")
+        raise UsageError(f"{name} must be {what}{bound}, got {_shown(v)}")
 
 
-def _write_manifest(out_path, command: str, resolved: dict, inputs: list,
-                    outputs: list, t_start: float, extra: dict | None = None) -> None:
+def _shown(value) -> str:
+    """repr of value for an error message: its first 80 characters and its
+    length when it is longer than 100."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def _write_manifest(command: str, t_start: float, settings: dict, inputs: list,
+                    outputs: list, extra: dict) -> None:
+    """The run manifest, next to outputs[0]; a key of extra overrides the
+    environment block's."""
     manifest = {
         "command": command,
-        "settings": {k: v for k, v in resolved.items()},
-        "seed": resolved.get("seed"),
+        "settings": settings,
+        "seed": settings.get("seed"),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "wall_time_s": round(time.time() - t_start, 3),
         "version": __version__,
+        **_environment(),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(str(outputs[0]) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _environment(blas_threads: int | None) -> dict:
+def _environment() -> dict:
     """The manifest's environment block: what explains a run's timing and memory."""
     return {"cores": len(os.sched_getaffinity(0)),
-            "blas_threads": blas_threads,
+            "blas_threads": tz.blas_threads(),
             "malloc_thresholds": tz.malloc_thresholds(),
-            "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF)}
+            "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+            "numpy": np.__version__,
+            "blas": _blas_build()}
+
+
+def _blas_build() -> dict | None:
+    """Name and version of the BLAS numpy was built with, or None where numpy
+    cannot report them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return {"name": blas["name"], "version": blas["version"]}
+    except (AttributeError, KeyError, TypeError):  # numpy 1.24 takes no mode
+        return None
 
 
 def _peak_rss_mb(who) -> float:
@@ -216,11 +238,11 @@ def _grid_shape(text: str) -> tuple[int, int]:
     try:
         rows, cols = (int(x) for x in text.lower().split("x"))
     except (AttributeError, ValueError) as e:
-        raise UsageError(f"bad grid spec {text!r}, expected ROWSxCOLS") from e
+        raise UsageError(f"bad grid spec {_shown(text)}, expected ROWSxCOLS") from e
     if rows < 1 or cols < 1:
-        raise UsageError(f"grid spec {text!r} needs at least one row and one column")
+        raise UsageError(f"grid spec {_shown(text)} needs at least one row and one column")
     if rows * cols > MAX_GRID_CELLS:
-        raise UsageError(f"grid spec {text!r} has more than {MAX_GRID_CELLS} cells")
+        raise UsageError(f"grid spec {_shown(text)} has more than {MAX_GRID_CELLS} cells")
     return rows, cols
 
 
@@ -232,7 +254,7 @@ def _bbox(text: str) -> tuple[float, float, float, float]:
         bbox = ()
     why = box_problem(*bbox) if len(bbox) == 4 else "expected LNGMIN,LNGMAX,LATMIN,LATMAX"
     if why:
-        raise UsageError(f"bad --bbox {text!r}: {why}")
+        raise UsageError(f"bad --bbox {_shown(text)}: {why}")
     return bbox
 
 
@@ -251,8 +273,7 @@ def _meta_grid(path, meta) -> GridSpec | None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    t0 = time.time()
+def cmd_synth(args) -> tuple:
     cfg = _resolve(args, SYNTH_SETTINGS)
     spec = CitySpec()
     inputs = []
@@ -267,13 +288,11 @@ def cmd_synth(args) -> int:
     save_dataset(args.out, trajs, meta={"generator": "synth_city", "seed": cfg["seed"],
                                         "n": cfg["n"], "city": spec.to_dict(),
                                         "version": __version__})
-    _write_manifest(args.out, "synth", cfg, inputs, [args.out], t0)
     print(f"wrote {len(trajs)} trajectories to {args.out}")
-    return 0
+    return cfg, inputs, [args.out], {}
 
 
-def cmd_train(args) -> int:
-    t0 = time.time()
+def cmd_train(args) -> tuple:
     cfg = _resolve(args, TRAIN_SETTINGS)
     try:
         model_cfg = TrajUNetConfig(length=cfg["length"], base_channels=cfg["base_channels"])
@@ -304,14 +323,11 @@ def cmd_train(args) -> int:
         fh.write("step,loss\n")
         for i, v in enumerate(history):
             fh.write(f"{i},{v:.6f}\n")
-    _write_manifest(args.out, "train", cfg, [args.data], [args.out, loss_path], t0,
-                    extra={"n_trajectories": len(trajs),
-                           "final_loss": float(history[-1]) if len(history) else None,
-                           "step_ms_mean": (round(train_s * 1e3 / len(history), 3)
-                                            if len(history) else None),
-                           **_environment(tz.blas_threads())})
     print(f"trained {cfg['steps']} steps on {len(trajs)} trajectories -> {args.out}")
-    return 0
+    return cfg, [args.data], [args.out, loss_path], {
+        "n_trajectories": len(trajs),
+        "final_loss": float(history[-1]) if len(history) else None,
+        "step_ms_mean": round(train_s * 1e3 / len(history), 3) if len(history) else None}
 
 
 def _load_conditions(path, norm: NormStats, grid: GridSpec, n: int, seed: int) -> ConditionBatch:
@@ -320,8 +336,7 @@ def _load_conditions(path, norm: NormStats, grid: GridSpec, n: int, seed: int) -
     return conds.take(idx)
 
 
-def cmd_generate(args) -> int:
-    t0 = time.time()
+def cmd_generate(args) -> tuple:
     cfg = _resolve(args, GENERATE_SETTINGS)
     if bool(args.cond_file) == bool(args.uncond):
         raise UsageError("pass exactly one of --cond-file or --uncond")
@@ -341,7 +356,7 @@ def cmd_generate(args) -> int:
 
     steps = cfg["steps"] if cfg["steps"] is not None else max(1, sched.T // 5)
     if steps > sched.T:
-        raise UsageError(f"--steps {steps} exceeds the checkpoint's T={sched.T}")
+        raise UsageError(f"--steps {_shown(steps)} exceeds the checkpoint's T={sched.T}")
 
     inputs = [args.ckpt]
     if args.cond_file:
@@ -366,16 +381,15 @@ def cmd_generate(args) -> int:
                                             "sampler": {"steps": stats["steps"], "eta": cfg["eta"],
                                                         "omega": cfg["omega"]},
                                             "version": __version__})
-    _write_manifest(args.out, "generate", cfg, inputs, [args.out], t0,
-                    extra={"model_evals": stats["model_evals"], "sample_steps": stats["steps"],
-                           "workers": stats["workers"], **_environment(stats["blas_threads"]),
-                           # pool workers are child processes, so their
-                           # activations are not in peak_rss_mb
-                           "workers_peak_rss_mb": (_peak_rss_mb(resource.RUSAGE_CHILDREN)
-                                                   if stats["workers"] > 1 else None)})
     print(f"generated {n} trajectories with {stats['steps']} steps "
           f"({stats['model_evals']} model evals) -> {args.out}")
-    return 0
+    # blas_threads is the count the samplers ran at; pool workers are child
+    # processes, so their activations are not in peak_rss_mb
+    return cfg, inputs, [args.out], {
+        "model_evals": stats["model_evals"], "sample_steps": stats["steps"],
+        "workers": stats["workers"], "blas_threads": stats["blas_threads"],
+        "workers_peak_rss_mb": (_peak_rss_mb(resource.RUSAGE_CHILDREN)
+                                if stats["workers"] > 1 else None)}
 
 
 def _bbox_soft_check(point_lists, norm: NormStats) -> None:
@@ -391,8 +405,7 @@ def _bbox_soft_check(point_lists, norm: NormStats) -> None:
                     "(plus 5%% margin)", 100.0 * outside.mean())
 
 
-def cmd_eval(args) -> int:
-    t0 = time.time()
+def cmd_eval(args) -> tuple:
     cfg = _resolve(args, EVAL_SETTINGS)
     rows, cols = _grid_shape(cfg["grid"])
     bbox = _bbox(args.bbox) if args.bbox else None
@@ -415,15 +428,13 @@ def cmd_eval(args) -> int:
         raise DataError(str(e)) from e
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
-    _write_manifest(args.out, "eval", cfg, [args.gen, args.real], [args.out], t0)
     print(f"{'metric':<16}{'value':>10}")
     for name in ("density_error", "trip_error", "length_error", "pattern_score"):
         print(f"{name:<16}{getattr(report, name):>10.4f}")
-    return 0
+    return cfg, [args.gen, args.real], [args.out], {}
 
 
-def cmd_plot(args) -> int:
-    t0 = time.time()
+def cmd_plot(args) -> tuple:
     shape = _grid_shape(args.grid)
     _check_out_path(args.out)
     points = [t.points for t in load_dataset(args.data, min_points=2)]
@@ -433,10 +444,8 @@ def cmd_plot(args) -> int:
         svg = plot_heatmap(points, GridSpec(*extent(points), *shape))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg + "\n")
-    _write_manifest(args.out, "plot", {"mode": args.mode, "grid": args.grid, "seed": None},
-                    [args.data], [args.out], t0)
     print(f"wrote {args.mode} plot -> {args.out}")
-    return 0
+    return {"mode": args.mode, "grid": args.grid, "seed": None}, [args.data], [args.out], {}
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +508,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        t0 = time.time()
+        _write_manifest(args.command, t0, *args.fn(args))
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

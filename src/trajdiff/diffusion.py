@@ -219,6 +219,27 @@ def ddpm_step(model, x_t: np.ndarray, t: int, cond: ConditionBatch | None,
     return ddim_step(model, x_t, t, t - 1, cond, omega, 1.0, sched, z)
 
 
+def _step_terms(t: int, t_prev: int, eta: float, sched: NoiseSchedule) -> tuple[float, float]:
+    """(sigma^2, 1 - abar_prev - sigma^2) of the step from t to t_prev, with
+    sigma^2 = eta * beta_tilde at step t; (0, 0) for the terminal step
+    t_prev == 0. It needs only eta, the steps and the schedule, so a sampler
+    checks its whole plan with it before any model pass.
+
+    Raises ValueError unless 0 <= t_prev < t <= T, and NumericError when the
+    second term is negative: that (eta, tau) pair has no real update.
+    """
+    if not (0 <= t_prev < t <= sched.T):
+        raise ValueError(f"need 0 <= t_prev < t <= {sched.T}, got {t_prev}, {t}")
+    if t_prev == 0:
+        return 0.0, 0.0
+    sigma2 = eta * sched.beta_tilde[t - 1]
+    radicand = 1.0 - sched.alpha_bar[t_prev - 1] - sigma2
+    if radicand < 0:
+        raise NumericError(f"infeasible (eta, tau) combination at t={t}: "
+                           f"1 - abar_{t_prev} - sigma^2 = {radicand:.3e} < 0")
+    return float(sigma2), radicand
+
+
 def ddim_transition(x_t: np.ndarray, t: int, t_prev: int, eps_hat: np.ndarray,
                     eta: float, sched: NoiseSchedule) -> tuple[np.ndarray, float]:
     """Deterministic part of the skip-step update: returns (mean, variance).
@@ -227,19 +248,12 @@ def ddim_transition(x_t: np.ndarray, t: int, t_prev: int, eps_hat: np.ndarray,
     with sigma^2 = eta * beta_tilde at the current step; t_prev == 0 lands on
     the clean sample exactly (terminal step, variance forced to zero).
     """
-    if not (0 <= t_prev < t <= sched.T):
-        raise ValueError(f"need 0 <= t_prev < t <= {sched.T}, got {t_prev}, {t}")
+    sigma2, radicand = _step_terms(t, t_prev, eta, sched)
     x0_hat = predict_x0_from_eps(x_t, t, eps_hat, sched)
     if t_prev == 0:
         return x0_hat, 0.0
-    sigma2 = eta * sched.beta_tilde[t - 1]
-    ab_prev = sched.alpha_bar[t_prev - 1]
-    radicand = 1.0 - ab_prev - sigma2
-    if radicand < 0:
-        raise NumericError(f"infeasible (eta, tau) combination at t={t}: "
-                           f"1 - abar_{t_prev} - sigma^2 = {radicand:.3e} < 0")
-    mean = np.sqrt(ab_prev) * x0_hat + np.sqrt(radicand) * eps_hat
-    return mean, float(sigma2)
+    mean = np.sqrt(sched.alpha_bar[t_prev - 1]) * x0_hat + np.sqrt(radicand) * eps_hat
+    return mean, sigma2
 
 
 def ddim_step(model, x_t: np.ndarray, t: int, t_prev: int, cond: ConditionBatch | None,
@@ -248,8 +262,10 @@ def ddim_step(model, x_t: np.ndarray, t: int, t_prev: int, cond: ConditionBatch 
     """One skip-step reverse transition from step t to t_prev (< t), x0 clamped to +-CLIP_X0.
 
     z is the pre-drawn standard-normal field, unused (may be None) when the
-    step's variance is zero: at eta == 0 or t_prev == 0.
+    step's variance is zero: at eta == 0 or t_prev == 0. The step is checked
+    before the model runs.
     """
+    _step_terms(t, t_prev, eta, sched)
     eps_hat = guided_eps(model, x_t, np.full(x_t.shape[0], t), cond, omega)
     eps_hat = _clip_eps(x_t, t, eps_hat, sched)
     mean, sigma2 = ddim_transition(x_t, t, t_prev, eps_hat, eta, sched)
@@ -338,7 +354,9 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
     then the parallelism; the caller's own count is never changed. The first
     micro-batch to fail cancels those not yet started, and its error, such as
     a NumericError, reaches the caller once every worker has exited. One
-    worker runs everything in this process and leaves BLAS alone.
+    worker runs everything in this process and leaves BLAS alone. An
+    infeasible (eta, tau) step plan raises NumericError before any model
+    pass or fork.
     """
     if sched.T != cfg.total_steps:
         raise ValueError("sampler and schedule disagree on the step count")
@@ -350,6 +368,8 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         n = len(cond_batch)
     if cond_batch is not None and len(cond_batch) != n:
         raise ValueError("condition count does not match requested sample count")
+    for t_prev, t in zip([0, *cfg.tau[:-1]], cfg.tau):
+        _step_terms(int(t), int(t_prev), cfg.eta, sched)
     out = np.empty((n, model.config.in_channels, model.config.length), dtype=np.float32)
     bounds = [(s, min(s + micro_batch, n)) for s in range(0, n, micro_batch)]
 

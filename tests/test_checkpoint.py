@@ -107,6 +107,20 @@ class TestRejection:
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(bad)
 
+    def test_large_file_rejected_before_reading(self, tmp_path):
+        # 64 MiB of zeros, sparse on disk: the magic is refused from its first bytes
+        bad = tmp_path / "zeros.ckpt"
+        with open(bad, "wb") as fh:
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"not a checkpoint \(bad magic\)"):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 def _rewrite_header(path, out, edit):
     """Copy a checkpoint with its JSON header passed through edit(header)."""

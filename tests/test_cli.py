@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -12,7 +14,7 @@ from conftest import REPORT_SCHEMA
 from trajdiff import cli
 from trajdiff import tensor as tz
 from trajdiff.cli import main
-from trajdiff.errors import DataError
+from trajdiff.errors import DataError, NumericError, UsageError
 from trajdiff.metrics import grid_density
 from trajdiff.trajdata import (MAX_CITY_POINTS, CitySpec, GridSpec, load_dataset, save_dataset,
                                synth_city)
@@ -259,20 +261,6 @@ class TestTrain:
         data.write_text('{"meta": 5}\n' + city.read_text().split("\n", 1)[1])
         assert run("train", "--data", data, "--out", tmp_path / "x.ckpt", "--steps", 0,
                    "--T", 20, "--length", 16, "--base-channels", 4) == 0
-
-    def test_manifest_environment_block(self, city, tmp_path):
-        out = tmp_path / "m.ckpt"
-        assert run("train", "--data", city, "--out", out, "--steps", 2, "--batch", 4,
-                   "--T", 10, "--length", 16, "--base-channels", 4) == 0
-        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
-        assert manifest["step_ms_mean"] > 0
-        assert manifest["cores"] >= 1
-        assert manifest["peak_rss_mb"] > 0
-        assert manifest["blas_threads"] is None or manifest["blas_threads"] >= 1
-        # pinned at import under glibc (see trajdiff.tensor), null elsewhere
-        assert manifest["malloc_thresholds"] in (
-            None, {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20})
-        assert manifest["malloc_thresholds"] == tz.malloc_thresholds()
 
 
 class TestGenerate:
@@ -597,6 +585,87 @@ class TestPlot:
         assert run("plot", "--data", empty, "--out", tmp_path / "x.svg") == 2
 
 
+def subparsers(parser) -> dict:
+    """Subcommand name -> its parser, as build_parser() wires them."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+SUBCOMMANDS = sorted(subparsers(cli.build_parser()))
+
+# one successful run of each subcommand; --out names its primary output
+RUNS = {
+    "synth": lambda d, city, ckpt: ["--out", d / "c.jsonl", "--n", 3],
+    "train": lambda d, city, ckpt: ["--data", city, "--out", d / "m.ckpt", "--steps", 2,
+                                    "--batch", 4, "--T", 10, "--length", 16,
+                                    "--base-channels", 4],
+    "generate": lambda d, city, ckpt: ["--ckpt", ckpt, "--out", d / "g.jsonl", "--n", 2,
+                                       "--steps", 2, "--cond-file", city],
+    "eval": lambda d, city, ckpt: ["--gen", city, "--real", city, "--out", d / "r.json"],
+    "plot": lambda d, city, ckpt: ["--data", city, "--out", d / "p.svg"],
+}
+ENVIRONMENT = {"cores", "blas_threads", "malloc_thresholds", "peak_rss_mb", "numpy", "blas"}
+# keys these manifests had before every manifest carried the environment block
+EARLIER_KEYS = {
+    "train": {"n_trajectories", "final_loss", "step_ms_mean", "cores", "blas_threads",
+              "malloc_thresholds", "peak_rss_mb"},
+    "generate": {"model_evals", "sample_steps", "workers", "cores", "blas_threads",
+                 "malloc_thresholds", "peak_rss_mb", "workers_peak_rss_mb"},
+}
+
+
+def successful_run(command, tmp_path, city, ckpt) -> tuple[list, Path]:
+    """argv of a successful run of command and its primary output."""
+    assert command in RUNS, f"give the subcommand {command} a successful run in RUNS"
+    argv = RUNS[command](tmp_path, city, ckpt)
+    return argv, argv[argv.index("--out") + 1]
+
+
+class TestManifest:
+    """main writes one manifest per successful run, environment block included."""
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_manifest_environment_block(self, city, ckpt, tmp_path, command):
+        argv, out = successful_run(command, tmp_path, city, ckpt)
+        assert run(command, *argv) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["command"] == command
+        common = {"settings", "inputs", "outputs", "wall_time_s"}
+        assert common | ENVIRONMENT | EARLIER_KEYS.get(command, set()) <= manifest.keys()
+        assert manifest["outputs"][0] == str(out)
+        assert manifest["cores"] >= 1
+        assert manifest["peak_rss_mb"] > 0
+        assert manifest["blas_threads"] is None or manifest["blas_threads"] >= 1
+        # pinned at import under glibc (see trajdiff.tensor), null elsewhere
+        assert manifest["malloc_thresholds"] in (
+            None, {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20})
+        assert manifest["malloc_thresholds"] == tz.malloc_thresholds()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["blas"] is None or set(manifest["blas"]) == {"name", "version"}
+        assert command != "train" or manifest["step_ms_mean"] > 0
+
+    @pytest.mark.parametrize("error, code", [(UsageError, 1), (DataError, 2),
+                                             (NumericError, 3)])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_failed_run_writes_no_manifest(self, city, ckpt, tmp_path, monkeypatch, command,
+                                           error, code):
+        # the subcommand does all its work, outputs included, and then fails
+        parser = cli.build_parser()
+        sub = subparsers(parser)[command]
+        work = sub.get_default("fn")
+
+        def failing(args):
+            work(args)
+            raise error("failed at the end")
+
+        sub.set_defaults(fn=failing)
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        argv, out = successful_run(command, tmp_path, city, ckpt)
+        assert run(command, *argv) == code
+        assert out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
+
 class TestExitCodes:
     def test_unknown_flag_usage_error(self):
         assert run("synth", "--wat", 1) == 1
@@ -681,6 +750,21 @@ def run_config(tmp_path, command, text, *extra):
     return run(command, *MISSING_INPUT[command](tmp_path), "--config", cfg, *extra)
 
 
+# a usage error at each place that quotes the offending value, with a value
+# that is long as text (each call returns the exit code)
+LONG_VALUES = {
+    "setting string": lambda d, ckpt: run_config(d, "synth", json.dumps({"seed": "x" * 100_000})),
+    "setting nested list": lambda d, ckpt: run_config(
+        d, "synth", '{"n": ' + "[" * 900 + "]" * 900 + "}"),
+    "grid": lambda d, ckpt: run_config(d, "eval", json.dumps({"grid": "9" * 100_000})),
+    "bbox": lambda d, ckpt: run("eval", *MISSING_INPUT["eval"](d), "--bbox", "1," * 50_000),
+    "unknown keys": lambda d, ckpt: run_config(
+        d, "train", json.dumps({f"key{i}": 0 for i in range(20_000)})),
+    "steps above T": lambda d, ckpt: run_config(
+        d, "generate", json.dumps({"steps": 10**4000}), "--ckpt", ckpt, "--n", 1),
+}
+
+
 class TestConfigLoader:
     @pytest.mark.parametrize("command", sorted(MISSING_INPUT))
     @settings(max_examples=60, deadline=None,
@@ -695,6 +779,13 @@ class TestConfigLoader:
         assert code in (1, 2), err
         assert err.startswith("usage error" if code == 1 else "data error")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("site", sorted(LONG_VALUES))
+    def test_long_value_quoted_short(self, ckpt, tmp_path, capsys, site):
+        assert LONG_VALUES[site](tmp_path, ckpt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "characters)" in err
+        assert len(err.encode()) < 1024 and "Traceback" not in err
 
     def test_bad_metric_usage_error_before_reading(self, tmp_path, capsys):
         assert run_config(tmp_path, "eval", '{"metric": "manhattan"}') == 1

@@ -280,6 +280,7 @@ class TestDdpmStep:
         with pytest.raises(ValueError):
             ddpm_step(model, np.zeros((1, 2, 8), np.float32), 0, None, 0.0, sched,
                       stream(18).standard_normal((1, 2, 8)))
+        assert model.calls == 0
 
     def test_oracle_rollout_contracts_toward_x0(self, sched):
         # a perfect denoiser with zeroed transition noise walks back to x0
@@ -447,6 +448,23 @@ class TestSample:
         cfg = SamplerConfig(total_steps=50, sample_steps=5)
         with pytest.raises(ValueError, match="disagree"):
             sample(model, None, cfg, sched, n=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_infeasible_eta_rejected_before_any_model_pass(self, sched, tmp_path, workers):
+        # at S=20 and eta=2 the step from t=10 to t=5 has no real update; the
+        # stub marks a file, so a call in a pool worker would show too
+        called = tmp_path / "called"
+
+        def marking(x_t, t, cond):
+            called.touch()
+            return np.zeros_like(x_t)
+
+        model = StubModel(marking, length=16)
+        cfg = SamplerConfig(total_steps=100, sample_steps=20, eta=2.0, guidance_scale=0.0)
+        with pytest.raises(NumericError, match=r"infeasible \(eta, tau\) combination at t=10"):
+            sample(model, None, cfg, sched, n=8, workers=workers, micro_batch=4)
+        assert not called.exists()
+        assert multiprocessing.active_children() == []
 
     def test_micro_batch_below_one_rejected(self, sched):
         model = self._model()
