@@ -117,7 +117,7 @@ EVAL_SETTINGS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(message)
+        raise UsageError(_cut(message))
 
 
 def _sha256(path) -> str:
@@ -169,11 +169,15 @@ def _check(name: str, s: Setting, v) -> None:
         raise UsageError(f"{name} must be {what}{bound}, got {_shown(v)}")
 
 
-def _shown(value) -> str:
-    """repr of value for an error message: its first 80 characters and its
-    length when it is longer than 100."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text for an error message: its first 80 characters and its length
+    when it is longer than 100."""
     return text if len(text) <= 100 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def _shown(value) -> str:
+    """repr of value for an error message, cut as _cut cuts text."""
+    return _cut(repr(value))
 
 
 def _write_manifest(command: str, t_start: float, settings: dict, inputs: list,
@@ -282,7 +286,7 @@ def cmd_synth(args) -> tuple:
             try:
                 spec = CitySpec.from_dict(json.load(fh))
             except (RecursionError, TypeError, ValueError, UsageError) as e:
-                raise UsageError(f"bad city spec {args.city_spec}: {e}") from e
+                raise UsageError(f"bad city spec {args.city_spec}: {_cut(str(e))}") from e
         inputs.append(args.city_spec)
     trajs = synth_city(seed=cfg["seed"], n_trajectories=cfg["n"], spec=spec)
     save_dataset(args.out, trajs, meta={"generator": "synth_city", "seed": cfg["seed"],

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .trajdata import GridSpec, path_length
+from .trajdata import GridSpec, path_lengths
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +103,7 @@ def trip_error(gen, real, grid: GridSpec) -> float:
 
 
 def travel_lengths(trajs, distance_metric: str = "haversine") -> np.ndarray:
-    return np.array([path_length(_points_of(t), distance_metric) for t in trajs])
+    return path_lengths([_points_of(t) for t in trajs], distance_metric)
 
 
 def length_error(gen, real, bins: int = 50, distance_metric: str = "haversine") -> float:

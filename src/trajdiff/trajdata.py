@@ -30,6 +30,9 @@ MAX_CITY_POINTS = 100_000  # CitySpec.max_points cap: 500x the desk count
 NUM_DEPARTURE_SLOTS = SECONDS_PER_DAY // SLOT_SECONDS  # 288 five-minute slots
 NUM_GRID_CELLS = 256
 NUM_NUMERIC_ATTRS = 4  # travel km, avg move km, travel time s, raw point count
+# trajectories per step of a whole-set pass: bounds the pass's temporaries to
+# about one chunk's points, whatever the set size
+CHUNK_TRAJECTORIES = 128
 
 
 @dataclass
@@ -151,13 +154,17 @@ class NormStats:
     def fit(cls, trajs: list[RawTrajectory]) -> "NormStats":
         if not trajs:
             raise DataError("cannot fit normalization statistics on an empty dataset")
-        all_pts = np.concatenate([t.points for t in trajs])
-        attrs = np.stack([raw_motion_attributes(t) for t in trajs])
+        boxes = []  # per chunk: lng_min, lng_max, lat_min, lat_max
+        for chunk in _chunks(trajs):
+            lng, lat = np.concatenate([t.points for t in chunk]).T
+            boxes.append((lng.min(), lng.max(), lat.min(), lat.max()))
+        boxes = np.array(boxes)
+        attrs = motion_attributes(trajs)
         std = attrs.std(axis=0)
         std[std < 1e-12] = 1.0
         return cls(
-            lng_min=float(all_pts[:, 0].min()), lng_max=float(all_pts[:, 0].max()),
-            lat_min=float(all_pts[:, 1].min()), lat_max=float(all_pts[:, 1].max()),
+            lng_min=float(boxes[:, 0].min()), lng_max=float(boxes[:, 1].max()),
+            lat_min=float(boxes[:, 2].min()), lat_max=float(boxes[:, 3].max()),
             attr_mean=attrs.mean(axis=0), attr_std=std,
         )
 
@@ -207,15 +214,38 @@ def haversine_km(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(s))
 
 
-def path_length(points: np.ndarray, distance_metric: str = "haversine") -> float:
-    """Total travel distance over consecutive points (km, or degrees for
-    the planar variant)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if distance_metric == "haversine":
-        return float(np.sum(haversine_km(pts[:-1], pts[1:])))
-    if distance_metric == "euclidean":
-        return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    raise UsageError(f"unknown distance metric {distance_metric!r}")
+def _chunks(items: list):
+    """Consecutive slices of at most CHUNK_TRAJECTORIES items."""
+    for start in range(0, len(items), CHUNK_TRAJECTORIES):
+        yield items[start:start + CHUNK_TRAJECTORIES]
+
+
+def path_lengths(point_arrays, distance_metric: str = "haversine") -> np.ndarray:
+    """Total travel distance over consecutive points of each [n, 2] array (km,
+    or degrees for the planar variant).
+
+    Segment distances run over each chunk's concatenated points; each array
+    then sums its own contiguous slice (numpy's pairwise sum), so the result
+    is bit for bit the sum over that array alone.
+    """
+    if distance_metric not in ("haversine", "euclidean"):
+        raise UsageError(f"unknown distance metric {distance_metric!r}")
+    arrays = [np.asarray(p, dtype=np.float64) for p in point_arrays]
+    out = np.empty(len(arrays), dtype=np.float64)
+    i = 0
+    for chunk in _chunks(arrays):
+        pts = np.concatenate(chunk)
+        if distance_metric == "haversine":
+            seg = haversine_km(pts[:-1], pts[1:])
+        else:
+            seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        # segment j joins points j and j + 1; the one joining two arrays is skipped
+        start = 0
+        for p in chunk:
+            stop = start + len(p)
+            out[i] = seg[start:max(start, stop - 1)].sum()
+            start, i = stop, i + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +293,11 @@ def denormalize(points: np.ndarray, norm: NormStats) -> np.ndarray:
 def make_batch(trajs: list[RawTrajectory], length: int, norm: NormStats) -> TrajectoryBatch:
     """Resample + normalize a trajectory list into model coordinates."""
     rows = np.empty((len(trajs), 2, length), dtype=np.float32)
-    for i, t in enumerate(trajs):
-        rows[i] = normalize(resample(t.points, length), norm).T
+    start = 0
+    for chunk in _chunks(trajs):
+        pts = np.stack([resample(t.points, length) for t in chunk])
+        rows[start:start + len(chunk)] = normalize(pts, norm).transpose(0, 2, 1)
+        start += len(chunk)
     return TrajectoryBatch(data=rows)
 
 
@@ -344,12 +377,18 @@ class ConditionBatch:
         return ConditionBatch(self.numeric, self.slot, self.origin, self.dest, self.is_null | drop)
 
 
-def raw_motion_attributes(traj: RawTrajectory) -> np.ndarray:
-    """[travel distance km, average move distance km, travel time s, raw point count]."""
-    n = traj.points.shape[0]
-    dist = path_length(traj.points)
-    travel_time = float(traj.interval) * (n - 1) if traj.interval is not None else 0.0
-    return np.array([dist, dist / (n - 1), travel_time, float(n)], dtype=np.float64)
+def motion_attributes(trajs: list[RawTrajectory]) -> np.ndarray:
+    """[N, 4] rows of [travel distance km, average move distance km, travel
+    time s (0 without an interval), raw point count]."""
+    attrs = np.empty((len(trajs), NUM_NUMERIC_ATTRS), dtype=np.float64)
+    n = np.array([t.points.shape[0] for t in trajs], dtype=np.float64)
+    interval = np.array([0.0 if t.interval is None else t.interval for t in trajs],
+                        dtype=np.float64)
+    attrs[:, 0] = path_lengths([t.points for t in trajs])
+    attrs[:, 1] = attrs[:, 0] / (n - 1)
+    attrs[:, 2] = interval * (n - 1)
+    attrs[:, 3] = n
+    return attrs
 
 
 def departure_slot(t0: np.ndarray) -> np.ndarray:
@@ -362,10 +401,7 @@ def extract_condition_batch(trajs: list[RawTrajectory], grid: GridSpec,
     """Trip conditions of a trajectory list: motion attributes z-scored with
     norm's statistics, endpoint cells on grid, and departure slots."""
     n = len(trajs)
-    attrs = np.empty((n, NUM_NUMERIC_ATTRS), dtype=np.float64)
-    for i, t in enumerate(trajs):
-        attrs[i] = raw_motion_attributes(t)
-    attrs = (attrs - norm.attr_mean) / norm.attr_std
+    attrs = (motion_attributes(trajs) - norm.attr_mean) / norm.attr_std
     ends = np.array([t.points[[0, -1]] for t in trajs], dtype=np.float64).reshape(-1, 2)
     cells = grid.cell_indices(ends)[0].reshape(n, 2)
     return ConditionBatch(numeric=attrs.astype(np.float32),
@@ -533,17 +569,20 @@ class CitySpec:
         return cls(**d)
 
 
-def _lattice_route(rng: np.random.Generator, spec: CitySpec) -> np.ndarray:
+def _lattice_route(rng: np.random.Generator, cdf: np.ndarray, lngs: np.ndarray,
+                   lats: np.ndarray) -> np.ndarray:
     """Monotone staircase along streets between two distinct intersections,
-    with endpoints drawn from the street-popularity distribution."""
-    k = len(spec.street_fractions)
-    pop = np.asarray(spec.street_popularity, dtype=np.float64)
-    pop = pop / pop.sum()
+    with endpoints drawn from the street-popularity distribution.
+
+    cdf is the popularity's cumulative distribution, ending at exactly 1: an
+    endpoint index is cdf.searchsorted(u, side="right") of one uniform u,
+    which is Generator.choice(k, p=popularity) from the same draw.
+    """
     while True:
-        ox, oy, dx, dy = (int(rng.choice(k, p=pop)) for _ in range(4))
+        ox, oy, dx, dy = (int(i) for i in cdf.searchsorted(rng.random(4), side="right"))
         if (ox, oy) != (dx, dy):
             break
-    xi, yi = int(ox), int(oy)
+    xi, yi = ox, oy
     verts = [(xi, yi)]
     while (xi, yi) != (dx, dy):
         move_x = xi != dx and (yi == dy or rng.random() < 0.5)
@@ -552,8 +591,6 @@ def _lattice_route(rng: np.random.Generator, spec: CitySpec) -> np.ndarray:
         else:
             yi += 1 if dy > yi else -1
         verts.append((xi, yi))
-    lngs = spec.street_lngs
-    lats = spec.street_lats
     return np.array([(lngs[i], lats[j]) for i, j in verts], dtype=np.float64)
 
 
@@ -564,14 +601,18 @@ def synth_city(seed: int, n_trajectories: int, spec: CitySpec | None = None) -> 
     if n_trajectories < 0:
         raise UsageError("trajectory count must be non-negative")
     rng = stream(seed)
+    pop = np.asarray(spec.street_popularity, dtype=np.float64)
+    cdf = np.cumsum(pop / pop.sum())
+    cdf /= cdf[-1]
+    lngs, lats = spec.street_lngs, spec.street_lats
+    lo, hi = (spec.lng_min, spec.lat_min), (spec.lng_max, spec.lat_max)
     out = []
     for i in range(n_trajectories):
-        route = _lattice_route(rng, spec)
+        route = _lattice_route(rng, cdf, lngs, lats)
         n_pts = int(rng.integers(spec.min_points, spec.max_points + 1))
         pts = resample(route, n_pts)
         pts += rng.normal(0.0, spec.jitter_sigma, size=pts.shape)
-        np.clip(pts[:, 0], spec.lng_min, spec.lng_max, out=pts[:, 0])
-        np.clip(pts[:, 1], spec.lat_min, spec.lat_max, out=pts[:, 1])
+        np.clip(pts, lo, hi, out=pts)
         t0 = float(rng.integers(0, SECONDS_PER_DAY))
         out.append(RawTrajectory(id=f"synth-{i:05d}", points=pts, t0=t0,
                                  interval=spec.point_interval_s))

@@ -762,7 +762,21 @@ LONG_VALUES = {
         d, "train", json.dumps({f"key{i}": 0 for i in range(20_000)})),
     "steps above T": lambda d, ckpt: run_config(
         d, "generate", json.dumps({"steps": 10**4000}), "--ckpt", ckpt, "--n", 1),
+    "city spec error": lambda d, ckpt: run(
+        "synth", "--out", d / "c.jsonl", "--city-spec",
+        write(d / "spec.json", json.dumps({"k" * 100_000: 1}))),
 }
+# argparse's own errors at a flag: its usage line, then the message
+LONG_FLAGS = {
+    "int flag": lambda d: run("synth", "--out", d / "c.jsonl", "--n", "9" * 100_000),
+    "float flag": lambda d: run("train", *MISSING_INPUT["train"](d), "--lr", "1" * 100_000 + "x"),
+    "choice flag": lambda d: run("eval", *MISSING_INPUT["eval"](d), "--metric", "m" * 100_000),
+}
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
 
 
 class TestConfigLoader:
@@ -785,6 +799,14 @@ class TestConfigLoader:
         assert LONG_VALUES[site](tmp_path, ckpt) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error") and "characters)" in err
+        assert len(err.encode()) < 1024 and "Traceback" not in err
+
+    @pytest.mark.parametrize("site", sorted(LONG_FLAGS))
+    def test_long_flag_value_cut_short(self, tmp_path, capsys, site):
+        assert LONG_FLAGS[site](tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trajdiff ") and "\nusage error: argument --" in err
+        assert "characters)" in err
         assert len(err.encode()) < 1024 and "Traceback" not in err
 
     def test_bad_metric_usage_error_before_reading(self, tmp_path, capsys):

@@ -1,27 +1,118 @@
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajdiff import metrics
 from trajdiff.cli import _bbox
 from trajdiff.errors import DataError, UsageError
 from trajdiff.rng import stream
-from trajdiff.trajdata import (CitySpec, GridSpec, NormStats, RawTrajectory,
-                               batch_to_points, box_problem, denormalize, departure_slot,
-                               extract_condition_batch, haversine_km, load_dataset,
-                               make_batch, normalize, path_length, perturb_gaussian,
-                               perturb_random, raw_motion_attributes, resample,
-                               save_dataset, synth_city)
+from trajdiff.trajdata import (CHUNK_TRAJECTORIES, SECONDS_PER_DAY, CitySpec, GridSpec,
+                               NormStats, RawTrajectory, batch_to_points, box_problem,
+                               denormalize, departure_slot, extract_condition_batch,
+                               haversine_km, load_dataset, make_batch, motion_attributes,
+                               normalize, path_lengths, perturb_gaussian, perturb_random,
+                               resample, save_dataset, synth_city)
 
 
 def make_traj(points, t0=0.0, interval=5.0, tid="t0"):
     return RawTrajectory(id=tid, points=np.asarray(points, float), t0=t0, interval=interval)
+
+
+# ---------------------------------------------------------------------------
+# per-trajectory references: the chunked whole-set passes must give their bytes
+# ---------------------------------------------------------------------------
+
+SPEC4 = CitySpec(street_fractions=(0.1, 0.3, 0.5, 0.9), street_popularity=(1.0, 2.0, 3.0, 4.0),
+                 jitter_sigma=0.0002)
+
+
+def ref_path_length(points, distance_metric="haversine"):
+    pts = np.asarray(points, dtype=np.float64)
+    if distance_metric == "haversine":
+        return float(np.sum(haversine_km(pts[:-1], pts[1:])))
+    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+
+
+def ref_motion_attributes(traj):
+    n = traj.points.shape[0]
+    dist = ref_path_length(traj.points)
+    travel_time = float(traj.interval) * (n - 1) if traj.interval is not None else 0.0
+    return np.array([dist, dist / (n - 1), travel_time, float(n)], dtype=np.float64)
+
+
+def ref_fit(trajs):
+    all_pts = np.concatenate([t.points for t in trajs])
+    attrs = np.stack([ref_motion_attributes(t) for t in trajs])
+    std = attrs.std(axis=0)
+    std[std < 1e-12] = 1.0
+    return NormStats(lng_min=float(all_pts[:, 0].min()), lng_max=float(all_pts[:, 0].max()),
+                     lat_min=float(all_pts[:, 1].min()), lat_max=float(all_pts[:, 1].max()),
+                     attr_mean=attrs.mean(axis=0), attr_std=std)
+
+
+def ref_make_batch(trajs, length, norm):
+    rows = np.empty((len(trajs), 2, length), dtype=np.float32)
+    for i, t in enumerate(trajs):
+        rows[i] = normalize(resample(t.points, length), norm).T
+    return rows
+
+
+def ref_condition_columns(trajs, grid, norm):
+    """(numeric, slot, origin, dest) of extract_condition_batch, one trajectory at a time."""
+    numeric, slot, origin, dest = [], [], [], []
+    for t in trajs:
+        attrs = (ref_motion_attributes(t) - norm.attr_mean) / norm.attr_std
+        numeric.append(attrs.astype(np.float32))
+        slot.append(int((t.t0 % 86400) // 300))
+        cells, _ = grid.cell_indices(t.points[[0, -1]])
+        origin.append(int(cells[0]))
+        dest.append(int(cells[1]))
+    return (np.stack(numeric) if trajs else np.zeros((0, 4), np.float32),
+            np.array(slot, np.int64), np.array(origin, np.int64), np.array(dest, np.int64))
+
+
+def ref_lattice_route(rng, spec):
+    k = len(spec.street_fractions)
+    pop = np.asarray(spec.street_popularity, dtype=np.float64)
+    pop = pop / pop.sum()
+    while True:
+        ox, oy, dx, dy = (int(rng.choice(k, p=pop)) for _ in range(4))
+        if (ox, oy) != (dx, dy):
+            break
+    xi, yi = ox, oy
+    verts = [(xi, yi)]
+    while (xi, yi) != (dx, dy):
+        if xi != dx and (yi == dy or rng.random() < 0.5):
+            xi += 1 if dx > xi else -1
+        else:
+            yi += 1 if dy > yi else -1
+        verts.append((xi, yi))
+    return np.array([(spec.street_lngs[i], spec.street_lats[j]) for i, j in verts])
+
+
+def ref_synth_city(seed, n_trajectories, spec=None):
+    spec = spec if spec is not None else CitySpec()
+    rng = stream(seed)
+    out = []
+    for i in range(n_trajectories):
+        route = ref_lattice_route(rng, spec)
+        pts = resample(route, int(rng.integers(spec.min_points, spec.max_points + 1)))
+        pts += rng.normal(0.0, spec.jitter_sigma, size=pts.shape)
+        np.clip(pts[:, 0], spec.lng_min, spec.lng_max, out=pts[:, 0])
+        np.clip(pts[:, 1], spec.lat_min, spec.lat_max, out=pts[:, 1])
+        t0 = float(rng.integers(0, SECONDS_PER_DAY))
+        out.append(RawTrajectory(id=f"synth-{i:05d}", points=pts, t0=t0,
+                                 interval=spec.point_interval_s))
+    return out
 
 
 def jsonl_line(tid, pts, t0=0.0):
@@ -233,7 +324,7 @@ class TestAttributes:
 
     def test_zero_distance_for_repeated_point(self):
         t = make_traj([(0.05, 0.05), (0.05, 0.05)])
-        attrs = raw_motion_attributes(t)
+        attrs = motion_attributes([t])[0]
         assert attrs[0] == 0.0 and attrs[1] == 0.0
 
     def test_haversine_against_spherical_law_of_cosines(self):
@@ -268,19 +359,12 @@ class TestAttributes:
         trajs.append(make_traj([(108.95, 34.2), (108.96, 34.21)], t0=-1.0, interval=None))
         norm = NormStats.fit(trajs)
         grid = norm.grid()
-        numeric, slot, origin, dest = [], [], [], []
-        for t in trajs:
-            attrs = (raw_motion_attributes(t) - norm.attr_mean) / norm.attr_std
-            numeric.append(attrs.astype(np.float32))
-            slot.append(int((t.t0 % 86400) // 300))
-            cells, _ = grid.cell_indices(t.points[[0, -1]])
-            origin.append(int(cells[0]))
-            dest.append(int(cells[1]))
+        numeric, slot, origin, dest = ref_condition_columns(trajs, grid, norm)
         cb = extract_condition_batch(trajs, grid, norm)
-        assert cb.numeric.tobytes() == np.stack(numeric).tobytes()
-        assert cb.slot.tobytes() == np.array(slot, np.int64).tobytes()
-        assert cb.origin.tobytes() == np.array(origin, np.int64).tobytes()
-        assert cb.dest.tobytes() == np.array(dest, np.int64).tobytes()
+        assert cb.numeric.tobytes() == numeric.tobytes()
+        assert cb.slot.tobytes() == slot.tobytes()
+        assert cb.origin.tobytes() == origin.tobytes()
+        assert cb.dest.tobytes() == dest.tobytes()
         assert not cb.is_null.any()
 
     def test_empty_list_gives_empty_batch(self):
@@ -289,9 +373,9 @@ class TestAttributes:
 
     def test_euclidean_variant_available(self):
         t = make_traj([(0.0, 0.0), (0.03, 0.04)])
-        assert abs(path_length(t.points, "euclidean") - 0.05) < 1e-12
+        assert abs(path_lengths([t.points], "euclidean")[0] - 0.05) < 1e-12
         with pytest.raises(UsageError):
-            path_length(t.points, "manhattan")
+            path_lengths([t.points], "manhattan")
 
 
 class TestPerturbers:
@@ -355,6 +439,17 @@ class TestSynthCity:
         off = probs[~mask].sum()
         assert on > 10 * max(off, 1e-12)
 
+    @pytest.mark.parametrize("seed, spec, sha256", [
+        (0, CitySpec(), "6223c44c628a9a7a9cb39b576ba6298ebeece6f0d924da55d3e4ade5607d57fb"),
+        (1_000_004, CitySpec(),
+         "d5fc175165da3d99a36f44982e60c51887d00ded6eabcb038ed586118e8c3adf"),
+        (7, SPEC4, "caa6d7c66a89fb834bac3052f6f2466f6b34f5ad1b597c8831b0a58bfe08b038"),
+    ])
+    def test_file_bytes_pinned(self, tmp_path, seed, spec, sha256):
+        path = tmp_path / "city.jsonl"
+        save_dataset(path, synth_city(seed, 200, spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
     def test_spec_dict_roundtrip(self):
         spec = CitySpec(street_popularity=(1.0, 1.0, 5.0), jitter_sigma=0.001, max_points=150)
         assert CitySpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
@@ -366,6 +461,150 @@ class TestSynthCity:
             CitySpec(street_fractions=(0.5,))
         with pytest.raises(UsageError, match="non-negative"):
             synth_city(seed=0, n_trajectories=-1)
+
+
+C = CHUNK_TRAJECTORIES
+SET_SIZES = (0, 1, C - 1, C, C + 1, 2000)
+
+
+@pytest.fixture(scope="module")
+def ragged_sets():
+    """Sets whose sizes straddle the chunk size, each holding a 2-point
+    trajectory, a repeated-point one and one without an interval, the last
+    two on each side of a chunk boundary."""
+    base = synth_city(1, 2000)
+    sets = {}
+    for n in SET_SIZES:
+        trajs = list(base[:n])
+        for k, t in ((0, make_traj([(108.95, 34.2), (108.96, 34.21)], t0=-1.0, tid="two")),
+                     (C - 1, make_traj([(108.97, 34.25)] * 3, interval=None, tid="repeated")),
+                     (C, make_traj(base[C].points, t0=base[C].t0, interval=None, tid="no-dt"))):
+            if k < n:
+                trajs[k] = t
+        sets[n] = trajs
+    return sets
+
+
+def assert_same_stats(got, want):
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.attr_mean.tobytes() == want.attr_mean.tobytes()
+    assert got.attr_std.tobytes() == want.attr_std.tobytes()
+
+
+def assert_same_conditions(trajs, grid, norm):
+    cb = extract_condition_batch(trajs, grid, norm)
+    for got, want in zip((cb.numeric, cb.slot, cb.origin, cb.dest),
+                         ref_condition_columns(trajs, grid, norm)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestChunkedPasses:
+    """The whole-set passes give the per-trajectory references' bytes."""
+
+    NORM = NormStats(108.90, 109.06, 34.18, 34.34, attr_mean=(5.0, 0.05, 700.0, 160.0),
+                     attr_std=(2.0, 0.01, 200.0, 25.0))
+
+    @pytest.mark.parametrize("n", SET_SIZES)
+    def test_fit_matches_reference(self, ragged_sets, n):
+        if n == 0:
+            with pytest.raises(DataError, match="empty dataset"):
+                NormStats.fit([])
+            return
+        assert_same_stats(NormStats.fit(ragged_sets[n]), ref_fit(ragged_sets[n]))
+
+    @pytest.mark.parametrize("n", SET_SIZES)
+    def test_make_batch_matches_reference(self, ragged_sets, n):
+        got = make_batch(ragged_sets[n], 64, self.NORM).data
+        assert got.tobytes() == ref_make_batch(ragged_sets[n], 64, self.NORM).tobytes()
+        assert got.shape == (n, 2, 64)
+
+    @pytest.mark.parametrize("n", SET_SIZES)
+    def test_conditions_match_reference(self, ragged_sets, n):
+        trajs = ragged_sets[n]
+        want = np.stack([ref_motion_attributes(t) for t in trajs]) if n else np.zeros((0, 4))
+        assert motion_attributes(trajs).tobytes() == want.tobytes()
+        assert_same_conditions(trajs, self.NORM.grid(), self.NORM)
+
+    @pytest.mark.parametrize("metric", ["haversine", "euclidean"])
+    @pytest.mark.parametrize("n", SET_SIZES)
+    def test_travel_lengths_match_reference(self, ragged_sets, n, metric):
+        got = metrics.travel_lengths(ragged_sets[n], metric)
+        want = np.array([ref_path_length(t.points, metric) for t in ragged_sets[n]])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("metric", ["haversine", "euclidean"])
+    def test_short_point_arrays_match_reference(self, metric):
+        # an empty or one-point array first in its chunk, and after a full one
+        arrays = [np.zeros((0, 2)), [[1.0, 2.0]], [[1.0, 2.0], [1.3, 2.4]], np.zeros((0, 2)),
+                  [[1.0, 2.0]], [[5.0, 5.0]] * 3]
+        want = np.array([ref_path_length(p, metric) for p in arrays])
+        assert path_lengths(arrays, metric).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed, spec", [(0, None), (1, None), (1_000_004, None), (3, SPEC4)])
+    def test_synth_city_matches_reference(self, seed, spec):
+        for got, want in zip(synth_city(seed, 300, spec), ref_synth_city(seed, 300, spec),
+                             strict=True):
+            assert got.points.tobytes() == want.points.tobytes()
+            assert (got.id, got.t0, got.interval) == (want.id, want.t0, want.interval)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=2 * C + 3),
+           st.integers(0, 2 ** 32 - 1), st.floats(1e-4, 0.1))
+    def test_drawn_ragged_sets_match_reference(self, sizes, seed, step):
+        # coordinates on a coarse lattice, so consecutive points repeat now and then
+        rng = np.random.default_rng(seed)
+        trajs = [make_traj(108.9 + step * rng.integers(0, 4, size=(k + 1, 2)),
+                           t0=float(rng.integers(-10**6, 10**6)),
+                           interval=None if rng.random() < 0.3 else float(rng.random() * 10),
+                           tid=str(i))
+                 for i, k in enumerate(sizes)]
+        lngs = np.concatenate([t.points[:, 0] for t in trajs])
+        lats = np.concatenate([t.points[:, 1] for t in trajs])
+        if lngs.max() > lngs.min() and lats.max() > lats.min():
+            norm = NormStats.fit(trajs)
+            assert_same_stats(norm, ref_fit(trajs))
+        else:
+            norm = self.NORM
+        assert make_batch(trajs, 9, norm).data.tobytes() == ref_make_batch(trajs, 9, norm).tobytes()
+        assert_same_conditions(trajs, norm.grid(), norm)
+        for metric in ("haversine", "euclidean"):
+            want = np.array([ref_path_length(t.points, metric) for t in trajs])
+            assert metrics.travel_lengths(trajs, metric).tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 25),
+           st.lists(st.floats(0.01, 0.99), min_size=2, max_size=6, unique=True),
+           st.data())
+    def test_drawn_cities_match_reference(self, seed, n, fractions, data):
+        k = len(fractions)
+        spec = CitySpec(street_fractions=tuple(fractions),
+                        street_popularity=tuple(data.draw(st.lists(
+                            st.floats(0.01, 100.0), min_size=k, max_size=k))),
+                        jitter_sigma=data.draw(st.floats(0.0, 0.01)),
+                        min_points=data.draw(st.integers(2, 20)), max_points=40)
+        for got, want in zip(synth_city(seed, n, spec), ref_synth_city(seed, n, spec),
+                             strict=True):
+            assert got.points.tobytes() == want.points.tobytes()
+            assert (got.id, got.t0, got.interval) == (want.id, want.t0, want.interval)
+
+    @pytest.mark.parametrize("call", ["fit", "make_batch", "extract_condition_batch",
+                                      "travel_lengths"])
+    def test_whole_set_pass_peak_under_4_mb(self, call):
+        # 2000 trajectories hold about 4.9 MB of points: a pass whose temporaries
+        # grow with the set, not with one chunk, goes past the budget
+        trajs = synth_city(1, 2000)
+        norm = NormStats.fit(trajs)
+        run = {"fit": lambda: NormStats.fit(trajs),
+               "make_batch": lambda: make_batch(trajs, 64, norm),
+               "extract_condition_batch": lambda: extract_condition_batch(trajs, norm.grid(), norm),
+               "travel_lengths": lambda: metrics.travel_lengths(trajs)}[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"{call} peaked at {peak / 1e6:.2f} MB"
 
 
 def test_data_layer_does_not_load_the_model():
