@@ -63,7 +63,7 @@ def main():
     # baselines: gaussian- and uniformly perturbed training data and uniform
     # noise, all at the model length
     from trajdiff.rng import stream
-    from trajdiff.trajdata import (RawTrajectory, load_dataset, perturb_gaussian,
+    from trajdiff.trajdata import (RawTrajectory, extent, load_dataset, perturb_gaussian,
                                    perturb_random, resample, save_dataset)
 
     train_trajs = load_dataset(train_file).trajectories
@@ -78,11 +78,10 @@ def main():
     gp_file = wd / "baseline_gp.jsonl"
     save_dataset(gp_file, gp)
 
-    allp = np.concatenate([t.points for t in train_trajs])
-    lo, hi = allp.min(axis=0), allp.max(axis=0)
+    lng_min, lng_max, lat_min, lat_max = extent([t.points for t in train_trajs])
     uni = [RawTrajectory(id=f"uni-{i:05d}",
-                         points=np.stack([rng.uniform(lo[0], hi[0], 64),
-                                          rng.uniform(lo[1], hi[1], 64)], axis=1),
+                         points=np.stack([rng.uniform(lng_min, lng_max, 64),
+                                          rng.uniform(lat_min, lat_max, 64)], axis=1),
                          t0=0.0) for i in range(args.gen_n)]
     uni_file = wd / "baseline_uniform.jsonl"
     save_dataset(uni_file, uni)

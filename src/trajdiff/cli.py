@@ -397,16 +397,14 @@ def cmd_generate(args) -> tuple:
 
 
 def _bbox_soft_check(point_lists, norm: NormStats) -> None:
-    lo = np.array([norm.lng_min, norm.lat_min], float)
-    hi = np.array([norm.lng_max, norm.lat_max], float)
-    margin = 0.05 * (hi - lo)
-    allp = np.concatenate(point_lists) if point_lists else np.zeros((0, 2))
-    if allp.size == 0:
-        return
-    outside = ((allp < lo - margin) | (allp > hi + margin)).any(axis=1)
-    if outside.any():
+    dlng = 0.05 * (norm.lng_max - norm.lng_min)
+    dlat = 0.05 * (norm.lat_max - norm.lat_min)
+    box = GridSpec(norm.lng_min - dlng, norm.lng_max + dlng,
+                   norm.lat_min - dlat, norm.lat_max + dlat, 1, 1)
+    counts, outside = box.cell_counts(point_lists)
+    if outside:
         log.warning("%.2f%% of generated points fall outside the training bounding box "
-                    "(plus 5%% margin)", 100.0 * outside.mean())
+                    "(plus 5%% margin)", 100.0 * (outside / counts.sum()))
 
 
 def cmd_eval(args) -> tuple:

@@ -60,30 +60,14 @@ def jsd(p: Distribution, g: Distribution) -> float:
     return max(0.0, 0.5 * kl(pv) + 0.5 * kl(gv))
 
 
-def _cell_counts(trajs, grid: GridSpec) -> tuple[np.ndarray, int]:
-    """Visits per cell over every point of a set, and the clamped-point count."""
-    pts = [_points_of(t).reshape(-1, 2) for t in trajs]
-    idx, clamped = grid.cell_indices(np.concatenate(pts) if pts else np.zeros((0, 2)))
-    return np.bincount(idx, minlength=grid.n_cells).astype(np.float64), clamped
-
-
 def grid_density(trajs, grid: GridSpec) -> Distribution:
     """Distribution of all trajectory points over the grid cells."""
     trajs = list(trajs)
     if not trajs:
         raise ValueError("cannot compute a density over an empty trajectory set")
-    counts, clamped = _cell_counts(trajs, grid)
+    counts, clamped = grid.cell_counts([_points_of(t) for t in trajs])
     if clamped:
         log.warning("%d points fell outside the grid and were clamped to boundary cells", clamped)
-    return Distribution(counts / counts.sum())
-
-
-def _endpoint_density(trajs, grid: GridSpec, which: int) -> Distribution:
-    pts = np.stack([_points_of(t)[which] for t in trajs])
-    idx, clamped = grid.cell_indices(pts)
-    if clamped:
-        log.warning("%d trip endpoints fell outside the grid", clamped)
-    counts = np.bincount(idx, minlength=grid.n_cells).astype(np.float64)
     return Distribution(counts / counts.sum())
 
 
@@ -97,8 +81,10 @@ def trip_error(gen, real, grid: GridSpec) -> float:
     gen, real = list(gen), list(real)
     if not gen or not real:
         raise ValueError("trip error needs non-empty trajectory sets")
-    o = jsd(_endpoint_density(gen, grid, 0), _endpoint_density(real, grid, 0))
-    d = jsd(_endpoint_density(gen, grid, -1), _endpoint_density(real, grid, -1))
+    # origins (0), then destinations (-1), each side's as a one-array set
+    o, d = (jsd(grid_density([np.stack([_points_of(t)[i] for t in gen])], grid),
+                grid_density([np.stack([_points_of(t)[i] for t in real])], grid))
+            for i in (0, -1))
     return 0.5 * (o + d)
 
 
@@ -126,7 +112,7 @@ def length_error(gen, real, bins: int = 50, distance_metric: str = "haversine") 
 
 def top_cells(trajs, grid: GridSpec, n: int) -> set[int]:
     """The n most visited cells; ties break by (row, col) order."""
-    counts, _ = _cell_counts(list(trajs), grid)
+    counts, _ = grid.cell_counts([_points_of(t) for t in trajs])
     nonempty = int(np.sum(counts > 0))
     if n < 1:
         raise ValueError("top-n must be at least 1")

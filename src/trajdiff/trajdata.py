@@ -79,13 +79,28 @@ def box_problem(lng_min, lng_max, lat_min, lat_max) -> str | None:
     return f"{why}, got lng [{lng_min}, {lng_max}], lat [{lat_min}, {lat_max}]"
 
 
+def _box(point_arrays) -> tuple[float, float, float, float]:
+    """(lng_min, lng_max, lat_min, lat_max) over every point of a set, one
+    chunk at a time; DataError for a set without points."""
+    # per chunk, 1-D reductions of the transposed points: min(axis=0) over
+    # [n, 2] points takes about six times as long
+    boxes = []
+    for chunk in _chunks(list(point_arrays)):
+        lng, lat = _chunk_points(chunk).T
+        if lng.size:
+            boxes.append((lng.min(), lng.max(), lat.min(), lat.max()))
+    if not boxes:
+        raise DataError("cannot take the bounding box of an empty point set")
+    lo, hi = np.min(boxes, axis=0), np.max(boxes, axis=0)
+    return float(lo[0]), float(hi[1]), float(lo[2]), float(hi[3])
+
+
 def extent(point_arrays) -> tuple[float, float, float, float]:
     """(lng_min, lng_max, lat_min, lat_max) of all points; a zero-extent axis
     is padded by 1e-9 so point-like sets still frame a grid."""
-    allp = np.concatenate([np.asarray(p, dtype=np.float64) for p in point_arrays])
-    lo, hi = allp.min(axis=0), allp.max(axis=0)
-    hi = np.where(hi > lo, hi, lo + 1e-9)
-    return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
+    lng_min, lng_max, lat_min, lat_max = _box(point_arrays)
+    return (lng_min, lng_max if lng_max > lng_min else lng_min + 1e-9,
+            lat_min, lat_max if lat_max > lat_min else lat_min + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -114,10 +129,23 @@ class GridSpec:
         lo = np.array([self.lng_min, self.lat_min], float)
         hi = np.array([self.lng_max, self.lat_max], float)
         outside = ((pts < lo) | (pts > hi)).any(axis=1)
-        f = (pts - lo) / (hi - lo) * (self.cols, self.rows)
-        cell = np.floor(f, out=f).astype(np.int64)
-        col, row = np.clip(cell, 0, (self.cols - 1, self.rows - 1), out=cell).T
+        # clamped in float, before the cast: a far-off point's offset may pass
+        # the int64 range, or overflow to inf
+        with np.errstate(over="ignore"):
+            f = (pts - lo) / (hi - lo) * (self.cols, self.rows)
+        np.clip(f, 0, (self.cols - 1, self.rows - 1), out=f)
+        col, row = np.floor(f, out=f).astype(np.int64).T
         return row * self.cols + col, int(outside.sum())
+
+    def cell_counts(self, point_arrays) -> tuple[np.ndarray, int]:
+        """Points per cell (float64) over every [n, 2] array of a set, one
+        chunk of arrays at a time, and how many of them were clamped."""
+        counts, clamped = np.zeros(self.n_cells, dtype=np.int64), 0
+        for chunk in _chunks(list(point_arrays)):
+            idx, outside = self.cell_indices(_chunk_points(chunk))
+            counts += np.bincount(idx, minlength=self.n_cells)
+            clamped += outside
+        return counts.astype(np.float64), clamped
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,19 +182,10 @@ class NormStats:
     def fit(cls, trajs: list[RawTrajectory]) -> "NormStats":
         if not trajs:
             raise DataError("cannot fit normalization statistics on an empty dataset")
-        boxes = []  # per chunk: lng_min, lng_max, lat_min, lat_max
-        for chunk in _chunks(trajs):
-            lng, lat = np.concatenate([t.points for t in chunk]).T
-            boxes.append((lng.min(), lng.max(), lat.min(), lat.max()))
-        boxes = np.array(boxes)
         attrs = motion_attributes(trajs)
         std = attrs.std(axis=0)
         std[std < 1e-12] = 1.0
-        return cls(
-            lng_min=float(boxes[:, 0].min()), lng_max=float(boxes[:, 1].max()),
-            lat_min=float(boxes[:, 2].min()), lat_max=float(boxes[:, 3].max()),
-            attr_mean=attrs.mean(axis=0), attr_std=std,
-        )
+        return cls(*_box([t.points for t in trajs]), attr_mean=attrs.mean(axis=0), attr_std=std)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.lng_min, self.lng_max, self.lat_min, self.lat_max)
@@ -218,6 +237,11 @@ def _chunks(items: list):
     """Consecutive slices of at most CHUNK_TRAJECTORIES items."""
     for start in range(0, len(items), CHUNK_TRAJECTORIES):
         yield items[start:start + CHUNK_TRAJECTORIES]
+
+
+def _chunk_points(arrays) -> np.ndarray:
+    """The [n, 2] float64 points of a chunk's arrays, in order."""
+    return np.concatenate([np.asarray(p, dtype=np.float64).reshape(-1, 2) for p in arrays])
 
 
 def path_lengths(point_arrays, distance_metric: str = "haversine") -> np.ndarray:

@@ -16,8 +16,8 @@ from trajdiff import tensor as tz
 from trajdiff.cli import main
 from trajdiff.errors import DataError, NumericError, UsageError
 from trajdiff.metrics import grid_density
-from trajdiff.trajdata import (MAX_CITY_POINTS, CitySpec, GridSpec, load_dataset, save_dataset,
-                               synth_city)
+from trajdiff.trajdata import (CHUNK_TRAJECTORIES, MAX_CITY_POINTS, CitySpec, GridSpec,
+                               NormStats, load_dataset, save_dataset, synth_city)
 
 
 def run(*argv):
@@ -263,7 +263,50 @@ class TestTrain:
                    "--T", 20, "--length", 16, "--base-channels", 4) == 0
 
 
+def ref_bbox_soft_check(point_lists, norm):
+    """generate's soft check in its one-pass form over every point at once."""
+    lo = np.array([norm.lng_min, norm.lat_min], float)
+    hi = np.array([norm.lng_max, norm.lat_max], float)
+    margin = 0.05 * (hi - lo)
+    allp = np.concatenate(point_lists) if point_lists else np.zeros((0, 2))
+    if allp.size == 0:
+        return
+    outside = ((allp < lo - margin) | (allp > hi + margin)).any(axis=1)
+    if outside.any():
+        cli.log.warning("%.2f%% of generated points fall outside the training bounding box "
+                        "(plus 5%% margin)", 100.0 * outside.mean())
+
+
+def soft_check_cases():
+    norm = NormStats(108.90, 109.06, 34.18, 34.34)
+    rng = np.random.default_rng(6)
+    c = CHUNK_TRAJECTORIES
+    dlng, dlat = 0.05 * (norm.lng_max - norm.lng_min), 0.05 * (norm.lat_max - norm.lat_min)
+    edges = np.array([[norm.lng_min - dlng, norm.lat_min - dlat],
+                      [norm.lng_max + dlng, norm.lat_max + dlat]])
+    inside = np.column_stack([rng.uniform(108.9, 109.06, 64), rng.uniform(34.18, 34.34, 64)])
+    sets = {"empty": [], "inside": [inside], "margin edges": [edges],
+            "far off": [np.array([[1e308, 34.2], [108.95, -1e17]])]}
+    for n in (1, c - 1, c, c + 1, 2000):
+        lng = rng.uniform(108.85, 109.11, (n, 64))
+        lat = rng.uniform(34.13, 34.39, (n, 64))
+        sets[f"{n} arrays"] = list(np.stack([lng, lat], axis=2))
+    return norm, sets
+
+
 class TestGenerate:
+    def test_soft_check_warning_matches_reference(self, caplog):
+        norm, sets = soft_check_cases()
+        for name, point_lists in sets.items():
+            logged = []
+            for check in (cli._bbox_soft_check, ref_bbox_soft_check):
+                caplog.clear()
+                with caplog.at_level("WARNING", logger="trajdiff.cli"):
+                    check(point_lists, norm)
+                logged.append([(r.getMessage(), r.args) for r in caplog.records])
+            assert logged[0] == logged[1], name
+            assert bool(logged[0]) == (name not in ("empty", "inside", "margin edges")), name
+
     def test_deterministic_at_eta_zero(self, ckpt, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import jsonschema
 import mpmath
@@ -12,7 +13,8 @@ from trajdiff.metrics import (LN2, Distribution, density_error,
                               evaluate, grid_density, jsd, length_error,
                               pattern_score, top_cells, trip_error)
 from trajdiff.rng import stream
-from trajdiff.trajdata import CitySpec, GridSpec, perturb_gaussian, synth_city
+from trajdiff.trajdata import (CHUNK_TRAJECTORIES, CitySpec, GridSpec, perturb_gaussian,
+                               synth_city)
 
 GRID = GridSpec(0.0, 1.0, 0.0, 1.0)
 
@@ -113,15 +115,21 @@ class TestGridDensity:
             grid_density([], GRID)
 
     def test_matches_per_trajectory_counts(self):
-        # one pooled cell lookup per set counts exactly what per-trajectory
-        # lookups count, mixed lengths and out-of-box points included
+        # chunked cell counting counts exactly what per-trajectory lookups
+        # count, on set sizes around the chunk, mixed lengths and out-of-box
+        # points included
         rng = np.random.default_rng(4)
-        trajs = [point_cloud_traj(rng.uniform(-0.2, 1.2, (int(k), 2)))
-                 for k in rng.integers(1, 60, size=30)]
-        counts = np.zeros(GRID.n_cells)
-        for t in trajs:
-            counts += np.bincount(GRID.cell_indices(t)[0], minlength=GRID.n_cells)
-        assert grid_density(trajs, GRID).probs.tobytes() == (counts / counts.sum()).tobytes()
+        c = CHUNK_TRAJECTORIES
+        for n in (1, c - 1, c, c + 1, 2000):
+            trajs = [point_cloud_traj(rng.uniform(-0.2, 1.2, (int(k), 2)))
+                     for k in rng.integers(1, 60, size=n)]
+            counts = np.zeros(GRID.n_cells)
+            for t in trajs:
+                counts += np.bincount(GRID.cell_indices(t)[0], minlength=GRID.n_cells)
+            want = (counts / counts.sum()).tobytes()
+            assert grid_density(trajs, GRID).probs.tobytes() == want, n
+            order = np.lexsort((np.arange(counts.size), -counts))
+            assert top_cells(trajs, GRID, 10) == set(order[:10].tolist()), n
 
 
 def city_sets(seed, n):
@@ -179,9 +187,7 @@ class TestTripError:
 
         # closed form: origin term is the JSD between the real origin cell
         # histogram and a one-hot at the corner; destinations are untouched
-        from trajdiff.metrics import _endpoint_density
-
-        real_o = _endpoint_density(trajs, grid, 0).probs
+        real_o = grid_density([np.stack([t.points[0] for t in trajs])], grid).probs
         onehot = np.zeros_like(real_o)
         onehot[0] = 1.0
         expect_origin = jsd(Distribution(onehot), Distribution(real_o))
@@ -192,6 +198,30 @@ class TestTripError:
         other = synth_city(seed=12, n_trajectories=30)
         v = trip_error(other, trajs, grid)
         assert 0.0 <= v <= LN2
+
+    def test_matches_per_endpoint_counts(self, caplog):
+        # the per-endpoint cell histograms trip_error used to build, one
+        # bincount per side and endpoint; some endpoints lie outside the grid
+        def ref_endpoint_density(trajs, which):
+            idx, _ = GRID.cell_indices(np.stack([t[which] for t in trajs]))
+            counts = np.bincount(idx, minlength=GRID.n_cells).astype(np.float64)
+            return Distribution(counts / counts.sum())
+
+        rng = np.random.default_rng(5)
+        c = CHUNK_TRAJECTORIES
+        for n in (1, c - 1, c, c + 1, 2000):
+            gen, real = ([point_cloud_traj(rng.uniform(-0.1, 1.1, (int(k), 2)))
+                          for k in rng.integers(2, 9, size=n)] for _ in range(2))
+            want = 0.5 * sum(jsd(ref_endpoint_density(gen, w), ref_endpoint_density(real, w))
+                             for w in (0, -1))
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                got = trip_error(gen, real, GRID)
+            assert got.hex() == want.hex(), n
+            assert caplog.records or n == 1
+            for r in caplog.records:
+                assert re.fullmatch(r"\d+ points fell outside the grid and were clamped "
+                                    r"to boundary cells", r.getMessage())
 
 
 class TestLengthError:

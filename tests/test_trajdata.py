@@ -17,7 +17,7 @@ from trajdiff.errors import DataError, UsageError
 from trajdiff.rng import stream
 from trajdiff.trajdata import (CHUNK_TRAJECTORIES, SECONDS_PER_DAY, CitySpec, GridSpec,
                                NormStats, RawTrajectory, batch_to_points, box_problem,
-                               denormalize, departure_slot, extract_condition_batch,
+                               denormalize, departure_slot, extent, extract_condition_batch,
                                haversine_km, load_dataset, make_batch, motion_attributes,
                                normalize, path_lengths, perturb_gaussian, perturb_random,
                                resample, save_dataset, synth_city)
@@ -57,6 +57,13 @@ def ref_fit(trajs):
     return NormStats(lng_min=float(all_pts[:, 0].min()), lng_max=float(all_pts[:, 0].max()),
                      lat_min=float(all_pts[:, 1].min()), lat_max=float(all_pts[:, 1].max()),
                      attr_mean=attrs.mean(axis=0), attr_std=std)
+
+
+def ref_extent(point_arrays):
+    allp = np.concatenate([np.asarray(p, dtype=np.float64) for p in point_arrays])
+    lo, hi = allp.min(axis=0), allp.max(axis=0)
+    hi = np.where(hi > lo, hi, lo + 1e-9)
+    return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
 
 def ref_make_batch(trajs, length, norm):
@@ -227,6 +234,29 @@ class TestBoxRule:
     ])
     def test_reason(self, box, why):
         assert box_problem(*box).startswith(why)
+
+
+class TestCellIndices:
+    GRID = GridSpec(108.90, 109.06, 34.18, 34.34)  # the default city's 16 x 16 box
+    INSIDE = (108.955, 34.205)  # column 5, row 2
+
+    @pytest.mark.parametrize("value", [1e308, 1e17, 109.5, -1e308, -1e17, 108.0])
+    def test_far_off_longitude_clamps_to_its_edge(self, value):
+        cells, clamped = self.GRID.cell_indices([(value, self.INSIDE[1]), self.INSIDE])
+        edge_col = 15 if value > 109.06 else 0
+        assert cells.tolist() == [2 * 16 + edge_col, 2 * 16 + 5]
+        assert clamped == 1
+
+    @pytest.mark.parametrize("value", [1e308, 1e17, 35.0, -1e308, -1e17, 34.0])
+    def test_far_off_latitude_clamps_to_its_edge(self, value):
+        cells, clamped = self.GRID.cell_indices([(self.INSIDE[0], value), self.INSIDE])
+        edge_row = 15 if value > 34.34 else 0
+        assert cells.tolist() == [edge_row * 16 + 5, 2 * 16 + 5]
+        assert clamped == 1
+
+    def test_box_edges_stay_in_their_cells(self):
+        cells, clamped = self.GRID.cell_indices([(108.90, 34.18), (109.06, 34.34)])
+        assert cells.tolist() == [0, 255] and clamped == 0
 
 
 class TestResample:
@@ -532,6 +562,34 @@ class TestChunkedPasses:
         want = np.array([ref_path_length(t.points, metric) for t in ragged_sets[n]])
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", SET_SIZES)
+    def test_extent_matches_concatenated_box(self, ragged_sets, n):
+        arrays = [t.points for t in ragged_sets[n]]
+        if n == 0:
+            with pytest.raises(DataError, match="empty point set"):
+                extent(arrays)
+            return
+        assert np.array(extent(arrays)).tobytes() == np.array(ref_extent(arrays)).tobytes()
+
+    @pytest.mark.parametrize("flat", ["lng", "lat", "both"])
+    def test_extent_pads_a_zero_extent_axis(self, ragged_sets, flat):
+        arrays = [t.points.copy() for t in ragged_sets[C + 1]]
+        for p in arrays:
+            if flat in ("lng", "both"):
+                p[:, 0] = 108.95
+            if flat in ("lat", "both"):
+                p[:, 1] = 34.25
+        got = extent(arrays)
+        assert np.array(got).tobytes() == np.array(ref_extent(arrays)).tobytes()
+        assert (got[1] - got[0] < 1e-8) == (flat != "lat")
+        assert (got[3] - got[2] < 1e-8) == (flat != "lng")
+
+    def test_extent_skips_chunks_without_points(self):
+        arrays = [np.zeros((0, 2))] * C + [[[1.0, 2.0], [3.0, -4.0]], np.zeros((0, 2))]
+        assert extent(arrays) == ref_extent(arrays) == (1.0, 3.0, -4.0, 2.0)
+        with pytest.raises(DataError, match="empty point set"):
+            extent([np.zeros((0, 2))] * (C + 1))
+
     @pytest.mark.parametrize("metric", ["haversine", "euclidean"])
     def test_short_point_arrays_match_reference(self, metric):
         # an empty or one-point array first in its chunk, and after a full one
@@ -588,7 +646,7 @@ class TestChunkedPasses:
             assert (got.id, got.t0, got.interval) == (want.id, want.t0, want.interval)
 
     @pytest.mark.parametrize("call", ["fit", "make_batch", "extract_condition_batch",
-                                      "travel_lengths"])
+                                      "travel_lengths", "grid_density", "top_cells", "extent"])
     def test_whole_set_pass_peak_under_4_mb(self, call):
         # 2000 trajectories hold about 4.9 MB of points: a pass whose temporaries
         # grow with the set, not with one chunk, goes past the budget
@@ -597,7 +655,10 @@ class TestChunkedPasses:
         run = {"fit": lambda: NormStats.fit(trajs),
                "make_batch": lambda: make_batch(trajs, 64, norm),
                "extract_condition_batch": lambda: extract_condition_batch(trajs, norm.grid(), norm),
-               "travel_lengths": lambda: metrics.travel_lengths(trajs)}[call]
+               "travel_lengths": lambda: metrics.travel_lengths(trajs),
+               "grid_density": lambda: metrics.grid_density(trajs, norm.grid()),
+               "top_cells": lambda: metrics.top_cells(trajs, norm.grid(), 10),
+               "extent": lambda: extent([t.points for t in trajs])}[call]
         tracemalloc.start()
         try:
             run()
