@@ -61,12 +61,14 @@ def main():
         "--cond-file", train_file, "--seed", args.seed, "--workers", 4)
 
     # baselines: gaussian- and uniformly perturbed training data and uniform
-    # noise, all at the model length
+    # noise over the grid that train and eval frame (the header city's box),
+    # all at the model length
     from trajdiff.rng import stream
-    from trajdiff.trajdata import (RawTrajectory, extent, load_dataset, perturb_gaussian,
+    from trajdiff.trajdata import (RawTrajectory, dataset_grid, load_dataset, perturb_gaussian,
                                    perturb_random, resample, save_dataset)
 
-    train_trajs = load_dataset(train_file).trajectories
+    train = load_dataset(train_file)
+    train_trajs = train.trajectories
     rng = stream(args.seed, 0xBA5E)
     idx = rng.integers(0, len(train_trajs), size=args.gen_n)
 
@@ -78,10 +80,10 @@ def main():
     gp_file = wd / "baseline_gp.jsonl"
     save_dataset(gp_file, gp)
 
-    lng_min, lng_max, lat_min, lat_max = extent([t.points for t in train_trajs])
+    box = dataset_grid(train_file, train)
     uni = [RawTrajectory(id=f"uni-{i:05d}",
-                         points=np.stack([rng.uniform(lng_min, lng_max, 64),
-                                          rng.uniform(lat_min, lat_max, 64)], axis=1),
+                         points=np.stack([rng.uniform(box.lng_min, box.lng_max, 64),
+                                          rng.uniform(box.lat_min, box.lat_max, 64)], axis=1),
                          t0=0.0) for i in range(args.gen_n)]
     uni_file = wd / "baseline_uniform.jsonl"
     save_dataset(uni_file, uni)

@@ -38,10 +38,10 @@ from .metrics import evaluate
 from .rng import stream
 from .schedule import linear_beta_schedule
 from .svgplot import plot_heatmap, plot_lines
-from .trajdata import (SLOT_SECONDS, CitySpec, ConditionBatch, GridSpec, NormStats,
-                       RawTrajectory, batch_to_points, box_problem, extract_condition_batch,
-                       extent, is_finite, load_dataset, make_batch, resample, save_dataset,
-                       synth_city)
+from .trajdata import (GRID_SIDE, SLOT_SECONDS, CitySpec, ConditionBatch, GridSpec, NormStats,
+                       RawTrajectory, batch_to_points, box_problem, dataset_grid,
+                       extract_condition_batch, extent, is_finite, load_dataset, make_batch,
+                       resample, save_dataset, synth_city)
 from .unet import MAX_LENGTH, TrajUNet, TrajUNetConfig
 
 log = logging.getLogger(__name__)
@@ -52,11 +52,14 @@ _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 # (the paper's is 16x16), 10 000 length-histogram bins (its default is 50), a
 # million trajectories per synth or generate call, ten million training steps
 # (the loss history) and a training batch of 100 000 (the paper's is 1024).
-# sample forks min(workers, micro-batches) processes, so --workers has a cap
-# too.
+# A synth or generate call holds all its points at once, so their count has a
+# cap too: a million trajectories of the default 200 points (synth's
+# max_points, the paper's length). sample forks min(workers, micro-batches)
+# processes, so --workers has a cap too.
 MAX_GRID_CELLS = 1_000_000
 MAX_BINS = 10_000
 MAX_TRAJECTORIES = 1_000_000
+MAX_POINTS = 200_000_000
 MAX_TRAIN_STEPS = 10_000_000
 MAX_BATCH = 100_000
 MAX_WORKERS = 256
@@ -96,7 +99,7 @@ TRAIN_DEFAULTS = {k: s.default for k, s in TRAIN_SETTINGS.items()}
 
 GENERATE_SETTINGS = {
     "n": Setting(int, 0, None, high=MAX_TRAJECTORIES),
-    "steps": Setting(int, 1, None, "sample steps S (default: T / 5)"),
+    "steps": Setting(int, 1, None, "sample steps S (default: SamplerConfig's max(1, T // 5))"),
     "eta": Setting(float, 0.0, SamplerConfig.eta),
     "omega": Setting(float, None, SamplerConfig.guidance_scale),
     "seed": Setting(int, None, SamplerConfig.seed),
@@ -106,7 +109,7 @@ GENERATE_SETTINGS = {
 THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on generate's --workers
 
 EVAL_SETTINGS = {
-    "grid": Setting(str, None, "16x16"), "topn": Setting(int, 1, 10),
+    "grid": Setting(str, None, f"{GRID_SIDE}x{GRID_SIDE}"), "topn": Setting(int, 1, 10),
     "bins": Setting(int, 1, 50, high=MAX_BINS),
     "metric": Setting(("haversine", "euclidean"), None, "haversine"),
     "length": Setting(int, 2, None, "resample both sets to this length before scoring",
@@ -236,6 +239,14 @@ def _check_out_path(path) -> None:
         raise DataError(f"{path}: permission denied")
 
 
+def _check_points(n: int, per: int, what: str) -> None:
+    """Usage error unless n trajectories of per points each (what names per)
+    stay within MAX_POINTS."""
+    if n * per > MAX_POINTS:
+        raise UsageError(f"--n {n} times {what} {per} is {n * per} points, "
+                         f"above the cap of {MAX_POINTS}")
+
+
 def _grid_shape(text: str) -> tuple[int, int]:
     """(rows, cols) of a ROWSxCOLS grid flag; both must be positive, with at
     most MAX_GRID_CELLS cells."""
@@ -262,17 +273,6 @@ def _bbox(text: str) -> tuple[float, float, float, float]:
     return bbox
 
 
-def _meta_grid(path, meta) -> GridSpec | None:
-    """Grid over the city bounding box recorded in a dataset header, if any."""
-    if not isinstance(meta, dict) or "city" not in meta:
-        return None
-    try:
-        c = meta["city"]
-        return GridSpec(c["lng_min"], c["lng_max"], c["lat_min"], c["lat_max"])
-    except (KeyError, TypeError, DataError) as e:
-        raise DataError(f"{path}: header city: {e!r}") from e
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -288,6 +288,7 @@ def cmd_synth(args) -> tuple:
             except (RecursionError, TypeError, ValueError, UsageError) as e:
                 raise UsageError(f"bad city spec {args.city_spec}: {_cut(str(e))}") from e
         inputs.append(args.city_spec)
+    _check_points(cfg["n"], spec.max_points, "the city spec's max_points")
     trajs = synth_city(seed=cfg["seed"], n_trajectories=cfg["n"], spec=spec)
     save_dataset(args.out, trajs, meta={"generator": "synth_city", "seed": cfg["seed"],
                                         "n": cfg["n"], "city": spec.to_dict(),
@@ -311,7 +312,7 @@ def cmd_train(args) -> tuple:
     result = load_dataset(args.data)
     trajs = result.trajectories
     norm = NormStats.fit(trajs)
-    grid = _meta_grid(args.data, result.meta) or norm.grid()
+    grid = dataset_grid(args.data, result)
     batch = make_batch(trajs, cfg["length"], norm)
     conds = extract_condition_batch(trajs, grid, norm)
 
@@ -357,10 +358,9 @@ def cmd_generate(args) -> tuple:
         workers = min(workers, cap)
     _check_out_path(args.out)
     model, sched, norm, grid, header = load_checkpoint(args.ckpt)
-
-    steps = cfg["steps"] if cfg["steps"] is not None else max(1, sched.T // 5)
-    if steps > sched.T:
-        raise UsageError(f"--steps {_shown(steps)} exceeds the checkpoint's T={sched.T}")
+    _check_points(n, model.config.length, "the checkpoint's length")
+    if cfg["steps"] is not None and cfg["steps"] > sched.T:
+        raise UsageError(f"--steps {_shown(cfg['steps'])} exceeds the checkpoint's T={sched.T}")
 
     inputs = [args.ckpt]
     if args.cond_file:
@@ -369,7 +369,7 @@ def cmd_generate(args) -> tuple:
     else:
         conds = None
 
-    sampler = SamplerConfig(total_steps=sched.T, sample_steps=steps, eta=cfg["eta"],
+    sampler = SamplerConfig(total_steps=sched.T, sample_steps=cfg["steps"], eta=cfg["eta"],
                             guidance_scale=cfg["omega"], seed=cfg["seed"])
     batch, stats = sample(model, conds, sampler, sched, n=n, workers=workers,
                           micro_batch=cfg["batch"])
@@ -410,16 +410,15 @@ def _bbox_soft_check(point_lists, norm: NormStats) -> None:
 def cmd_eval(args) -> tuple:
     cfg = _resolve(args, EVAL_SETTINGS)
     rows, cols = _grid_shape(cfg["grid"])
+    if cfg["topn"] > rows * cols:
+        raise UsageError(f"--topn {cfg['topn']} exceeds the {rows * cols} cells of a "
+                         f"{rows}x{cols} grid")
     bbox = _bbox(args.bbox) if args.bbox else None
     _check_out_path(args.out)
     gen = load_dataset(args.gen, min_points=2).trajectories
     real_result = load_dataset(args.real, min_points=2)
     real = real_result.trajectories
-    if bbox is None:
-        meta_grid = _meta_grid(args.real, real_result.meta)
-        bbox = ((meta_grid.lng_min, meta_grid.lng_max, meta_grid.lat_min, meta_grid.lat_max)
-                if meta_grid else extent([t.points for t in real]))
-    grid = GridSpec(*bbox, rows, cols)
+    grid = GridSpec(*bbox, rows, cols) if bbox else dataset_grid(args.real, real_result, rows, cols)
     if cfg["length"] is not None:
         gen = [resample(t.points, cfg["length"]) for t in gen]
         real = [resample(t.points, cfg["length"]) for t in real]
@@ -500,7 +499,7 @@ def build_parser() -> _Parser:
     pp.add_argument("--data", required=True)
     pp.add_argument("--out", required=True)
     pp.add_argument("--mode", choices=["lines", "heatmap"], default="lines")
-    pp.add_argument("--grid", default="16x16")
+    pp.add_argument("--grid", default=f"{GRID_SIDE}x{GRID_SIDE}")
     pp.set_defaults(fn=cmd_plot)
     return p
 

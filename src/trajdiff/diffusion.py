@@ -65,7 +65,7 @@ def skip_subsequence(T: int, S: int) -> np.ndarray:
 @dataclass
 class SamplerConfig:
     total_steps: int = 100
-    sample_steps: int = 20
+    sample_steps: int | None = None  # None: max(1, total_steps // 5)
     eta: float = 0.0
     guidance_scale: float = 3.0
     seed: int = 0
@@ -75,6 +75,8 @@ class SamplerConfig:
         if not (is_finite(self.eta) and self.eta >= 0 and is_finite(self.guidance_scale)):
             raise ValueError(f"need a finite eta >= 0 and a finite guidance scale, "
                              f"got eta={self.eta}, guidance_scale={self.guidance_scale}")
+        if self.sample_steps is None:
+            self.sample_steps = max(1, self.total_steps // 5)
         self.tau = skip_subsequence(self.total_steps, self.sample_steps)
 
 

@@ -28,7 +28,8 @@ MIN_TRAJECTORY_POINTS = 120
 MAX_CITY_POINTS = 100_000  # CitySpec.max_points cap: 500x the desk count
 
 NUM_DEPARTURE_SLOTS = SECONDS_PER_DAY // SLOT_SECONDS  # 288 five-minute slots
-NUM_GRID_CELLS = 256
+GRID_SIDE = 16  # rows and columns of the evaluation and condition grid (the paper's 16 x 16)
+NUM_GRID_CELLS = GRID_SIDE * GRID_SIDE  # the endpoint cells' embedding vocabulary
 NUM_NUMERIC_ATTRS = 4  # travel km, avg move km, travel time s, raw point count
 # trajectories per step of a whole-set pass: bounds the pass's temporaries to
 # about one chunk's points, whatever the set size
@@ -109,8 +110,8 @@ class GridSpec:
     lng_max: float
     lat_min: float
     lat_max: float
-    rows: int = 16
-    cols: int = 16
+    rows: int = GRID_SIDE
+    cols: int = GRID_SIDE
 
     def __post_init__(self):
         if why := box_problem(self.lng_min, self.lng_max, self.lat_min, self.lat_max):
@@ -513,6 +514,20 @@ def load_dataset(path, min_points: int = MIN_TRAJECTORY_POINTS) -> LoadResult:
     return result
 
 
+def dataset_grid(path, result: LoadResult, rows: int = GRID_SIDE, cols: int = GRID_SIDE) -> GridSpec:
+    """The grid a dataset is conditioned and scored on: its header city's box
+    (the bounds as the header holds them) when result.meta is a dict with a
+    city, else the extent of its points. A malformed header city is a
+    DataError that names path."""
+    if not (isinstance(result.meta, dict) and "city" in result.meta):
+        return GridSpec(*extent([t.points for t in result.trajectories]), rows, cols)
+    try:
+        c = result.meta["city"]
+        return GridSpec(c["lng_min"], c["lng_max"], c["lat_min"], c["lat_max"], rows, cols)
+    except (KeyError, TypeError, DataError) as e:
+        raise DataError(f"{path}: header city: {e!r}") from e
+
+
 def save_dataset(path, trajs, meta: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if meta is not None:
@@ -541,8 +556,8 @@ class CitySpec:
     lng_max: float = 109.06
     lat_min: float = 34.18
     lat_max: float = 34.34
-    # fractions sit on cell centers of the 16 x 16 evaluation grid
-    street_fractions: tuple[float, ...] = (2.5 / 16, 7.5 / 16, 12.5 / 16)
+    # fractions sit on cell centers of the GRID_SIDE x GRID_SIDE evaluation grid
+    street_fractions: tuple[float, ...] = (2.5 / GRID_SIDE, 7.5 / GRID_SIDE, 12.5 / GRID_SIDE)
     street_popularity: tuple[float, ...] = (0.6, 2.6, 0.8)
     jitter_sigma: float = 0.002
     point_interval_s: float = 5.0

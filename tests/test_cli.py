@@ -151,6 +151,24 @@ class TestSynth:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.json"]
 
+    def test_points_above_cap_usage_error_before_drawing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "synth_city",
+                            lambda *a, **k: pytest.fail("synthesized a refused point count"))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"max_points": MAX_CITY_POINTS}))
+        n = cli.MAX_POINTS // MAX_CITY_POINTS + 1
+        assert run("synth", "--out", tmp_path / "c.jsonl", "--n", n, "--city-spec", spec) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 1024 and "Traceback" not in err
+        assert (f"--n {n} times the city spec's max_points {MAX_CITY_POINTS} is "
+                f"{n * MAX_CITY_POINTS} points, above the cap of {cli.MAX_POINTS}") in err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_default_spec_keeps_every_count_under_the_point_cap(self, tmp_path, monkeypatch):
+        assert cli.MAX_TRAJECTORIES * CitySpec().max_points <= cli.MAX_POINTS
+        monkeypatch.setattr(cli, "synth_city", lambda *a, **k: [])
+        assert run("synth", "--out", tmp_path / "c.jsonl", "--n", cli.MAX_TRAJECTORIES) == 0
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.jsonl"
         assert run("synth", "--out", out, "--seed", 5, "--n", 3) == 0
@@ -392,6 +410,33 @@ class TestGenerate:
         assert "--n must be an integer of at least 0 and at most 1000000" in err
         assert "Traceback" not in err
 
+    def test_points_above_cap_usage_error_before_conditions(self, ckpt, city, tmp_path, capsys,
+                                                             monkeypatch):
+        # the header edit loads: no parameter shape depends on the length
+        monkeypatch.setattr(cli, "sample", lambda *a, **k: pytest.fail("sampled a refused size"))
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: pytest.fail("read conditions"))
+        long = edited_checkpoint(ckpt, tmp_path / "long.ckpt",
+                                 lambda h: h["config"].update(length=4096))
+        n = cli.MAX_POINTS // 4096 + 1
+        assert run("generate", "--ckpt", long, "--out", tmp_path / "x.jsonl", "--n", n,
+                   "--cond-file", city) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 1024 and "Traceback" not in err
+        assert (f"--n {n} times the checkpoint's length 4096 is {n * 4096} points, "
+                f"above the cap of {cli.MAX_POINTS}") in err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_paper_length_keeps_every_count_under_the_point_cap(self, ckpt, tmp_path, monkeypatch,
+                                                                 capsys):
+        def reached(*a, **k):
+            raise DataError("reached sampling")
+        monkeypatch.setattr(cli, "sample", reached)
+        paper = edited_checkpoint(ckpt, tmp_path / "paper.ckpt",
+                                  lambda h: h["config"].update(length=200))
+        assert run("generate", "--ckpt", paper, "--out", tmp_path / "x.jsonl",
+                   "--n", cli.MAX_TRAJECTORIES, "--uncond") == 2
+        assert "reached sampling" in capsys.readouterr().err
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_workers_above_cap_usage_error(self, tmp_path, capsys, monkeypatch, via):
         # refused from the settings alone: no pool is forked and the
@@ -521,6 +566,18 @@ class TestEval:
         # one token, so argparse reads a leading minus as part of the value
         assert run("eval", "--gen", city, "--real", city, "--out", out, f"--bbox={bbox}") == 1
         assert "usage error" in capsys.readouterr().err and not out.exists()
+
+    def test_topn_above_grid_cells_usage_error_before_reading(self, city, tmp_path, capsys):
+        # --gen does not exist: the count is refused from the flags alone
+        assert run("eval", "--gen", tmp_path / "nope.jsonl", "--real", city,
+                   "--out", tmp_path / "r.json", "--grid", "2x2", "--topn", 5) == 1
+        assert "--topn 5 exceeds the 4 cells of a 2x2 grid" in capsys.readouterr().err
+
+    def test_topn_above_nonempty_cells_data_error(self, city, tmp_path, capsys):
+        # a count within the grid's cells can only be refused once the data is binned
+        assert run("eval", "--gen", city, "--real", city, "--out", tmp_path / "r.json",
+                   "--topn", 256) == 2
+        assert re.search(r"top-n 256 exceeds the \d+ nonempty cells", capsys.readouterr().err)
 
     def test_header_box_overflow_exit_2(self, city, tmp_path, capsys):
         real = edited_header(city, tmp_path / "wide.jsonl", lambda m: m["city"].update(OVERFLOWING_BOX))

@@ -80,6 +80,13 @@ class TestSkipSubsequence:
         with pytest.raises(ValueError):
             skip_subsequence(10, 11)
 
+    @pytest.mark.parametrize("T", [1, 4, 5, 20, 100, 500])
+    def test_default_sample_steps_is_a_fifth_of_t(self, T):
+        # the one default: generate passes an unset --steps through to it
+        cfg = SamplerConfig(total_steps=T)
+        assert cfg.sample_steps == max(1, T // 5)
+        np.testing.assert_array_equal(cfg.tau, skip_subsequence(T, max(1, T // 5)))
+
 
 class TestTrainingLoss:
     def test_oracle_denoiser_gives_zero_loss(self, sched):

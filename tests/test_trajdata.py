@@ -15,12 +15,13 @@ from trajdiff import metrics
 from trajdiff.cli import _bbox
 from trajdiff.errors import DataError, UsageError
 from trajdiff.rng import stream
-from trajdiff.trajdata import (CHUNK_TRAJECTORIES, SECONDS_PER_DAY, CitySpec, GridSpec,
-                               NormStats, RawTrajectory, batch_to_points, box_problem,
-                               denormalize, departure_slot, extent, extract_condition_batch,
-                               haversine_km, load_dataset, make_batch, motion_attributes,
-                               normalize, path_lengths, perturb_gaussian, perturb_random,
-                               resample, save_dataset, synth_city)
+from trajdiff.trajdata import (CHUNK_TRAJECTORIES, GRID_SIDE, NUM_GRID_CELLS, SECONDS_PER_DAY,
+                               CitySpec, GridSpec, LoadResult, NormStats, RawTrajectory,
+                               batch_to_points, box_problem, dataset_grid, denormalize,
+                               departure_slot, extent, extract_condition_batch, haversine_km,
+                               load_dataset, make_batch, motion_attributes, normalize,
+                               path_lengths, perturb_gaussian, perturb_random, resample,
+                               save_dataset, synth_city)
 
 
 def make_traj(points, t0=0.0, interval=5.0, tid="t0"):
@@ -234,6 +235,40 @@ class TestBoxRule:
     ])
     def test_reason(self, box, why):
         assert box_problem(*box).startswith(why)
+
+
+class TestDatasetGrid:
+    TRAJS = [make_traj([[108.95, 34.20], [109.00, 34.30]]), make_traj([[108.97, 34.25]] * 2)]
+    CITY = {"lng_min": 108.9, "lng_max": 109.06, "lat_min": 34.18, "lat_max": 34.34}
+
+    def test_header_city_box(self):
+        grid = dataset_grid("d.jsonl", LoadResult(self.TRAJS, meta={"city": self.CITY}), 3, 5)
+        assert grid == GridSpec(108.9, 109.06, 34.18, 34.34, 3, 5)
+
+    def test_header_bounds_pass_through_unconverted(self):
+        # an int bound stays an int, so a checkpoint's grid bytes are the header's
+        city = {**self.CITY, "lng_min": 108}
+        grid = dataset_grid("d.jsonl", LoadResult(self.TRAJS, meta={"city": city}))
+        assert type(grid.lng_min) is int
+
+    @pytest.mark.parametrize("meta", [None, {}, {"seed": 3}, 5, [1, 2], "city"])
+    def test_no_header_city_frames_by_extent(self, meta):
+        grid = dataset_grid("d.jsonl", LoadResult(self.TRAJS, meta=meta), 2, 2)
+        assert grid == GridSpec(*extent([t.points for t in self.TRAJS]), 2, 2)
+
+    @pytest.mark.parametrize("city, message", [
+        ({"lng_min": 108.9}, "KeyError('lng_max')"), (5, "TypeError"),
+        ({"lng_min": 109.1, "lng_max": 108.9, "lat_min": 34.18, "lat_max": 34.34},
+         "needs each max above its min")])
+    def test_malformed_header_city_names_the_path(self, city, message):
+        with pytest.raises(DataError, match=re.escape("d.jsonl: header city: ")) as e:
+            dataset_grid("d.jsonl", LoadResult(self.TRAJS, meta={"city": city}))
+        assert message in str(e.value)
+
+    def test_default_shape_is_the_one_grid_side(self):
+        grid = dataset_grid("d.jsonl", LoadResult(self.TRAJS))
+        assert (grid.rows, grid.cols) == (GRID_SIDE, GRID_SIDE)
+        assert grid.n_cells == NUM_GRID_CELLS
 
 
 class TestCellIndices:
