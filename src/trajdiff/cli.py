@@ -32,7 +32,8 @@ import numpy as np
 from . import __version__
 from . import tensor as tz
 from .checkpoint import load_checkpoint, save_checkpoint
-from .diffusion import MICRO_BATCH, SamplerConfig, TrainConfig, sample, train
+from .diffusion import (MICRO_BATCH, SamplerConfig, TrainConfig, sample, train,
+                        train_workers)
 from .errors import DataError, NumericError, UsageError
 from .metrics import evaluate
 from .rng import stream
@@ -106,7 +107,7 @@ GENERATE_SETTINGS = {
     "workers": Setting(int, 1, 1, high=MAX_WORKERS),
     "batch": Setting(int, 1, MICRO_BATCH, "sampling micro-batch size"),
 }
-THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on generate's --workers
+THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on train's and generate's processes
 
 EVAL_SETTINGS = {
     "grid": Setting(str, None, f"{GRID_SIDE}x{GRID_SIDE}"), "topn": Setting(int, 1, 10),
@@ -222,9 +223,32 @@ def _blas_build() -> dict | None:
         return None
 
 
+def _process_record(workers: int, blas: int | None) -> dict:
+    """The manifest keys of a command that ran workers processes: BLAS at
+    one thread in each when there are several (None stays None: BLAS cannot
+    be controlled), and the largest forked worker's peak RSS."""
+    several = workers > 1
+    return {"workers": workers, "blas_threads": 1 if several and blas is not None else blas,
+            "workers_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN) if several else None}
+
+
 def _peak_rss_mb(who) -> float:
     """Peak resident set size in MB of who, a resource.RUSAGE_* constant."""
     return round(resource.getrusage(who).ru_maxrss / 1024, 1)  # ru_maxrss is in KiB on Linux
+
+
+def _threads_cap() -> int | None:
+    """TRAJDIFF_THREADS, the cap on the processes train and generate run, or
+    None when it is unset; usage error unless it is an integer of at least 1."""
+    cap = os.environ.get("TRAJDIFF_THREADS")
+    if cap is None:
+        return None
+    try:
+        cap = int(cap)
+    except ValueError:
+        pass  # _check names the text as not an integer
+    _check("TRAJDIFF_THREADS", THREADS_CAP, cap)
+    return cap
 
 
 def _check_out_path(path) -> None:
@@ -307,6 +331,7 @@ def cmd_train(args) -> tuple:
                                 seed=cfg["seed"])
     except ValueError as e:
         raise UsageError(str(e)) from e
+    workers = train_workers(cfg["batch"], _threads_cap())
     _check_out_path(args.out)
 
     result = load_dataset(args.data)
@@ -317,8 +342,9 @@ def cmd_train(args) -> tuple:
     conds = extract_condition_batch(trajs, grid, norm)
 
     model = TrajUNet(model_cfg, rng=stream(cfg["seed"]))
+    blas = tz.blas_threads()
     t_train = time.perf_counter()
-    history = train(model, batch.data, conds, train_cfg, sched)
+    history = train(model, batch.data, conds, train_cfg, sched, workers=workers)
     train_s = time.perf_counter() - t_train
 
     save_checkpoint(args.out, model, sched, norm, grid, train_steps=cfg["steps"],
@@ -329,10 +355,13 @@ def cmd_train(args) -> tuple:
         for i, v in enumerate(history):
             fh.write(f"{i},{v:.6f}\n")
     print(f"trained {cfg['steps']} steps on {len(trajs)} trajectories -> {args.out}")
+    # as in generate: blas_threads is the count the shard processes ran at,
+    # and the forked worker's peak is apart from peak_rss_mb
     return cfg, [args.data], [args.out, loss_path], {
         "n_trajectories": len(trajs),
         "final_loss": float(history[-1]) if len(history) else None,
-        "step_ms_mean": round(train_s * 1e3 / len(history), 3) if len(history) else None}
+        "step_ms_mean": round(train_s * 1e3 / len(history), 3) if len(history) else None,
+        **_process_record(workers, blas)}
 
 
 def _load_conditions(path, norm: NormStats, grid: GridSpec, n: int, seed: int) -> ConditionBatch:
@@ -348,14 +377,8 @@ def cmd_generate(args) -> tuple:
     n = cfg["n"]
     if n is None:
         raise UsageError("--n is required")
-    workers = cfg["workers"]
-    if (cap := os.environ.get("TRAJDIFF_THREADS")) is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            pass  # _check names the text as not an integer
-        _check("TRAJDIFF_THREADS", THREADS_CAP, cap)
-        workers = min(workers, cap)
+    cap = _threads_cap()
+    workers = cfg["workers"] if cap is None else min(cfg["workers"], cap)
     _check_out_path(args.out)
     model, sched, norm, grid, header = load_checkpoint(args.ckpt)
     _check_points(n, model.config.length, "the checkpoint's length")
@@ -391,9 +414,7 @@ def cmd_generate(args) -> tuple:
     # processes, so their activations are not in peak_rss_mb
     return cfg, inputs, [args.out], {
         "model_evals": stats["model_evals"], "sample_steps": stats["steps"],
-        "workers": stats["workers"], "blas_threads": stats["blas_threads"],
-        "workers_peak_rss_mb": (_peak_rss_mb(resource.RUSAGE_CHILDREN)
-                                if stats["workers"] > 1 else None)}
+        **_process_record(stats["workers"], stats["blas_threads"])}
 
 
 def _bbox_soft_check(point_lists, norm: NormStats) -> None:

@@ -8,18 +8,24 @@ Sampling randomness is keyed per trajectory index (see trajdiff.rng), and
 work is partitioned into fixed micro-batches by index, so generated output
 is bit-identical for any worker count. More than one worker means a pool of
 forked processes, each running its micro-batches with OpenBLAS at one
-thread (see sample). Training is single-writer on the parameter set.
+thread (see sample). Training works the same way: each batch splits into
+TRAIN_SHARDS fixed row ranges whose gradients are summed in shard order,
+and more than one worker means forked processes, at one BLAS thread each,
+that each hold a copy of the parameters and apply the same summed gradient
+to it every step (see train), so the trained bytes never depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import NumericError
+from .errors import NumericError, WorkerError
 from .rng import stream
 # mu_from_eps is not called here; perfbench/tracing.py wraps it under this
 # module's name
@@ -35,6 +41,11 @@ CLIP_X0 = 1.5
 # Trajectories per sampling micro-batch; `trajdiff generate --batch` defaults to it.
 MICRO_BATCH = 128
 
+# Fixed row ranges each training batch splits into; a step's gradient is the
+# sum of theirs in this order, so training bytes depend on this count and
+# never on how many processes run the shards.
+TRAIN_SHARDS = 2
+
 
 @dataclass
 class TrainConfig:
@@ -46,6 +57,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be at least 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if not 0.0 <= self.cond_dropout_prob <= 1.0:
             raise ValueError("condition dropout probability must lie in [0, 1]")
         if not (is_finite(self.learning_rate) and self.learning_rate > 0):
@@ -121,34 +136,60 @@ class Adam:
 
 def training_loss(model, x0_batch: np.ndarray, cond_batch: ConditionBatch | None,
                   sched: NoiseSchedule, rng: np.random.Generator,
-                  cond_dropout_prob: float = 0.0) -> Tensor:
+                  cond_dropout_prob: float = 0.0,
+                  rows: tuple[int, int] | None = None) -> Tensor:
     """Noise-prediction objective: per-element squared error summed over the
     trajectory dims, averaged over the batch.
 
     Draws one uniform step and one standard-normal noise field per batch
     element from rng (in that order, then the dropout mask), so a fixed rng
-    state fully determines the loss.
+    state fully determines the loss. rows = (lo, hi) runs the model on batch
+    rows lo..hi-1 only, after the same draws for the whole batch, and returns
+    that shard's share of the batch loss; None means every row.
     """
     x0_batch = np.asarray(x0_batch, dtype=np.float32)
     B = x0_batch.shape[0]
     if B == 0:
         raise ValueError("empty training batch")
+    lo, hi = (0, B) if rows is None else rows
+    if not 0 <= lo < hi <= B:
+        raise ValueError(f"shard rows {lo}..{hi} do not lie in a batch of {B}")
     t = rng.integers(1, sched.T + 1, size=B)
     eps = rng.standard_normal(x0_batch.shape).astype(np.float32)
     if cond_batch is not None and cond_dropout_prob > 0.0:
         cond_batch = cond_batch.with_dropout(rng, cond_dropout_prob)
-    x_t = q_sample(x0_batch, t, eps, sched)
+    t, eps = t[lo:hi], eps[lo:hi]
+    if cond_batch is not None:
+        cond_batch = cond_batch.take(slice(lo, hi))
+    x_t = q_sample(x0_batch[lo:hi], t, eps, sched)
     eps_hat = model(x_t, t, cond_batch)
-    # the mean over all B * C * L elements, rescaled to a mean over the batch
-    return tz.mul(tz.mse(eps_hat, Tensor(eps)), float(eps[0].size))
+    # the mean over the shard's rows * C * L elements, rescaled to its share
+    # of a mean over the batch
+    return tz.mul(tz.mse(eps_hat, Tensor(eps)), float(eps[0].size * (hi - lo) / B))
+
+
+def train_workers(batch_size: int, cap: int | None = None) -> int:
+    """How many processes train runs by default: one per shard of a batch of
+    batch_size, at most one per usable core and at most cap."""
+    workers = min(TRAIN_SHARDS, batch_size, len(os.sched_getaffinity(0)))
+    return workers if cap is None else min(workers, cap)
 
 
 def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
-          cfg: TrainConfig, sched: NoiseSchedule) -> np.ndarray:
+          cfg: TrainConfig, sched: NoiseSchedule, workers: int | None = None) -> np.ndarray:
     """Optimize the model in place; returns the per-step loss history.
 
+    Each step's batch splits into min(TRAIN_SHARDS, batch_size) fixed row
+    ranges. Each shard's gradient is computed on its own and the step's
+    gradient is their sum in shard order, so the bytes depend on the shard
+    count only, never on workers. workers processes run the shards (None:
+    train_workers); more than one means this process and forked workers, all
+    at one BLAS thread, that trade gradients through shared memory once a
+    step (see _train_forked). One shard is the plain whole-batch step.
+
     Aborts with NumericError if an op's output, the loss included, goes
-    non-finite; the message names the step, counted from 0.
+    non-finite; the message names the step, counted from 0. When several
+    shards fail, the lowest one's error is raised.
     """
     x0_data = np.asarray(x0_data, dtype=np.float32)
     n = x0_data.shape[0]
@@ -156,24 +197,221 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
         raise ValueError("empty training dataset")
     if cond_data is not None and len(cond_data) != n:
         raise ValueError("condition count does not match dataset size")
-    rng = stream(cfg.seed)
-    opt = Adam(model.params, lr=cfg.learning_rate)
+    job = _TrainJob(model, x0_data, cond_data, cfg, sched)
     history = np.empty(cfg.steps, dtype=np.float64)
+    shards = len(job.rows)
+    if shards == 1:
+        for step_i in range(cfg.steps):
+            x0, cond = job.draw_batch()
+            history[step_i] = job.backward(x0, cond, step_i, None)
+            job.opt.step()
+        return history
+    workers = train_workers(cfg.batch_size) if workers is None else max(1, min(workers, shards))
+    if workers > 1:
+        _train_forked(job, workers, history)
+        return history
+    job.lay_out_buffers(1, bytearray)
     for step_i in range(cfg.steps):
-        idx = rng.integers(0, n, size=cfg.batch_size)
-        x0 = x0_data[idx]
-        cond = cond_data.take(idx) if cond_data is not None else None
-        opt.zero_grad()
+        job.compute(step_i, range(shards))
+        history[step_i] = job.apply(step_i)
+    return history
+
+
+class _TrainJob:
+    """One training run's state, and its step as fixed shards of the batch.
+
+    Each shard's gradient goes into its own row of one flat float32 buffer
+    (grads[parity, shard]), with its loss and which parameters it reached;
+    apply sums the rows in shard order, whichever process wrote them, and
+    steps Adam. The buffers hold one copy per step parity, so that a process
+    may write step k + 1's rows while another still reads step k's.
+    """
+
+    def __init__(self, model, x0_data, cond_data, cfg: TrainConfig, sched: NoiseSchedule):
+        self.model, self.x0_data, self.cond_data = model, x0_data, cond_data
+        self.cfg, self.sched = cfg, sched
+        self.rng = stream(cfg.seed)
+        self.opt = Adam(model.params, lr=cfg.learning_rate)
+        self.params = list(model.params.values())
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        shards = min(TRAIN_SHARDS, cfg.batch_size)
+        B = cfg.batch_size
+        self.rows = [(B * s // shards, B * (s + 1) // shards) for s in range(shards)]
+        self.losses = self.grads = self.reached = None  # set by lay_out_buffers
+
+    def lay_out_buffers(self, parities: int, alloc) -> None:
+        """Lay out losses [parities, shards] float64, grads [parities, shards,
+        values] float32 and reached [parities, shards, params] bool, in that
+        order (each part stays aligned), in alloc(total bytes): a bytearray,
+        or a shared mmap."""
+        shards, values, params = len(self.rows), int(self.offsets[-1]), len(self.params)
+        parts = [((parities, shards), np.float64), ((parities, shards, values), np.float32),
+                 ((parities, shards, params), np.bool_)]
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in parts]
+        buf = alloc(sum(sizes))
+        out, offset = [], 0
+        for (shape, dtype), size in zip(parts, sizes):
+            out.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
+            offset += size
+        self.losses, self.grads, self.reached = out
+
+    def draw_batch(self) -> tuple[np.ndarray, ConditionBatch | None]:
+        idx = self.rng.integers(0, self.x0_data.shape[0], size=self.cfg.batch_size)
+        return self.x0_data[idx], (self.cond_data.take(idx) if self.cond_data is not None
+                                   else None)
+
+    def backward(self, x0, cond, step_i: int, rows) -> float:
+        """Forward and backward of one shard (rows None: the whole batch); its
+        gradient is left in each reached parameter's .grad, its loss returned."""
+        self.opt.zero_grad()
         tz.reset_tape()
         try:
-            loss = training_loss(model, x0, cond, sched, rng,
-                                 cond_dropout_prob=cfg.cond_dropout_prob)
+            loss = training_loss(self.model, x0, cond, self.sched, self.rng,
+                                 cond_dropout_prob=self.cfg.cond_dropout_prob, rows=rows)
         except NumericError as e:
             raise NumericError(f"step {step_i}: {e}") from e
         tz.backward(loss)
-        opt.step()
-        history[step_i] = loss.item()
-    return history
+        return loss.item()
+
+    def compute(self, step_i: int, shards) -> None:
+        """Draw step step_i's batch and run the given shards, each into its row.
+        Each shard draws from the same stream state, so the stream ends where
+        one whole-batch draw leaves it."""
+        parity = step_i % self.grads.shape[0]
+        x0, cond = self.draw_batch()
+        state = self.rng.bit_generator.state
+        for k, s in enumerate(shards):
+            if k:
+                self.rng.bit_generator.state = state
+            self.losses[parity, s] = self.backward(x0, cond, step_i, self.rows[s])
+            row, reached = self.grads[parity, s], self.reached[parity, s]
+            for j, p in enumerate(self.params):
+                reached[j] = p.grad is not None
+                row[self.offsets[j]:self.offsets[j + 1]] = 0 if p.grad is None else p.grad.ravel()
+
+    def apply(self, step_i: int) -> float:
+        """Set each parameter's .grad to the sum of step step_i's rows, in
+        shard order (None where no shard reached it), step Adam and return
+        the step's loss, the sum of the shard losses in shard order."""
+        parity = step_i % self.grads.shape[0]
+        grads, losses = self.grads[parity], self.losses[parity]
+        total = grads[0].copy()
+        loss = losses[0]
+        for s in range(1, len(self.rows)):
+            total += grads[s]
+            loss += losses[s]
+        reached = self.reached[parity].any(axis=0)
+        for j, p in enumerate(self.params):
+            p.grad = (total[self.offsets[j]:self.offsets[j + 1]].reshape(p.data.shape)
+                      if reached[j] else None)
+        self.opt.step()
+        return float(loss)
+
+
+def _train_forked(job: _TrainJob, workers: int, history: np.ndarray) -> None:
+    """Run job's steps on this process and workers - 1 forked ones, each on a
+    contiguous block of shards: the caller's come first, then each worker's
+    in fork order, so the lowest failing shard is the first failure seen.
+
+    The buffers are one anonymous shared mmap, made before the fork, with a
+    copy per step parity. Each step every process draws from its own copy
+    of the stream, writes its shards' rows, and the caller waits for one
+    byte from each worker, then sends one back once every row is in. Each
+    process then sums the rows and steps Adam itself: Adam is deterministic,
+    so the parameter copies stay identical and no parameter crosses a
+    process boundary. BLAS runs at one thread in every process, and the
+    caller's count is restored on return or raise. A failed worker reports
+    its error through its pipe (see _read_report); no worker outlives the
+    call.
+    """
+    # imported here: runs in one process never need them
+    import mmap
+    import signal
+
+    shards = len(job.rows)
+    blocks = [range(shards * p // workers, shards * (p + 1) // workers) for p in range(workers)]
+    job.lay_out_buffers(2, lambda size: mmap.mmap(-1, size))
+    blas = tz.blas_threads()
+    tz.set_blas_threads(1)
+    procs = []  # [pid, report_r, go_w] per worker, pid None until forked
+    try:
+        for block in blocks[1:]:
+            report_r, report_w = os.pipe()
+            go_r, go_w = os.pipe()
+            procs.append([None, report_r, go_w])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_shards(job, block, report_w, go_r,
+                                  [fd for _, r, w in procs for fd in (r, w)])
+                procs[-1][0] = pid
+            finally:  # only the caller gets here: a worker never returns
+                os.close(report_w)
+                os.close(go_r)
+        for step_i in range(job.cfg.steps):
+            job.compute(step_i, blocks[0])
+            for _, report_r, _ in procs:
+                _read_report(report_r, step_i)
+            for _, _, go_w in procs:
+                os.write(go_w, b".")
+            history[step_i] = job.apply(step_i)
+    finally:
+        for pid, report_r, go_w in procs:
+            os.close(report_r)
+            os.close(go_w)
+            if pid is not None and os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if blas is not None:
+            tz.set_blas_threads(blas)
+
+
+def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int,
+                  inherited: list[int]) -> None:
+    """A forked training worker's life, after it closes the caller's pipe
+    ends it inherited: each step, run its block of shards, send the caller
+    b".", wait for b"." back, then sum the rows and step Adam as the caller
+    does. Any error is reported through report_w instead (b"N" and a
+    NumericError's text, which names the step; b"E" and the text of any
+    other), and the worker leaves by os._exit, so no exit handler of the
+    caller's process (atexit, a test runner's) runs twice. Never returns.
+    """
+    step_i, code = 0, 0
+    try:
+        for fd in inherited:
+            os.close(fd)
+        for step_i in range(job.cfg.steps):
+            job.compute(step_i, block)
+            os.write(report_w, b".")
+            if os.read(go_r, 1) != b".":
+                break  # the caller stopped
+            job.apply(step_i)
+    except BaseException as e:  # every error goes to the caller
+        code = 1
+        if isinstance(e, NumericError):
+            report = b"N" + str(e).encode()
+        else:
+            report = b"E" + f"step {step_i}: training worker failed with " \
+                            f"{type(e).__name__}: {e}".encode()
+        try:
+            os.write(report_w, report[:4096])  # at most PIPE_BUF bytes: one atomic write
+        except OSError:
+            pass
+    finally:
+        os._exit(code)
+
+
+def _read_report(report_r: int, step_i: int) -> None:
+    """Return once a worker reports its rows of step step_i in; raise the
+    error it reports instead (NumericError as it was, any other as a
+    WorkerError), or a WorkerError when it ended without a report."""
+    head = os.read(report_r, 1)
+    if head == b".":
+        return
+    if not head:
+        raise WorkerError(f"step {step_i}: a training worker ended without a report")
+    text = b"".join(iter(lambda: os.read(report_r, 4096), b"")).decode(errors="replace")
+    raise (NumericError if head == b"N" else WorkerError)(text)
 
 
 # ---------------------------------------------------------------------------

@@ -20,3 +20,8 @@ class DataError(TrajdiffError):
 
 class NumericError(TrajdiffError):
     """Non-finite values or numerically infeasible requests."""
+
+
+class WorkerError(TrajdiffError):
+    """A worker process failed outside the error types above, or ended
+    without reporting."""

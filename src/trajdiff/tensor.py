@@ -43,12 +43,14 @@ record is dropped with its slot's gradient, so saved activations and
 activation gradients are freed as the walk passes them, and only leaves end
 up with a .grad. The walk empties the tape, so a second backward without a
 new forward pass raises. There is one tape per process: sampling pool workers
-are forked processes, and no code runs tensor ops on a second thread.
+and training shard workers are forked processes, and no code runs tensor
+ops on a second thread.
 
 This module also owns the numeric runtime: blas_threads reads OpenBLAS's
 thread count and set_blas_threads sets it for the whole process. Each
 sampling pool worker calls the latter once, in its own process, so the
-caller's count is never changed. Under glibc, importing the module pins
+caller's count is never changed; a training run on several processes sets
+one thread before it forks and restores the caller's count when it ends. Under glibc, importing the module pins
 malloc's mmap threshold at 32 MiB and its trim threshold at 64 MiB, the
 largest values glibc's own dynamic adjustment reaches on 64-bit. Freeing
 during the walk would otherwise hand the step's large buffers back to the

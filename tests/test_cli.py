@@ -14,6 +14,7 @@ from conftest import REPORT_SCHEMA
 from trajdiff import cli
 from trajdiff import tensor as tz
 from trajdiff.cli import main
+from trajdiff.diffusion import train_workers
 from trajdiff.errors import DataError, NumericError, UsageError
 from trajdiff.metrics import grid_density
 from trajdiff.trajdata import (CHUNK_TRAJECTORIES, MAX_CITY_POINTS, CitySpec, GridSpec,
@@ -216,6 +217,51 @@ class TestTrain:
 
     def test_missing_data_file_exit_2(self, tmp_path):
         assert run("train", "--data", tmp_path / "nope.jsonl", "--out", tmp_path / "x.ckpt") == 2
+
+    TINY_RUN = ("--steps", 3, "--batch", 6, "--T", 20, "--length", 16, "--base-channels", 4)
+
+    def test_thread_cap_keeps_the_bytes(self, city, tmp_path, monkeypatch):
+        # the shard count fixes the bytes; TRAJDIFF_THREADS=1 only runs both
+        # shards in this process
+        outs = {}
+        for cap in (None, "1"):
+            if cap is None:
+                monkeypatch.delenv("TRAJDIFF_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("TRAJDIFF_THREADS", cap)
+            out = tmp_path / f"cap-{cap}.ckpt"
+            assert run("train", "--data", city, "--out", out, *self.TINY_RUN) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            outs[cap] = (out.read_bytes(), Path(f"{out}.loss.csv").read_bytes(), manifest)
+        (ckpt_free, loss_free, free), (ckpt_one, loss_one, one) = outs[None], outs["1"]
+        assert ckpt_free == ckpt_one and loss_free == loss_one
+        assert one["workers"] == 1
+        assert free["workers"] == train_workers(6)
+
+    def test_manifest_records_the_processes(self, city, tmp_path, monkeypatch):
+        monkeypatch.delenv("TRAJDIFF_THREADS", raising=False)
+        blas = tz.blas_threads()
+        for batch, workers in ((6, train_workers(6)), (1, 1)):
+            out = tmp_path / f"b{batch}.ckpt"
+            assert run("train", "--data", city, "--out", out, "--steps", 2, "--batch", batch,
+                       "--T", 20, "--length", 16, "--base-channels", 4) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["workers"] == workers
+            if workers > 1:
+                # the shard processes ran BLAS at one thread; the worker's peak is its own
+                assert manifest["blas_threads"] == (None if blas is None else 1)
+                assert manifest["workers_peak_rss_mb"] > 0
+            else:
+                assert manifest["blas_threads"] == blas
+                assert manifest["workers_peak_rss_mb"] is None
+
+    def test_bad_thread_cap_usage_error_before_reading(self, tmp_path, monkeypatch, capsys):
+        # the data file does not exist: the cap is checked before it is read
+        for cap in ("abc", "0", "-3"):
+            monkeypatch.setenv("TRAJDIFF_THREADS", cap)
+            assert run("train", "--data", tmp_path / "nope.jsonl",
+                       "--out", tmp_path / "x.ckpt") == 1
+            assert "TRAJDIFF_THREADS must be an integer of at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("settings", [{"steps": "3"}, {"steps": -1}, {"batch": 0}, {"T": 0},
                                           {"lr": True}, {"lr": -1}, {"beta_end": "0.1"},

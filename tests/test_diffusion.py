@@ -1,5 +1,8 @@
 import multiprocessing
+import os
+import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from trajdiff import tensor as tz
 from trajdiff.diffusion import (CLIP_X0, Adam, SamplerConfig, TrainConfig, ddim_step,
                                 ddim_transition, ddpm_step, guided_eps, sample,
                                 skip_subsequence, train, training_loss)
-from trajdiff.errors import NumericError
+from trajdiff.errors import NumericError, WorkerError
 from trajdiff.rng import stream
 from trajdiff.schedule import linear_beta_schedule, mu_from_eps, predict_x0_from_eps, q_sample
 from trajdiff.tensor import Tensor
-from trajdiff.trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, ConditionBatch, ConditionVector
+from trajdiff.trajdata import (NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, NUM_NUMERIC_ATTRS,
+                               ConditionBatch, ConditionVector)
 from trajdiff.unet import TrajUNet, TrajUNetConfig
 
 
@@ -119,6 +123,24 @@ class TestTrainingLoss:
             training_loss(StubModel(lambda x, t, c: x), np.zeros((0, 2, 8), np.float32),
                           None, sched, stream(6))
 
+    def test_shard_losses_share_the_batch_loss(self, sched):
+        # every row range draws the whole batch's t and noise, so the shards'
+        # losses add up to the batch loss, and every row is today's default
+        x0 = stream(7).normal(size=(5, 2, 8)).astype(np.float32)
+        model = StubModel(lambda x_t, t, cond: np.tanh(x_t))
+        whole = training_loss(model, x0, None, sched, stream(8)).item()
+        assert training_loss(model, x0, None, sched, stream(8), rows=(0, 5)).item() == whole
+        shards = [training_loss(model, x0, None, sched, stream(8), rows=r).item()
+                  for r in ((0, 2), (2, 5))]
+        assert sum(shards) == pytest.approx(whole, rel=1e-6)
+        assert model.calls == 5 + 5 + 2 + 3
+
+    @pytest.mark.parametrize("rows", [(0, 0), (3, 2), (-1, 2), (0, 6)])
+    def test_rows_outside_the_batch_rejected(self, sched, rows):
+        with pytest.raises(ValueError, match="shard rows"):
+            training_loss(StubModel(lambda x, t, c: x), np.zeros((5, 2, 8), np.float32),
+                          None, sched, stream(6), rows=rows)
+
 
 TINY = TrajUNetConfig(length=16, base_channels=4, channel_multipliers=(1, 2),
                       resnet_blocks_per_level=1, groups=2)
@@ -200,6 +222,236 @@ class TestTrain:
             train(huge, x0, None, TrainConfig(steps=1, batch_size=4, seed=0), sched)
 
 
+def conditions(n: int, seed: int) -> ConditionBatch:
+    """n random conditions, none of them null."""
+    rng = stream(seed)
+    return ConditionBatch(rng.normal(size=(n, NUM_NUMERIC_ATTRS)),
+                          rng.integers(0, NUM_DEPARTURE_SLOTS, n),
+                          rng.integers(0, NUM_GRID_CELLS, n), rng.integers(0, NUM_GRID_CELLS, n),
+                          np.zeros(n, bool))
+
+
+def children() -> list[str]:
+    """Process ids of this process's living (or unreaped) children."""
+    return [pid for task in Path("/proc/self/task").iterdir()
+            for pid in (task / "children").read_text().split()]
+
+
+def reference_train(model, x0_data, cond_data, cfg, sched) -> np.ndarray:
+    """The sharded step spelled out in one process: each shard's gradient
+    from the stream state the step's batch draw left, summed in shard order
+    (a parameter no shard reached keeps no gradient, one that some reached
+    counts zeros for the others), then one Adam step."""
+    rng = stream(cfg.seed)
+    opt = Adam(model.params, lr=cfg.learning_rate)
+    B = cfg.batch_size
+    shards = min(diffusion.TRAIN_SHARDS, B)
+    history = []
+    for _ in range(cfg.steps):
+        idx = rng.integers(0, len(x0_data), size=B)
+        cond = cond_data.take(idx) if cond_data is not None else None
+        state = rng.bit_generator.state
+        grads, loss = {}, 0.0
+        for s in range(shards):
+            rng.bit_generator.state = state
+            opt.zero_grad()
+            tz.reset_tape()
+            shard = training_loss(model, x0_data[idx], cond, sched, rng, cfg.cond_dropout_prob,
+                                  rows=(B * s // shards, B * (s + 1) // shards))
+            tz.backward(shard)
+            loss += shard.item()
+            for k, p in model.params.items():
+                if p.grad is not None:
+                    grads.setdefault(k, [np.zeros_like(p.data)] * shards)[s] = p.grad
+        for k, p in model.params.items():
+            p.grad = None
+            for g in grads.get(k, []):
+                p.grad = g if p.grad is None else p.grad + g
+        opt.step()
+        history.append(loss)
+    return np.array(history)
+
+
+class TestTrainShards:
+    """A step's gradient is the sum of fixed shard gradients in shard order,
+    so the bytes depend on TRAIN_SHARDS only; workers only decide which
+    process runs which shard, and none outlives train."""
+
+    CASES = {"conditions": (4, 0.1, True), "no conditions": (4, 0.1, False),
+             "uneven shards": (5, 0.3, True), "one shard": (1, 0.1, True)}
+
+    @pytest.fixture
+    def deadline(self):
+        """Fail a test that waits on a worker for more than 60 s instead of hanging."""
+        def expire(signum, frame):
+            raise TimeoutError("train did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def run(workers, batch=4, dropout=0.1, with_conditions=True, steps=5, seed=3):
+        model = TrajUNet(TINY, rng=stream(21))
+        x0 = stream(22).normal(size=(7, 2, 16)).astype(np.float32)
+        cond = conditions(7, 23) if with_conditions else None
+        cfg = TrainConfig(steps=steps, batch_size=batch, seed=seed, cond_dropout_prob=dropout)
+        history = train(model, x0, cond, cfg, linear_beta_schedule(100, 1e-4, 0.05),
+                        workers=workers)
+        return history, model
+
+    @staticmethod
+    def same_bytes(a, b) -> None:
+        (hist_a, model_a), (hist_b, model_b) = a, b
+        assert hist_a.tobytes() == hist_b.tobytes()
+        for name, p in model_a.params.items():
+            assert p.data.tobytes() == model_b.params[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_do_not_depend_on_workers(self, case, deadline):
+        batch, dropout, with_conditions = self.CASES[case]
+        one, two = (self.run(w, batch, dropout, with_conditions) for w in (1, 2))
+        self.same_bytes(one, two)
+        assert children() == []
+
+    @pytest.mark.parametrize("case", sorted(set(CASES) - {"one shard"}))
+    def test_matches_the_spelled_out_shard_sum(self, case, sched):
+        batch, dropout, with_conditions = self.CASES[case]
+        history, model = self.run(1, batch, dropout, with_conditions)
+        ref_model = TrajUNet(TINY, rng=stream(21))
+        x0 = stream(22).normal(size=(7, 2, 16)).astype(np.float32)
+        cond = conditions(7, 23) if with_conditions else None
+        ref = reference_train(ref_model, x0, cond,
+                              TrainConfig(steps=5, batch_size=batch, seed=3,
+                                          cond_dropout_prob=dropout), sched)
+        self.same_bytes((history, model), (ref, ref_model))
+
+    def test_one_shard_is_the_whole_batch_step(self, sched):
+        # batch 1 has one shard: today's step, one training_loss over every row
+        model = TrajUNet(TINY, rng=stream(21))
+        x0 = stream(22).normal(size=(7, 2, 16)).astype(np.float32)
+        rng, opt, history = stream(3), Adam(model.params, lr=1e-3), []
+        for _ in range(5):
+            idx = rng.integers(0, 7, size=1)
+            opt.zero_grad()
+            tz.reset_tape()
+            loss = training_loss(model, x0[idx], None, sched, rng, cond_dropout_prob=0.1)
+            tz.backward(loss)
+            opt.step()
+            history.append(loss.item())
+        self.same_bytes((np.array(history), model), self.run(2, batch=1, with_conditions=False))
+
+    def test_shard_processes_run_blas_at_one_thread(self, monkeypatch):
+        fake = FakeBlas(2)
+        monkeypatch.setattr(tz, "_openblas", lambda: (fake.get, fake.set))
+        seen = []
+        adam_step = diffusion.Adam.step
+
+        def step_and_look(opt):
+            adam_step(opt)
+            seen.append(tz.blas_threads())
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_and_look)
+        self.run(2)
+        assert seen == [1] * 5  # the caller's own steps; the worker's are its own
+        assert fake.sets == [1, 2] and fake.count == 2
+        self.run(1)
+        assert fake.sets == [1, 2] and seen[5:] == [2] * 5
+
+    @staticmethod
+    def in_worker(caller: int, opt, k: int) -> bool:
+        return os.getpid() != caller and opt.t == k
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_worker_numeric_error_names_its_step(self, monkeypatch, deadline, k):
+        # only the worker's model copy is poisoned, so only shard 1 fails
+        caller, blas = os.getpid(), tz.blas_threads()
+        adam_step = diffusion.Adam.step
+
+        def step_then_poison(opt):
+            adam_step(opt)
+            if self.in_worker(caller, opt, k):
+                opt.params["stem.w"].data[0, 0, 0] = np.nan
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_then_poison)
+        with pytest.raises(NumericError, match=rf"^step {k}: conv1d produced non-finite values$"):
+            self.run(2, steps=k + 5)
+        assert children() == []
+        assert tz.blas_threads() == blas
+
+    def test_both_shards_failing_raise_shard_zero(self, monkeypatch, deadline):
+        # the caller's shard fails at the stem conv, the worker's at the loss:
+        # one process running both would meet shard 0's error first
+        caller = os.getpid()
+        adam_step = diffusion.Adam.step
+
+        def step_then_poison(opt):
+            adam_step(opt)
+            if opt.t == 2:
+                if os.getpid() == caller:
+                    opt.params["stem.w"].data[0, 0, 0] = np.nan
+                else:
+                    opt.params["out.conv.b"].data[:] = np.inf
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_then_poison)
+        for workers in (1, 2):
+            with pytest.raises(NumericError, match=r"^step 2: conv1d produced non-finite values$"):
+                self.run(workers)
+        assert children() == []
+
+    def test_worker_exit_is_a_typed_error(self, monkeypatch, deadline):
+        caller, blas = os.getpid(), tz.blas_threads()
+        adam_step = diffusion.Adam.step
+
+        def step_then_exit(opt):
+            adam_step(opt)
+            if self.in_worker(caller, opt, 2):
+                os._exit(3)
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_then_exit)
+        # the worker dies in step 1's Adam step; the caller misses its report of step 2
+        with pytest.raises(WorkerError, match=r"^step 2: a training worker ended without a report$"):
+            self.run(2)
+        assert children() == []
+        assert tz.blas_threads() == blas
+
+    def test_worker_exception_is_a_typed_error(self, monkeypatch, deadline):
+        caller = os.getpid()
+        adam_step = diffusion.Adam.step
+
+        def step_then_fail(opt):
+            adam_step(opt)
+            if self.in_worker(caller, opt, 3):
+                raise KeyError("boom")
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_then_fail)
+        with pytest.raises(WorkerError,
+                           match=r"^step 2: training worker failed with KeyError: 'boom'$"):
+            self.run(2)
+        assert children() == []
+
+    def test_one_core_interleaving_keeps_the_bytes(self, deadline):
+        # both processes on one core take turns inside every step: a row read
+        # before its writer finished, or a parity buffer reused too early,
+        # would change the bytes
+        cores = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cores)})
+        try:
+            two = self.run(2, steps=30)
+        finally:
+            os.sched_setaffinity(0, cores)
+        self.same_bytes(self.run(1, steps=30), two)
+        assert children() == []
+
+    def test_success_leaves_no_process_and_blas_as_it_was(self, deadline):
+        blas = tz.blas_threads()
+        self.run(2)
+        assert children() == []
+        assert tz.blas_threads() == blas
+
+
 class TestConfigChecks:
     # each value would otherwise construct and only fail, or silently yield
     # non-finite output, once training or sampling runs
@@ -210,6 +462,16 @@ class TestConfigChecks:
     def test_infinite_guidance_rejected(self):
         with pytest.raises(ValueError, match="guidance"):
             SamplerConfig(sample_steps=1, guidance_scale=float("inf"))
+
+    @pytest.mark.parametrize("steps", [-1, -10**6])
+    def test_negative_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="^steps must be at least 0"):
+            TrainConfig(steps=steps)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="^batch_size must be at least 1"):
+            TrainConfig(batch_size=batch_size)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
     def test_non_finite_learning_rate_rejected(self, lr):
