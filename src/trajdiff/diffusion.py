@@ -185,7 +185,7 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
     count only, never on workers. workers processes run the shards (None:
     train_workers); more than one means this process and forked workers, all
     at one BLAS thread, that trade gradients through shared memory once a
-    step (see _train_forked). One shard is the plain whole-batch step.
+    step (see _run_shards).
 
     Aborts with NumericError if an op's output, the loss included, goes
     non-finite; the message names the step, counted from 0. When several
@@ -200,20 +200,8 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
     job = _TrainJob(model, x0_data, cond_data, cfg, sched)
     history = np.empty(cfg.steps, dtype=np.float64)
     shards = len(job.rows)
-    if shards == 1:
-        for step_i in range(cfg.steps):
-            x0, cond = job.draw_batch()
-            history[step_i] = job.backward(x0, cond, step_i, None)
-            job.opt.step()
-        return history
     workers = train_workers(cfg.batch_size) if workers is None else max(1, min(workers, shards))
-    if workers > 1:
-        _train_forked(job, workers, history)
-        return history
-    job.lay_out_buffers(1, bytearray)
-    for step_i in range(cfg.steps):
-        job.compute(step_i, range(shards))
-        history[step_i] = job.apply(step_i)
+    _run_shards(job, workers, history)
     return history
 
 
@@ -223,8 +211,9 @@ class _TrainJob:
     Each shard's gradient goes into its own row of one flat float32 buffer
     (grads[parity, shard]), with its loss and which parameters it reached;
     apply sums the rows in shard order, whichever process wrote them, and
-    steps Adam. The buffers hold one copy per step parity, so that a process
-    may write step k + 1's rows while another still reads step k's.
+    steps Adam. Shared by several processes, the buffers hold one copy per
+    step parity, so that a process may write step k + 1's rows while
+    another still reads step k's.
     """
 
     def __init__(self, model, x0_data, cond_data, cfg: TrainConfig, sched: NoiseSchedule):
@@ -261,8 +250,8 @@ class _TrainJob:
                                    else None)
 
     def backward(self, x0, cond, step_i: int, rows) -> float:
-        """Forward and backward of one shard (rows None: the whole batch); its
-        gradient is left in each reached parameter's .grad, its loss returned."""
+        """Forward and backward of one shard, rows = (lo, hi); its gradient is
+        left in each reached parameter's .grad, its loss returned."""
         self.opt.zero_grad()
         tz.reset_tape()
         try:
@@ -308,21 +297,22 @@ class _TrainJob:
         return float(loss)
 
 
-def _train_forked(job: _TrainJob, workers: int, history: np.ndarray) -> None:
+def _run_shards(job: _TrainJob, workers: int, history: np.ndarray) -> None:
     """Run job's steps on this process and workers - 1 forked ones, each on a
     contiguous block of shards: the caller's come first, then each worker's
     in fork order, so the lowest failing shard is the first failure seen.
 
-    The buffers are one anonymous shared mmap, made before the fork, with a
-    copy per step parity. Each step every process draws from its own copy
-    of the stream, writes its shards' rows, and the caller waits for one
-    byte from each worker, then sends one back once every row is in. Each
-    process then sums the rows and steps Adam itself: Adam is deterministic,
-    so the parameter copies stay identical and no parameter crosses a
-    process boundary. BLAS runs at one thread in every process, and the
-    caller's count is restored on return or raise. A failed worker reports
-    its error through its pipe (see _read_report); no worker outlives the
-    call.
+    With one worker, this process runs every shard, with its buffers in a
+    bytearray and its BLAS count as it is. With more, the buffers are one
+    anonymous shared mmap, made before the fork, with a copy per step
+    parity. Each step every process draws from its own copy of the stream,
+    writes its shards' rows, and the caller waits for one byte from each
+    worker, then sends one back once every row is in. Each process then
+    sums the rows and steps Adam itself: Adam is deterministic, so the
+    parameter copies stay identical and no parameter crosses a process
+    boundary. BLAS runs at one thread in every process, and the caller's
+    count is restored on return or raise. A failed worker reports its error
+    through its pipe (see _read_report); no worker outlives the call.
     """
     # imported here: runs in one process never need them
     import mmap
@@ -330,9 +320,13 @@ def _train_forked(job: _TrainJob, workers: int, history: np.ndarray) -> None:
 
     shards = len(job.rows)
     blocks = [range(shards * p // workers, shards * (p + 1) // workers) for p in range(workers)]
-    job.lay_out_buffers(2, lambda size: mmap.mmap(-1, size))
-    blas = tz.blas_threads()
-    tz.set_blas_threads(1)
+    blas = None
+    if workers == 1:
+        job.lay_out_buffers(1, bytearray)
+    else:
+        job.lay_out_buffers(2, lambda size: mmap.mmap(-1, size))
+        blas = tz.blas_threads()
+        tz.set_blas_threads(1)
     procs = []  # [pid, report_r, go_w] per worker, pid None until forked
     try:
         for block in blocks[1:]:
