@@ -55,7 +55,7 @@ _COND_STREAM_ID = 0x636F6E64  # reserved stream for condition resampling
 # (the loss history) and a training batch of 100 000 (the paper's is 1024).
 # A synth or generate call holds all its points at once, so their count has a
 # cap too: a million trajectories of the default 200 points (synth's
-# max_points, the paper's length). sample forks min(workers, micro-batches)
+# max_points, the paper's length). sample runs min(workers, micro-batches)
 # processes, so --workers has a cap too.
 MAX_GRID_CELLS = 1_000_000
 MAX_BINS = 10_000
@@ -104,7 +104,8 @@ GENERATE_SETTINGS = {
     "eta": Setting(float, 0.0, SamplerConfig.eta),
     "omega": Setting(float, None, SamplerConfig.guidance_scale),
     "seed": Setting(int, None, SamplerConfig.seed),
-    "workers": Setting(int, 1, 1, high=MAX_WORKERS),
+    "workers": Setting(int, 1, None, "worker processes (default: one per usable core)",
+                       high=MAX_WORKERS),
     "batch": Setting(int, 1, MICRO_BATCH, "sampling micro-batch size"),
 }
 THREADS_CAP = Setting(int, 1, None)  # TRAJDIFF_THREADS, a cap on train's and generate's processes
@@ -378,7 +379,10 @@ def cmd_generate(args) -> tuple:
     if n is None:
         raise UsageError("--n is required")
     cap = _threads_cap()
-    workers = cfg["workers"] if cap is None else min(cfg["workers"], cap)
+    # as train: one process per usable core, at most cap; sample runs at most
+    # one per micro-batch
+    workers = len(os.sched_getaffinity(0)) if cfg["workers"] is None else cfg["workers"]
+    workers = workers if cap is None else min(workers, cap)
     _check_out_path(args.out)
     model, sched, norm, grid, header = load_checkpoint(args.ckpt)
     _check_points(n, model.config.length, "the checkpoint's length")
@@ -410,7 +414,7 @@ def cmd_generate(args) -> tuple:
                                             "version": __version__})
     print(f"generated {n} trajectories with {stats['steps']} steps "
           f"({stats['model_evals']} model evals) -> {args.out}")
-    # blas_threads is the count the samplers ran at; pool workers are child
+    # blas_threads is the count the samplers ran at; forked workers are child
     # processes, so their activations are not in peak_rss_mb
     return cfg, inputs, [args.out], {
         "model_evals": stats["model_evals"], "sample_steps": stats["steps"],

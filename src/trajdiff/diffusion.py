@@ -6,20 +6,28 @@ between adjacent steps.
 
 Sampling randomness is keyed per trajectory index (see trajdiff.rng), and
 work is partitioned into fixed micro-batches by index, so generated output
-is bit-identical for any worker count. More than one worker means a pool of
-forked processes, each running its micro-batches with OpenBLAS at one
-thread (see sample). Training works the same way: each batch splits into
-TRAIN_SHARDS fixed row ranges whose gradients are summed in shard order,
-and more than one worker means forked processes, at one BLAS thread each,
-that each hold a copy of the parameters and apply the same summed gradient
-to it every step (see train), so the trained bytes never depend on the
-worker count.
+is bit-identical for any worker count. Training works the same way: each
+batch splits into TRAIN_SHARDS fixed row ranges whose gradients are summed
+in shard order, so the trained bytes never depend on the worker count.
+
+Both run their fixed units (micro-batches, shards) through one fork helper,
+_forked: the caller runs the first contiguous block of units and one forked
+worker runs each other block, every process at one OpenBLAS thread. Workers
+report b".", b"N" (a NumericError) or b"E" (any other error) through a pipe
+and write their results into an anonymous shared mmap: sampled rows (see
+sample), or shard gradients that every process sums and applies to its own
+copy of the parameters (see train). No worker outlives the call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import mmap
 import os
+import select
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,35 +306,72 @@ class _TrainJob:
 
 
 def _run_shards(job: _TrainJob, workers: int, history: np.ndarray) -> None:
-    """Run job's steps on this process and workers - 1 forked ones, each on a
-    contiguous block of shards: the caller's come first, then each worker's
-    in fork order, so the lowest failing shard is the first failure seen.
+    """Run job's steps on this process and workers - 1 forked ones (see
+    _forked), each on a contiguous block of shards: the caller's come first,
+    so the lowest failing shard is the first failure seen.
 
     With one worker, this process runs every shard, with its buffers in a
-    bytearray and its BLAS count as it is. With more, the buffers are one
-    anonymous shared mmap, made before the fork, with a copy per step
-    parity. Each step every process draws from its own copy of the stream,
-    writes its shards' rows, and the caller waits for one byte from each
-    worker, then sends one back once every row is in. Each process then
-    sums the rows and steps Adam itself: Adam is deterministic, so the
-    parameter copies stay identical and no parameter crosses a process
-    boundary. BLAS runs at one thread in every process, and the caller's
-    count is restored on return or raise. A failed worker reports its error
-    through its pipe (see _read_report); no worker outlives the call.
+    bytearray. With more, the buffers are one anonymous shared mmap, made
+    before the fork, with a copy per step parity. Each step every process
+    draws from its own copy of the stream, writes its shards' rows, and the
+    caller waits for one byte from each worker, then sends one back once
+    every row is in. Each process then sums the rows and steps Adam itself:
+    Adam is deterministic, so the parameter copies stay identical and no
+    parameter crosses a process boundary.
     """
-    # imported here: runs in one process never need them
-    import mmap
-    import signal
-
-    shards = len(job.rows)
-    blocks = [range(shards * p // workers, shards * (p + 1) // workers) for p in range(workers)]
-    blas = None
     if workers == 1:
         job.lay_out_buffers(1, bytearray)
     else:
         job.lay_out_buffers(2, lambda size: mmap.mmap(-1, size))
-        blas = tz.blas_threads()
-        tz.set_blas_threads(1)
+    serve = functools.partial(_serve_shards, job)
+    with _forked(len(job.rows), workers, serve, "training") as (own, procs):
+        for step_i in range(job.cfg.steps):
+            job.compute(step_i, own)
+            for _, report_r, _ in procs:
+                _read_report(report_r, f"step {step_i}: a training worker ended without a report")
+            for _, _, go_w in procs:
+                os.write(go_w, b".")
+            history[step_i] = job.apply(step_i)
+
+
+def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int):
+    """A training worker's work (see _forked): each step, run its block of
+    shards, send the caller b".", wait for b"." back, then sum the rows and
+    step Adam as the caller does. Yields each step's label before the step."""
+    for step_i in range(job.cfg.steps):
+        yield f"step {step_i}"
+        job.compute(step_i, block)
+        os.write(report_w, b".")
+        if os.read(go_r, 1) != b".":
+            return  # the caller stopped
+        job.apply(step_i)
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _forked(units: int, workers: int, serve, what: str):
+    """Split units 0..units-1 into workers contiguous blocks, the caller's
+    first, and fork one worker for each other block.
+
+    Yields (the caller's block, [(block, report_r, go_w) per worker]). Each
+    worker runs serve(block, report_w, go_r), a generator that yields the
+    label of each piece of work before doing it (see _worker_life), and
+    reports to the caller through its pipes; its results go into shared
+    memory that the caller mapped before this call. With one worker nothing
+    is forked and BLAS is left alone. With more, every process runs BLAS at
+    one thread (set before the fork, so the workers inherit it) and the
+    caller's count is restored on return or raise. No worker outlives the
+    block: one still running at its end is killed, and every one is reaped.
+    """
+    blocks = [range(units * p // workers, units * (p + 1) // workers) for p in range(workers)]
+    if workers == 1:
+        yield blocks[0], []
+        return
+    blas = tz.blas_threads()
+    tz.set_blas_threads(1)
     procs = []  # [pid, report_r, go_w] per worker, pid None until forked
     try:
         for block in blocks[1:]:
@@ -336,19 +381,13 @@ def _run_shards(job: _TrainJob, workers: int, history: np.ndarray) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve_shards(job, block, report_w, go_r,
-                                  [fd for _, r, w in procs for fd in (r, w)])
+                    _worker_life(serve, block, report_w, go_r, what,
+                                 [fd for _, r, w in procs for fd in (r, w)])
                 procs[-1][0] = pid
             finally:  # only the caller gets here: a worker never returns
                 os.close(report_w)
                 os.close(go_r)
-        for step_i in range(job.cfg.steps):
-            job.compute(step_i, blocks[0])
-            for _, report_r, _ in procs:
-                _read_report(report_r, step_i)
-            for _, _, go_w in procs:
-                os.write(go_w, b".")
-            history[step_i] = job.apply(step_i)
+        yield blocks[0], [(block, r, w) for block, (_, r, w) in zip(blocks[1:], procs)]
     finally:
         for pid, report_r, go_w in procs:
             os.close(report_r)
@@ -360,33 +399,28 @@ def _run_shards(job: _TrainJob, workers: int, history: np.ndarray) -> None:
             tz.set_blas_threads(blas)
 
 
-def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int,
-                  inherited: list[int]) -> None:
-    """A forked training worker's life, after it closes the caller's pipe
-    ends it inherited: each step, run its block of shards, send the caller
-    b".", wait for b"." back, then sum the rows and step Adam as the caller
-    does. Any error is reported through report_w instead (b"N" and a
-    NumericError's text, which names the step; b"E" and the text of any
-    other), and the worker leaves by os._exit, so no exit handler of the
-    caller's process (atexit, a test runner's) runs twice. Never returns.
+def _worker_life(serve, block: range, report_w: int, go_r: int, what: str,
+                 inherited: list[int]) -> None:
+    """A forked worker's life, after it closes the caller's pipe ends it
+    inherited: run serve(block, report_w, go_r) to its end. Any error is
+    reported through report_w instead (b"N" and a NumericError's text; b"E"
+    and, for any other, "<label>: <what> worker failed with <type>: <text>",
+    where label is the last one serve yielded), and the worker leaves by
+    os._exit, so no exit handler of the caller's process (atexit, a test
+    runner's) runs twice. Never returns.
     """
-    step_i, code = 0, 0
+    where, code = "", 0
     try:
         for fd in inherited:
             os.close(fd)
-        for step_i in range(job.cfg.steps):
-            job.compute(step_i, block)
-            os.write(report_w, b".")
-            if os.read(go_r, 1) != b".":
-                break  # the caller stopped
-            job.apply(step_i)
+        for where in serve(block, report_w, go_r):
+            pass
     except BaseException as e:  # every error goes to the caller
         code = 1
         if isinstance(e, NumericError):
             report = b"N" + str(e).encode()
         else:
-            report = b"E" + f"step {step_i}: training worker failed with " \
-                            f"{type(e).__name__}: {e}".encode()
+            report = b"E" + f"{where}: {what} worker failed with {type(e).__name__}: {e}".encode()
         try:
             os.write(report_w, report[:4096])  # at most PIPE_BUF bytes: one atomic write
         except OSError:
@@ -395,15 +429,15 @@ def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int,
         os._exit(code)
 
 
-def _read_report(report_r: int, step_i: int) -> None:
-    """Return once a worker reports its rows of step step_i in; raise the
-    error it reports instead (NumericError as it was, any other as a
-    WorkerError), or a WorkerError when it ended without a report."""
+def _read_report(report_r: int, lost: str) -> None:
+    """Return once a worker reports b"."; raise the error it reports instead
+    (NumericError as it was, any other as a WorkerError), or WorkerError(lost)
+    when it ended without a report."""
     head = os.read(report_r, 1)
     if head == b".":
         return
     if not head:
-        raise WorkerError(f"step {step_i}: a training worker ended without a report")
+        raise WorkerError(lost)
     text = b"".join(iter(lambda: os.read(report_r, 4096), b"")).decode(errors="replace")
     raise (NumericError if head == b"N" else WorkerError)(text)
 
@@ -417,22 +451,30 @@ def guided_eps(model, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | Non
     """Classifier-free guided noise: (1+w) * conditional - w * unconditional.
 
     At w == 0, or without conditions (both branches unconditional), this is
-    exactly the conditional prediction from a single model pass.
+    exactly the conditional prediction from a single model pass. A
+    combination that overflows raises NumericError naming the step and w.
     """
     with tz.no_grad():
         eps_c = model(x_t, t, cond).data
         if omega == 0.0 or cond is None:
             return eps_c
         eps_u = model(x_t, t, None).data
-    return (1.0 + omega) * eps_c - omega * eps_u
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = (1.0 + omega) * eps_c - omega * eps_u
+    if not np.isfinite(eps).all():
+        raise NumericError(f"guidance at t={int(t[0])} with omega={omega:g} produced "
+                           f"non-finite noise")
+    return eps
 
 
 def _clip_eps(x_t: np.ndarray, t: int, eps_hat: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Re-derive the noise prediction after clamping the implied x0 to +-CLIP_X0.
 
-    Inert whenever the implied x0 already lies within the clamp range.
+    Inert whenever the implied x0 already lies within the clamp range. An x0
+    beyond float32's range (a huge but finite eps) is clamped like any other.
     """
-    x0_hat = predict_x0_from_eps(x_t, t, eps_hat, sched)
+    with np.errstate(over="ignore"):
+        x0_hat = predict_x0_from_eps(x_t, t, eps_hat, sched)
     clipped = np.clip(x0_hat, -CLIP_X0, CLIP_X0)
     if np.array_equal(clipped, x0_hat):
         return eps_hat
@@ -531,47 +573,6 @@ def _sample_micro_batch(model, cond_batch: ConditionBatch | None, cfg: SamplerCo
     return x
 
 
-# (model, cond_batch, cfg, sched) of the pool this process works for; set by
-# _start_worker and only ever inside a pool worker process
-_worker_job = None
-
-
-def _start_worker(model, cond_batch, cfg, sched) -> None:
-    """Pool initializer: keep the sampling job and run OpenBLAS at one thread."""
-    global _worker_job
-    _worker_job = (model, cond_batch, cfg, sched)
-    tz.set_blas_threads(1)
-
-
-def _sample_in_worker(lo: int, hi: int) -> np.ndarray:
-    return _sample_micro_batch(*_worker_job, lo, hi)
-
-
-def _sample_pooled(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
-                   sched: NoiseSchedule, bounds: list[tuple[int, int]], pool_size: int,
-                   out: np.ndarray) -> None:
-    """Run the micro-batches on pool_size forked worker processes, into out."""
-    # imported here: multiprocessing adds about 20 ms to the start-up of every
-    # process, and runs with one worker never need it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    # fork hands the job to the workers as the caller's memory: nothing is pickled
-    with ProcessPoolExecutor(pool_size, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(model, cond_batch, cfg, sched)) as pool:
-        futures = {pool.submit(_sample_in_worker, lo, hi): (lo, hi) for lo, hi in bounds}
-        try:
-            for f in as_completed(futures):
-                lo, hi = futures[f]
-                out[lo:hi] = f.result()
-        except BaseException:
-            # the first failure drops the micro-batches not yet started; leaving
-            # the block then waits for the running ones, so no worker outlives it
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
            sched: NoiseSchedule, n: int | None = None, workers: int = 1,
            micro_batch: int = MICRO_BATCH) -> tuple[np.ndarray, dict]:
@@ -581,16 +582,19 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
     stream (seed, i); micro-batch boundaries depend only on the index, so any
     worker count yields identical bytes.
 
-    When min(workers, micro-batches) > 1 the micro-batches run on a pool of
-    that many worker processes, forked from the caller, so they run free of
-    the interpreter lock and see the model, conditions and schedule without
-    pickling them. Each worker runs OpenBLAS at one thread, since the pool is
-    then the parallelism; the caller's own count is never changed. The first
-    micro-batch to fail cancels those not yet started, and its error, such as
-    a NumericError, reaches the caller once every worker has exited. One
-    worker runs everything in this process and leaves BLAS alone. An
-    infeasible (eta, tau) step plan raises NumericError before any model
-    pass or fork.
+    min(workers, micro-batches) processes run the micro-batches, each a
+    contiguous block of them by index (see _forked): this process runs the
+    first block, and forked workers run the rest, free of the interpreter
+    lock and seeing the model, conditions and schedule without pickling
+    them. With more than one, every process runs OpenBLAS at one thread and
+    the caller's count is restored on return or raise; the output array is
+    then an anonymous shared mapping that every process writes its rows
+    into. Between its own micro-batches the caller polls the workers, so the
+    first failure it sees stops the rest: a worker's NumericError keeps its
+    text, and a worker that fails otherwise, or ends without a report, is a
+    WorkerError naming its trajectories. One worker runs everything in this
+    process and leaves BLAS alone. An infeasible (eta, tau) step plan raises
+    NumericError before any model pass or fork.
     """
     if sched.T != cfg.total_steps:
         raise ValueError("sampler and schedule disagree on the step count")
@@ -604,17 +608,37 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         raise ValueError("condition count does not match requested sample count")
     for t_prev, t in zip([0, *cfg.tau[:-1]], cfg.tau):
         _step_terms(int(t), int(t_prev), cfg.eta, sched)
-    out = np.empty((n, model.config.in_channels, model.config.length), dtype=np.float32)
     bounds = [(s, min(s + micro_batch, n)) for s in range(0, n, micro_batch)]
-
-    pool_size = max(1, min(workers, len(bounds)))
-    blas = tz.blas_threads()
-    if pool_size == 1:
-        for lo, hi in bounds:
-            out[lo:hi] = _sample_micro_batch(model, cond_batch, cfg, sched, lo, hi)
+    workers = max(1, min(workers, len(bounds)))
+    shape = (n, model.config.in_channels, model.config.length)
+    if workers == 1:
+        out = np.empty(shape, dtype=np.float32)
     else:
-        _sample_pooled(model, cond_batch, cfg, sched, bounds, pool_size, out)
-        blas = None if blas is None else 1  # what each worker set
+        out = np.frombuffer(mmap.mmap(-1, 4 * math.prod(shape)), np.float32).reshape(shape)
+
+    def run(i: int) -> None:
+        lo, hi = bounds[i]
+        out[lo:hi] = _sample_micro_batch(model, cond_batch, cfg, sched, lo, hi)
+
+    def serve(block: range, report_w: int, go_r: int):
+        for i in block:
+            yield f"trajectories {bounds[i][0]}..{bounds[i][1] - 1}"
+            run(i)
+        os.write(report_w, b".")
+
+    blas = tz.blas_threads()
+    with _forked(len(bounds), workers, serve, "sampling") as (own, procs):
+        pending = {report_r: f"trajectories {bounds[block[0]][0]}..{bounds[block[-1]][1] - 1}: "
+                             f"a sampling worker ended without a report"
+                   for block, report_r, _ in procs}
+        for i in own:
+            for report_r in select.select(list(pending), [], [], 0)[0]:
+                _read_report(report_r, pending.pop(report_r))
+            run(i)
+        for report_r, lost in pending.items():
+            _read_report(report_r, lost)
+    if workers > 1 and blas is not None:
+        blas = 1  # what every process ran at
 
     guided = cfg.guidance_scale != 0.0 and cond_batch is not None
     evals_per_traj = len(cfg.tau) * (2 if guided else 1)
@@ -622,7 +646,7 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         "n": n,
         "steps": len(cfg.tau),
         "model_evals": n * evals_per_traj,
-        "workers": pool_size,
+        "workers": workers,
         "blas_threads": blas,
     }
     return out, stats

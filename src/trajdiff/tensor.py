@@ -5,7 +5,14 @@ softmax accumulate in float64 so finite-difference gradient checks stay
 meaningful. Normalization statistics start from float32 BLAS sums over the
 length, one per (batch, channel), and are float64 from there on.
 Every forward op verifies its output is finite and raises NumericError
-otherwise: NaN/Inf never propagates silently.
+otherwise: NaN/Inf never propagates silently. One model evaluation under
+no_grad may defer these checks (the private _deferred_checks scope, which
+TrajUNet.forward alone enters): its ops skip them and run with numpy's
+floating-point warnings off, and the caller checks the final output once,
+replaying the evaluation with every check on when it is not finite, so the
+error still names the op. Inside the scope two ops, whose finite output can
+hide a non-finite input, check their input: softmax_lastdim (-inf becomes
+0) and maxpool1d_k2 (a NaN or -inf first of a pair is dropped).
 
 Ops take Tensors and read their .data; nothing is coerced. mul alone also
 takes a Python float as its second operand: a constant scale, multiplied in
@@ -42,15 +49,14 @@ the gradient of several inputs (add hands the same g to both). Each popped
 record is dropped with its slot's gradient, so saved activations and
 activation gradients are freed as the walk passes them, and only leaves end
 up with a .grad. The walk empties the tape, so a second backward without a
-new forward pass raises. There is one tape per process: sampling pool workers
-and training shard workers are forked processes, and no code runs tensor
-ops on a second thread.
+new forward pass raises. There is one tape per process: sampling and
+training workers are forked processes, and no code runs tensor ops on a
+second thread.
 
 This module also owns the numeric runtime: blas_threads reads OpenBLAS's
-thread count and set_blas_threads sets it for the whole process. Each
-sampling pool worker calls the latter once, in its own process, so the
-caller's count is never changed; a training run on several processes sets
-one thread before it forks and restores the caller's count when it ends. Under glibc, importing the module pins
+thread count and set_blas_threads sets it for the whole process. A sampling
+or training call on several processes sets one thread before it forks, so
+the workers inherit it, and restores the caller's count when it ends. Under glibc, importing the module pins
 malloc's mmap threshold at 32 MiB and its trim threshold at 64 MiB, the
 largest values glibc's own dynamic adjustment reaches on 64-bit. Freeing
 during the walk would otherwise hand the step's large buffers back to the
@@ -62,6 +68,7 @@ malloc_thresholds reports the pinned values; off glibc nothing is pinned.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -74,6 +81,7 @@ GROUP_NORM_EPS = 1e-5  # added to each group's variance before the inverse squar
 
 _tape: list = []  # (slot, inputs, backward_fn) records in execution order
 _grad_enabled = True
+_checks_deferred = False  # inside _deferred_checks: ops leave the finite check to the caller
 
 
 class no_grad:
@@ -87,6 +95,22 @@ class no_grad:
     def __exit__(self, *exc):
         global _grad_enabled
         _grad_enabled = self._prev
+
+
+@contextlib.contextmanager
+def _deferred_checks():
+    """Scope of one model evaluation under no_grad whose caller checks the
+    output once: _make skips its finite check and numpy's floating-point
+    warnings are off, so a non-finite value flows on to the output instead
+    of raising where it appears. softmax_lastdim and maxpool1d_k2 check
+    their input instead."""
+    global _checks_deferred
+    prev, _checks_deferred = _checks_deferred, True
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _checks_deferred = prev
 
 
 def reset_tape() -> None:
@@ -154,8 +178,9 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str
 
     backward_fn(g) returns one gradient per input. check=False is for pure
     data-movement ops that cannot create non-finite values from finite inputs.
+    Inside _deferred_checks no op checks here.
     """
-    if check:
+    if check and not _checks_deferred:
         _finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data.astype(np.float32, copy=False)
@@ -267,6 +292,8 @@ def silu(x: Tensor) -> Tensor:
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
+    if _checks_deferred:  # a -inf score would come out as a finite 0
+        _finite(x.data, "softmax_lastdim input")
     z = x.data.astype(np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -538,6 +565,8 @@ def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
     (the last for [B, C, L], axis 1 for [B, L, C])."""
     in_shape = x.data.shape
     shape, pair_axis = _pairs(in_shape, axis, "maxpool1d_k2")
+    if _checks_deferred:  # a NaN or -inf first of a pair would be dropped
+        _finite(x.data, "maxpool1d_k2 input")
     first, second = np.moveaxis(x.data.reshape(shape), pair_axis, 0)
     take_first = first >= second  # ties go to the first of the pair
     y = np.where(take_first, first, second)

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tz
+from .errors import NumericError
 from .tensor import Tensor
 from .trajdata import NUM_DEPARTURE_SLOTS, NUM_GRID_CELLS, NUM_NUMERIC_ATTRS, ConditionBatch
 # re-exported: tests/test_acceptance.py imports both condition types from this module
@@ -294,7 +295,24 @@ class TrajUNet:
     def forward(self, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | None) -> Tensor:
         """Predicted noise [B, C, L] for x_t at steps t. cond=None is the
         unconditional pass: the condition encoder is skipped and nothing is
-        added to the step embedding, which is what a batch of null rows adds."""
+        added to the step embedding, which is what a batch of null rows adds.
+
+        In grad mode every op checks its output is finite as it goes. Under
+        no_grad the ops' checks are deferred (tensor._deferred_checks) and the
+        output is checked once; if it is not finite, the pass runs again with
+        every check on, so the NumericError names the same op as in grad mode.
+        """
+        if tz._grad_enabled:
+            return self._forward(x_t, t, cond)
+        try:
+            with tz._deferred_checks():
+                out = self._forward(x_t, t, cond)
+                tz._finite(out.data, "model output")
+            return out
+        except NumericError:
+            return self._forward(x_t, t, cond)
+
+    def _forward(self, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | None) -> Tensor:
         cfg = self.config
         x_t = np.asarray(x_t, dtype=np.float32)
         if x_t.ndim != 3 or x_t.shape[1] != cfg.in_channels or x_t.shape[2] != cfg.length:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
@@ -11,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPORT_SCHEMA
-from trajdiff import cli
+from trajdiff import cli, diffusion
 from trajdiff import tensor as tz
+from trajdiff.checkpoint import load_checkpoint, save_checkpoint
 from trajdiff.cli import main
 from trajdiff.diffusion import train_workers
 from trajdiff.errors import DataError, NumericError, UsageError
@@ -425,6 +427,45 @@ class TestGenerate:
             assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "x.jsonl", "--n", 1,
                        "--steps", 1, "--uncond") == 1
             assert "TRAJDIFF_THREADS must be an integer of at least 1" in capsys.readouterr().err
+
+    def test_default_workers_one_per_core(self, ckpt, tmp_path):
+        outs = {}
+        for extra in ((), ("--workers", 1)):
+            out = tmp_path / f"w{len(extra)}.jsonl"
+            assert run("generate", "--ckpt", ckpt, "--out", out, "--n", 4, "--steps", 2,
+                       "--uncond", "--batch", 2, "--seed", 6, *extra) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            outs[manifest["workers"]] = out.read_bytes()
+        # two micro-batches bound the default
+        assert sorted(outs) == sorted({1, min(2, len(os.sched_getaffinity(0)))})
+        assert len(set(outs.values())) == 1
+
+    def test_overflowing_guidance_exit_3(self, ckpt, city, tmp_path, capsys):
+        model, sched, norm, grid, _ = load_checkpoint(ckpt)
+        model.params["out.conv.b"].data[:] = 10.0  # every noise prediction is about 10
+        loud = tmp_path / "loud.ckpt"
+        save_checkpoint(loud, model, sched, norm, grid, train_steps=2, seed=0)
+        # a RuntimeWarning would be an error here, and exit 4
+        assert run("generate", "--ckpt", loud, "--out", tmp_path / "g.jsonl", "--n", 4,
+                   "--steps", 4, "--cond-file", city, "--omega", 1e38) == 3
+        err = capsys.readouterr().err
+        assert err == ("numeric failure: guidance at t=20 with omega=1e+38 produced "
+                       "non-finite noise\n")
+
+    def test_dead_worker_exit_4(self, ckpt, tmp_path, capsys, monkeypatch):
+        caller = os.getpid()
+        real = diffusion._sample_micro_batch
+
+        def exiting(model, cond_batch, cfg, sched, lo, hi):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(model, cond_batch, cfg, sched, lo, hi)
+
+        monkeypatch.setattr(diffusion, "_sample_micro_batch", exiting)
+        assert run("generate", "--ckpt", ckpt, "--out", tmp_path / "g.jsonl", "--n", 6,
+                   "--steps", 2, "--uncond", "--batch", 2, "--workers", 2) == 4
+        err = capsys.readouterr().err
+        assert "WorkerError: trajectories 2..5: a sampling worker ended without a report" in err
 
     def test_thread_settings_in_manifest(self, ckpt, tmp_path):
         out = tmp_path / "p.jsonl"

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import signal
 import time
@@ -519,6 +518,15 @@ class TestGuidedEps:
             out = guided_eps(model, x, np.ones(2, int), null_batch(2), omega)
             np.testing.assert_allclose(out, 1.5, atol=1e-6)
 
+    def test_overflowing_combination_names_step_and_omega(self):
+        # w * 2 overflows float32, so the combination is -inf
+        model = self._cond_model()
+        x = np.zeros((2, 2, 8), np.float32)
+        cond = ConditionBatch.from_vectors([ConditionVector()] * 2)
+        with pytest.raises(NumericError, match=r"^guidance at t=7 with omega=3e\+38 produced "
+                                               r"non-finite noise$"):
+            guided_eps(model, x, np.full(2, 7), cond, 3e38)
+
     def test_affine_in_omega(self):
         model = self._cond_model()
         x = np.zeros((2, 2, 8), np.float32)
@@ -618,6 +626,14 @@ class TestDdimStep:
             z = zs[sched.T - t] if t > 1 else np.zeros_like(x_b)
             x_b = ddim_step(model, x_b, t, t - 1, None, 0.0, 1.0, sched, z)
         np.testing.assert_allclose(x_a, x_b, atol=1e-4)
+
+    def test_x0_beyond_float32_is_clamped(self, sched):
+        # at t = T the implied x0 of this finite eps overflows float32; the
+        # clamp holds it at +-CLIP_X0 like any other estimate
+        model = StubModel(lambda x_t, t, cond: np.full_like(x_t, 3e38))
+        x = stream(25).normal(size=(2, 2, 8)).astype(np.float32)
+        out = ddim_step(model, x, sched.T, sched.T - 5, None, 0.0, 0.0, sched, None)
+        assert np.isfinite(out).all()
 
     def test_infeasible_eta_tau_rejected(self):
         big = linear_beta_schedule(500, 1e-4, 0.05)
@@ -733,7 +749,51 @@ class TestSample:
         with pytest.raises(NumericError, match=r"infeasible \(eta, tau\) combination at t=10"):
             sample(model, None, cfg, sched, n=8, workers=workers, micro_batch=4)
         assert not called.exists()
-        assert multiprocessing.active_children() == []
+        assert children() == []
+
+    @pytest.mark.parametrize("guided", [True, False], ids=["omega 3", "eta 1"])
+    def test_bytes_equal_at_every_worker_count(self, sched, guided):
+        # 5 micro-batches split 2+3, 1+2+2 and 1+1+1+2 over 2, 3 and 4 processes
+        model = self._model()
+        cond = conditions(10, 41) if guided else None
+        cfg = SamplerConfig(total_steps=100, sample_steps=4, eta=0.0 if guided else 1.0,
+                            guidance_scale=3.0 if guided else 0.0, seed=5)
+        outs = [sample(model, cond, cfg, sched, n=10, workers=w, micro_batch=2)
+                for w in (1, 2, 3, 4)]
+        assert [stats["workers"] for _, stats in outs] == [1, 2, 3, 4]
+        assert len({out.tobytes() for out, _ in outs}) == 1
+        assert children() == []
+
+    def test_worker_exit_is_a_typed_error(self, sched, monkeypatch):
+        caller = os.getpid()
+        real = diffusion._sample_micro_batch
+
+        def exiting(model, cond_batch, cfg, sched, lo, hi):
+            if os.getpid() != caller and lo == 12:
+                os._exit(3)  # the worker's second micro-batch
+            return real(model, cond_batch, cfg, sched, lo, hi)
+
+        monkeypatch.setattr(diffusion, "_sample_micro_batch", exiting)
+        cfg = SamplerConfig(total_steps=100, sample_steps=2, eta=0.0, guidance_scale=0.0)
+        with pytest.raises(WorkerError, match=r"^trajectories 8\.\.15: a sampling worker ended "
+                                              r"without a report$"):
+            sample(self._model(), None, cfg, sched, n=16, workers=2, micro_batch=4)
+        assert children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name, value", [("stem.w", np.nan), ("mid.res1.conv2.b", np.inf)])
+    def test_poisoned_conv_names_the_grad_mode_op(self, sched, workers, name, value):
+        model = self._model()
+        model.params[name].data.flat[0] = value
+        x = stream(42).normal(size=(2, 2, 16)).astype(np.float32)
+        with pytest.raises(NumericError) as grad_mode:
+            model(x, np.array([10, 90]), None)
+        tz.reset_tape()
+        assert str(grad_mode.value) == "conv1d produced non-finite values"
+        cfg = SamplerConfig(total_steps=100, sample_steps=3, eta=0.0, guidance_scale=0.0)
+        with pytest.raises(NumericError, match=f"^{grad_mode.value}$"):
+            sample(model, None, cfg, sched, n=8, workers=workers, micro_batch=4)
+        assert children() == []
 
     def test_micro_batch_below_one_rejected(self, sched):
         model = self._model()
@@ -758,8 +818,8 @@ class FakeBlas:
 
 
 class TestBlasThreads:
-    """Each worker of a pool of two or more runs BLAS at one thread, in its own
-    process; the caller's count is never set. One worker leaves BLAS alone."""
+    """With two or more processes, each runs BLAS at one thread, and the
+    caller gets its own count back. One worker leaves BLAS alone."""
 
     CFG = SamplerConfig(total_steps=100, sample_steps=3, eta=1.0, guidance_scale=0.0, seed=2)
 
@@ -790,10 +850,10 @@ class TestBlasThreads:
     def test_pool_workers_see_one_thread_caller_untouched(self, sched, seen, fake):
         out, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
         assert seen(out) == [1, 1, 1]
-        assert fake.sets == []
+        assert fake.sets == [1, 2]  # the caller samples at one thread, then gets its count back
         assert fake.count == 2
         assert (stats["workers"], stats["blas_threads"]) == (2, 1)
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
     @pytest.mark.parametrize("workers, micro_batch", [(1, 4), (4, 12)])
     def test_single_worker_never_changes_blas(self, sched, seen, fake, workers, micro_batch):
@@ -813,8 +873,8 @@ class TestBlasThreads:
         with pytest.raises(NumericError, match="conv1d produced non-finite values"):
             sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
         assert fake.count == 2
-        assert fake.sets == []
-        assert multiprocessing.active_children() == []
+        assert fake.sets == [1, 2]
+        assert children() == []
 
     def test_failure_cancels_micro_batches_not_started(self, sched, monkeypatch, tmp_path):
         started = tmp_path / "started"
@@ -830,10 +890,30 @@ class TestBlasThreads:
         monkeypatch.setattr(diffusion, "_sample_micro_batch", slow_or_failing)
         with pytest.raises(NumericError, match="micro-batch 0 failed"):
             sample(self._model(), None, self.CFG, sched, n=40, workers=2, micro_batch=1)
-        assert multiprocessing.active_children() == []
+        assert children() == []
         # all 40 would take 4 s of sleeping; only those already handed to a
         # worker when micro-batch 0 failed may run
         assert len(started.read_text().split()) < 20
+
+    def test_worker_failure_stops_the_caller(self, sched, monkeypatch, tmp_path):
+        # the worker's first micro-batch fails; the caller sees it between
+        # its own micro-batches instead of running all 20 of them
+        started = tmp_path / "started"
+        caller = os.getpid()
+
+        def slow_or_failing(model, cond_batch, cfg, sched, lo, hi):
+            if os.getpid() != caller:
+                raise NumericError(f"micro-batch {lo} failed")
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{lo}\n")
+            time.sleep(0.2)
+            return np.zeros((hi - lo, 2, 16), np.float32)
+
+        monkeypatch.setattr(diffusion, "_sample_micro_batch", slow_or_failing)
+        with pytest.raises(NumericError, match="^micro-batch 20 failed$"):
+            sample(self._model(), None, self.CFG, sched, n=40, workers=2, micro_batch=1)
+        assert children() == []
+        assert len(started.read_text().split()) < 10
 
     def test_no_controllable_blas_changes_nothing(self, sched, seen, monkeypatch):
         monkeypatch.setattr(tz, "_openblas", lambda: None)

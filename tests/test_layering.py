@@ -41,3 +41,15 @@ def test_nested_imports_are_found(tmp_path):
     probe.write_text("from . import __version__\nfrom .rng import stream\n"
                      "def f():\n    from . import cli\n")
     assert list(relative_imports(probe)) == [(2, "rng"), (4, "cli")]
+
+
+def test_no_second_fork_mechanism():
+    # workers are forked by diffusion._forked alone
+    found = [f"{path.name}:{node.lineno} imports {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                          else [alias.name for alias in node.names])
+             if name.split(".")[0] in ("multiprocessing", "concurrent")]
+    assert found == []

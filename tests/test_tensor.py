@@ -587,6 +587,31 @@ class TestInvariants:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             tz.add(big, big)
 
+    def test_direct_op_under_no_grad_still_checks(self):
+        # only a model evaluation defers the checks; a direct call never does
+        big = Tensor(np.full((4,), 3e38, np.float32))
+        with tz.no_grad(), np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^add produced non-finite values$"):
+                tz.add(big, big)
+
+    def test_deferred_scope_checks_the_ops_that_hide_nonfinite_inputs(self):
+        big = Tensor(np.full((4,), 3e38, np.float32))
+        x = Tensor(np.zeros((1, 4, 2), np.float32))
+        x.data[0, 2, 1] = np.nan  # first of its pair along the length axis
+        scores = Tensor(np.zeros((1, 2, 3), np.float32))
+        scores.data[0, 1, 2] = -np.inf
+        # unchecked, both come out finite
+        assert np.isfinite(tz.maxpool1d_k2(x, axis=1).data).all()
+        assert np.isfinite(tz.softmax_lastdim(scores).data).all()
+        with tz.no_grad(), tz._deferred_checks():
+            assert np.isinf(tz.add(big, big).data).all()  # deferred: no check, no warning
+            with pytest.raises(NumericError, match="^maxpool1d_k2 input produced non-finite"):
+                tz.maxpool1d_k2(x, axis=1)
+            with pytest.raises(NumericError, match="^softmax_lastdim input produced non-finite"):
+                tz.softmax_lastdim(scores)
+        with np.errstate(over="ignore"), pytest.raises(NumericError):  # the scope has ended
+            tz.add(big, big)
+
     def test_nonfinite_init_rejected(self):
         with pytest.raises(NumericError):
             Tensor(np.array([1.0, np.nan], np.float32))

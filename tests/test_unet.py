@@ -6,6 +6,7 @@ import pytest
 from conftest import numeric_grad
 from trajdiff import tensor as tz
 from trajdiff import unet
+from trajdiff.errors import NumericError
 from trajdiff.rng import stream
 from trajdiff.tensor import Tensor
 from trajdiff.trajdata import ConditionBatch, ConditionVector
@@ -291,6 +292,43 @@ class TestForward:
         assert calls == []
         model(x, t, null_batch(2))
         assert calls == [2]
+
+    def test_no_grad_pass_checks_its_output_once(self, monkeypatch):
+        # each op's finite check is deferred; the two ops that can hide a
+        # non-finite input check it, and the output is checked once
+        calls = []
+        finite = tz._finite
+
+        def counting(arr, op):
+            calls.append(op)
+            return finite(arr, op)
+
+        monkeypatch.setattr(tz, "_finite", counting)
+        model = dense_model(TINY, 12)
+        x = np.random.default_rng(12).normal(size=(2, 2, 16)).astype(np.float32)
+        with tz.no_grad():
+            model(x, np.array([3, 70]), null_batch(2))
+        assert calls == ["maxpool1d_k2 input", "softmax_lastdim input", "model output"]
+        calls.clear()
+        model(x, np.array([3, 70]), null_batch(2))  # grad mode: every op checks
+        tz.reset_tape()
+        assert len(calls) > 20 and "model output" not in calls
+
+    @pytest.mark.parametrize("name, value, op", [("stem.w", np.nan, "conv1d"),
+                                                 ("time_mlp.fc1.b", np.inf, "linear"),
+                                                 ("mid.res1.conv2.b", np.inf, "conv1d")])
+    def test_no_grad_failure_names_the_grad_mode_op(self, name, value, op):
+        model = dense_model(TINY, 13)
+        model.params[name].data.flat[0] = value
+        x = np.random.default_rng(13).normal(size=(2, 2, 16)).astype(np.float32)
+        for grad_mode in (True, False):
+            with pytest.raises(NumericError, match=f"^{op} produced non-finite values$"):
+                if grad_mode:
+                    model(x, np.array([3, 70]), None)
+                else:
+                    with tz.no_grad():
+                        model(x, np.array([3, 70]), None)
+            tz.reset_tape()
 
     def test_wrong_length_rejected(self):
         model = TrajUNet(TINY, rng=stream(11))
