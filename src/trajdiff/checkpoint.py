@@ -3,13 +3,15 @@
 Layout: 5-byte magic ``TDCK1``, uint32 little-endian header length, a UTF-8
 JSON header (schema version, model config, schedule parameters, normalization
 stats, grid spec, training step count, seed, and the parameter table), then
-the payload: each parameter's little-endian float32 bytes in table order.
+the payload: the model's flat parameter vector as little-endian float32.
 
-One rule, ``_layout``, makes the parameter table from the config: one entry
-(name, shape, offset, nbytes) per ``unet.param_specs`` entry, in spec order,
-each offset where the previous entry ends. The writer writes that table and
-the loader accepts only that table, so the config alone fixes every byte
-offset. Reloading reproduces parameters bit-exactly.
+One rule, ``unet.param_layout``, makes the parameter table from the config:
+one entry (name, shape, offset, nbytes) per ``unet.param_specs`` entry, in
+spec order, each offset where the previous entry ends. It is also how a
+TrajUNet lays its parameters out in ``model.flat``, so the payload is that
+vector in one write. The writer writes that table and the loader accepts
+only that table, so the config alone fixes every byte offset. Reloading
+reproduces parameters bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,38 +19,27 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 
 import numpy as np
 
 from .errors import DataError
 from .schedule import NoiseSchedule, linear_beta_schedule
-from .tensor import Tensor
 from .trajdata import NUM_GRID_CELLS, GridSpec, NormStats
-from .unet import TrajUNet, TrajUNetConfig, param_specs
+from .unet import TrajUNet, TrajUNetConfig, param_layout, param_specs, param_view
 
 MAGIC = b"TDCK1"
 SCHEMA_VERSION = 1
 
 
-def _layout(specs) -> list[dict]:
-    """The parameter table of (name, shape, init) specs: one entry each, in
-    order, packed from offset 0 with no gaps."""
-    table, offset = [], 0
-    for name, shape, _ in specs:
-        table.append({"name": name, "nbytes": 4 * math.prod(shape), "offset": offset,
-                      "shape": list(shape)})
-        offset += table[-1]["nbytes"]
-    return table
-
-
 def save_checkpoint(path, model: TrajUNet, sched: NoiseSchedule, norm: NormStats,
                     grid: GridSpec, train_steps: int, seed: int) -> None:
-    """Write the model under the table its config implies; ValueError unless
-    model.params holds exactly the names and shapes of param_specs."""
-    table = _layout(param_specs(model.config))
-    want = {e["name"]: e["shape"] for e in table}
-    have = {k: list(p.data.shape) for k, p in model.params.items()}
+    """Write the model under the table its config implies, with model.flat
+    as the payload; ValueError unless model.params holds exactly the names
+    of param_specs, each still its table entry's view of model.flat."""
+    table = param_layout(param_specs(model.config))
+    # equal array interfaces: the same address, shape, strides and dtype
+    want = {e["name"]: param_view(model.flat, e).__array_interface__ for e in table}
+    have = {k: p.data.__array_interface__ for k, p in model.params.items()}
     if have != want:
         bad = sorted(k for k in want.keys() | have.keys() if have.get(k) != want.get(k))
         raise ValueError(f"parameters {bad[:5]} do not match param_specs of the model config")
@@ -65,14 +56,13 @@ def save_checkpoint(path, model: TrajUNet, sched: NoiseSchedule, norm: NormStats
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC + len(head).to_bytes(4, "little") + head)
-        for e in table:
-            fh.write(np.ascontiguousarray(model.params[e["name"]].data, dtype="<f4").tobytes())
+        fh.write(model.flat.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec, dict]:
     """Read a checkpoint; any malformed, inconsistent or truncated content
     raises DataError before any weight is allocated. The parameter table
-    must equal, as JSON values, the one _layout makes from the stored config,
+    must equal, as JSON values, the one param_layout makes from the stored config,
     and the payload must be exactly as long as that table says."""
     with open(path, "rb") as fh:
         # the magic is checked before the rest is read, so a large file that
@@ -105,7 +95,7 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
         grid = GridSpec.from_dict(header["grid"])
         # one spec past the table's length shows the table is short, so a
         # huge block count in the config cannot make this walk long
-        layout = _layout(itertools.islice(param_specs(config), len(table) + 1))
+        layout = param_layout(itertools.islice(param_specs(config), len(table) + 1))
     except (DataError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise DataError(f"{path}: invalid checkpoint header: {e!r}") from e
     if not (type(grid.rows) is type(grid.cols) is int and grid.n_cells <= NUM_GRID_CELLS):
@@ -132,6 +122,4 @@ def load_checkpoint(path) -> tuple[TrajUNet, NoiseSchedule, NormStats, GridSpec,
         at = 4 * int(finite.argmin())
         name = next(e["name"] for e in layout if at < e["offset"] + e["nbytes"])
         raise DataError(f"{path}: parameter {name!r} has non-finite weights")
-    params = {e["name"]: Tensor(flat[e["offset"] // 4:(e["offset"] + e["nbytes"]) // 4]
-                                .reshape(e["shape"]), requires_grad=True) for e in layout}
-    return TrajUNet(config, params=params), sched, norm, grid, header
+    return TrajUNet(config, flat=flat), sched, norm, grid, header

@@ -54,6 +54,10 @@ MICRO_BATCH = 128
 # never on how many processes run the shards.
 TRAIN_SHARDS = 2
 
+# Values per piece of Adam's update: its temporaries stay this small, and the
+# update is elementwise, so the bytes do not depend on it.
+ADAM_CHUNK = 2 ** 15
+
 
 @dataclass
 class TrainConfig:
@@ -108,34 +112,34 @@ class SamplerConfig:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adaptive moment estimation over a named parameter dict (Kingma & Ba's b1, b2, eps)."""
+    """Adaptive moment estimation over one flat float32 parameter vector
+    (Kingma & Ba's b1, b2, eps), with flat first and second moments.
+
+    step reads the step's gradient, as long as flat, from grad, which its
+    caller sets for that step only. A value whose gradient is zero at every
+    step keeps zero moments, so its update is exactly 0.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float):
-        self.params = params
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.flat = flat
         self.lr = lr
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.grad: np.ndarray | None = None
+        self._m = np.zeros_like(flat)
+        self._v = np.zeros_like(flat)
 
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m = self._m[k]
-            v = self._v[k]
+        for lo in range(0, self.flat.size, ADAM_CHUNK):
+            part = slice(lo, lo + ADAM_CHUNK)
+            g, m, v = self.grad[part], self._m[part], self._v[part]
             m += (1.0 - self.b1) * (g - m)
             v += (1.0 - self.b2) * (g * g - v)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            self.flat[part] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -216,41 +220,36 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
 class _TrainJob:
     """One training run's state, and its step as fixed shards of the batch.
 
-    Each shard's gradient goes into its own row of one flat float32 buffer
-    (grads[parity, shard]), with its loss and which parameters it reached;
-    apply sums the rows in shard order, whichever process wrote them, and
-    steps Adam. Shared by several processes, the buffers hold one copy per
-    step parity, so that a process may write step k + 1's rows while
-    another still reads step k's.
+    Each shard's gradient goes into its own row of one float32 buffer
+    (grads[parity, shard]), laid out as model.flat (model.params holds views
+    of it in its order, as TrajUNet builds them), with zeros for a parameter
+    its loss did not reach; its loss goes into losses[parity, shard]. apply
+    sums the rows in shard order, whichever process wrote them, and steps
+    Adam over model.flat. Shared by several processes, the buffers hold one
+    copy per step parity, so that a process may write step k + 1's rows
+    while another still reads step k's.
     """
 
     def __init__(self, model, x0_data, cond_data, cfg: TrainConfig, sched: NoiseSchedule):
         self.model, self.x0_data, self.cond_data = model, x0_data, cond_data
         self.cfg, self.sched = cfg, sched
         self.rng = stream(cfg.seed)
-        self.opt = Adam(model.params, lr=cfg.learning_rate)
+        self.opt = Adam(model.flat, lr=cfg.learning_rate)
         self.params = list(model.params.values())
-        self.offsets = np.cumsum([0] + [p.data.size for p in self.params])
         shards = min(TRAIN_SHARDS, cfg.batch_size)
         B = cfg.batch_size
         self.rows = [(B * s // shards, B * (s + 1) // shards) for s in range(shards)]
-        self.losses = self.grads = self.reached = None  # set by lay_out_buffers
+        self.losses = self.grads = None  # set by lay_out_buffers
 
     def lay_out_buffers(self, parities: int, alloc) -> None:
-        """Lay out losses [parities, shards] float64, grads [parities, shards,
-        values] float32 and reached [parities, shards, params] bool, in that
-        order (each part stays aligned), in alloc(total bytes): a bytearray,
-        or a shared mmap."""
-        shards, values, params = len(self.rows), int(self.offsets[-1]), len(self.params)
-        parts = [((parities, shards), np.float64), ((parities, shards, values), np.float32),
-                 ((parities, shards, params), np.bool_)]
-        sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in parts]
-        buf = alloc(sum(sizes))
-        out, offset = [], 0
-        for (shape, dtype), size in zip(parts, sizes):
-            out.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
-            offset += size
-        self.losses, self.grads, self.reached = out
+        """Lay out losses [parities, shards] float64, then grads [parities,
+        shards, values] float32, in alloc(total bytes): a bytearray, or a
+        shared mmap."""
+        shards, values = len(self.rows), self.model.flat.size
+        buf = alloc(8 * parities * shards + 4 * parities * shards * values)
+        self.losses = np.frombuffer(buf, np.float64, parities * shards).reshape(parities, shards)
+        self.grads = np.frombuffer(buf, np.float32, parities * shards * values,
+                                   8 * parities * shards).reshape(parities, shards, values)
 
     def draw_batch(self) -> tuple[np.ndarray, ConditionBatch | None]:
         idx = self.rng.integers(0, self.x0_data.shape[0], size=self.cfg.batch_size)
@@ -260,7 +259,8 @@ class _TrainJob:
     def backward(self, x0, cond, step_i: int, rows) -> float:
         """Forward and backward of one shard, rows = (lo, hi); its gradient is
         left in each reached parameter's .grad, its loss returned."""
-        self.opt.zero_grad()
+        for p in self.params:
+            p.grad = None
         tz.reset_tape()
         try:
             loss = training_loss(self.model, x0, cond, self.sched, self.rng,
@@ -281,15 +281,15 @@ class _TrainJob:
             if k:
                 self.rng.bit_generator.state = state
             self.losses[parity, s] = self.backward(x0, cond, step_i, self.rows[s])
-            row, reached = self.grads[parity, s], self.reached[parity, s]
-            for j, p in enumerate(self.params):
-                reached[j] = p.grad is not None
-                row[self.offsets[j]:self.offsets[j + 1]] = 0 if p.grad is None else p.grad.ravel()
+            row, lo = self.grads[parity, s], 0
+            for p in self.params:
+                row[lo:lo + p.data.size] = 0 if p.grad is None else p.grad.ravel()
+                lo += p.data.size
 
     def apply(self, step_i: int) -> float:
-        """Set each parameter's .grad to the sum of step step_i's rows, in
-        shard order (None where no shard reached it), step Adam and return
-        the step's loss, the sum of the shard losses in shard order."""
+        """Step Adam with the sum of step step_i's rows, in shard order, a
+        fresh array that lives for this step only, and return the step's
+        loss, the sum of the shard losses in shard order."""
         parity = step_i % self.grads.shape[0]
         grads, losses = self.grads[parity], self.losses[parity]
         total = grads[0].copy()
@@ -297,11 +297,9 @@ class _TrainJob:
         for s in range(1, len(self.rows)):
             total += grads[s]
             loss += losses[s]
-        reached = self.reached[parity].any(axis=0)
-        for j, p in enumerate(self.params):
-            p.grad = (total[self.offsets[j]:self.offsets[j + 1]].reshape(p.data.shape)
-                      if reached[j] else None)
+        self.opt.grad = total
         self.opt.step()
+        self.opt.grad = None
         return float(loss)
 
 

@@ -165,9 +165,7 @@ class Tensor:
 
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    # the sum stays finite iff every element is finite (activation-scale
-    # values cannot overflow the accumulator), so one reduction suffices
-    if not np.isfinite(arr.sum()):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
 

@@ -1,10 +1,13 @@
 """1D UNet denoiser: residual conv blocks, bottleneck attention, sinusoidal
 step embedding, and a wide & deep encoder for trip conditions.
 
-Parameters live in a flat name -> Tensor dict; the names and shapes are the
-checkpoint contract. All forward math runs through the autodiff layer kit in
-``trajdiff.tensor``. The model takes and returns [B, C, L] tensors; inside,
-from the stem to the output conv, activations are channels-last [B, L, C].
+Parameters live in one float32 vector per model, ``model.flat``; each one is
+a Tensor over its view of that vector, laid out by ``param_layout``, and
+``model.params`` maps the names to them in layout order. The names, shapes
+and layout are the checkpoint contract. All forward math runs through the
+autodiff layer kit in ``trajdiff.tensor``. The model takes and returns
+[B, C, L] tensors; inside, from the stem to the output conv, activations are
+channels-last [B, L, C].
 """
 
 from __future__ import annotations
@@ -185,9 +188,9 @@ def middle_attention(x: Tensor, emb: Tensor, params: dict, prefix: str, groups: 
 # ---------------------------------------------------------------------------
 
 def param_specs(config: TrajUNetConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
-    """Yield (name, shape, init) for every parameter, in the order
-    init_params draws them. Names and shapes are the checkpoint contract;
-    listing them allocates no weights.
+    """Yield (name, shape, init) for every parameter, in the order TrajUNet
+    draws them. Names and shapes are the checkpoint contract; listing them
+    allocates no weights.
 
     init is "ones" or "zeros", "conv" or "linear" (He normal over the
     fan-in of a [Cout, Cin, K] kernel or an [In, Out] matrix), or "table"
@@ -255,25 +258,38 @@ def param_specs(config: TrajUNetConfig) -> Iterator[tuple[str, tuple[int, ...], 
     yield "out.conv.b", (config.in_channels,), "zeros"
 
 
-def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: str) -> np.ndarray:
-    if init == "ones":
-        return np.ones(shape, dtype=np.float32)
-    if init == "zeros":
-        return np.zeros(shape, dtype=np.float32)
+def param_layout(specs) -> list[dict]:
+    """The parameter table of (name, shape, init) specs: one entry each, in
+    order, packed from offset 0 with no gaps. Offsets and sizes are in bytes
+    of float32, as the checkpoint header stores them."""
+    table, offset = [], 0
+    for name, shape, _ in specs:
+        table.append({"name": name, "nbytes": 4 * math.prod(shape), "offset": offset,
+                      "shape": list(shape)})
+        offset += table[-1]["nbytes"]
+    return table
+
+
+def param_view(flat: np.ndarray, entry: dict) -> np.ndarray:
+    """The view of a flat parameter vector that a param_layout entry names."""
+    lo = entry["offset"] // 4
+    return flat[lo:lo + entry["nbytes"] // 4].reshape(entry["shape"])
+
+
+def _draw(rng: np.random.Generator, out: np.ndarray, init: str) -> None:
+    """Fill out, one parameter's view, by its init rule (see param_specs)."""
+    if init in ("ones", "zeros"):
+        out.fill(1.0 if init == "ones" else 0.0)
+        return
     if init == "conv":
-        std = math.sqrt(2.0 / (shape[1] * shape[2]))
+        std = math.sqrt(2.0 / (out.shape[1] * out.shape[2]))
     elif init == "linear":
-        std = math.sqrt(2.0 / shape[0])
+        std = math.sqrt(2.0 / out.shape[0])
     else:
         std = 0.3
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def init_params(config: TrajUNetConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Build the named parameter set of param_specs(config), drawing from rng
-    in that order."""
-    return {name: Tensor(_draw(rng, shape, init), requires_grad=True)
-            for name, shape, init in param_specs(config)}
+    # row by row: the same numbers as one draw, through a small float64 buffer
+    for row in out.reshape(len(out), -1):
+        row[...] = rng.normal(0.0, std, size=row.size)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +297,34 @@ def init_params(config: TrajUNetConfig, rng: np.random.Generator) -> dict[str, T
 # ---------------------------------------------------------------------------
 
 class TrajUNet:
-    """Noise predictor over [B, 2, L] trajectory tensors."""
+    """Noise predictor over [B, 2, L] trajectory tensors.
 
-    def __init__(self, config: TrajUNetConfig, params: dict[str, Tensor] | None = None,
+    flat, a float32 vector of the layout's size, is wrapped as given;
+    without it, rng draws each parameter of param_specs into its own view
+    of a new vector, in spec order.
+    """
+
+    def __init__(self, config: TrajUNetConfig, flat: np.ndarray | None = None,
                  rng: np.random.Generator | None = None):
         self.config = config
-        if params is None:
+        specs = list(param_specs(config))
+        layout = param_layout(specs)
+        size = sum(e["nbytes"] for e in layout) // 4
+        draw = flat is None
+        if draw:
             if rng is None:
-                raise ValueError("need either params or an rng to initialize them")
-            params = init_params(config, rng)
-        self.params = params
+                raise ValueError("need either a flat parameter vector or an rng to draw it")
+            flat = np.empty(size, np.float32)
+        elif flat.dtype != np.float32 or flat.shape != (size,):
+            raise ValueError(f"flat parameters must be float32 of shape ({size},), "
+                             f"got {flat.dtype} of shape {flat.shape}")
+        self.flat = flat
+        self.params = {}
+        for (name, _, init), e in zip(specs, layout):
+            view = param_view(flat, e)
+            if draw:
+                _draw(rng, view, init)
+            self.params[name] = Tensor(view, requires_grad=True)
 
     def forward(self, x_t: np.ndarray, t: np.ndarray, cond: ConditionBatch | None) -> Tensor:
         """Predicted noise [B, C, L] for x_t at steps t. cond=None is the

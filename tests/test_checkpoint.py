@@ -45,6 +45,23 @@ class TestRoundtrip:
                         train_steps=header["train_steps"], seed=header["seed"])
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_params_are_views_of_flat_at_their_offsets(self, saved):
+        path, model, *_ = saved
+        loaded, *_, header = load_checkpoint(path)
+        table = header["params"]
+        for m in (model, loaded):
+            assert list(m.params) == [e["name"] for e in table]
+            assert m.flat.dtype == np.float32 and m.flat.nbytes == sum(e["nbytes"] for e in table)
+            for e in table:
+                data = m.params[e["name"]].data
+                assert data.ctypes.data == m.flat.ctypes.data + e["offset"], e["name"]
+                assert list(data.shape) == e["shape"] and data.flags.c_contiguous, e["name"]
+
+    def test_payload_is_the_flat_vector(self, saved):
+        path, model, *_ = saved
+        blob = path.read_bytes()
+        assert blob[9 + int.from_bytes(blob[5:9], "little"):] == model.flat.tobytes()
+
     def test_header_restores_companions(self, saved):
         path, model, sched, norm, grid = saved
         loaded, s2, n2, g2, header = load_checkpoint(path)
@@ -255,7 +272,8 @@ class TestWriter:
         (lambda p: p.update({"stem.b": Tensor(np.zeros(5, np.float32))}), "stem.b"),
         (lambda p: p.update({"extra.w": Tensor(np.zeros(1, np.float32))}), "extra.w"),
         (lambda p: p.pop("out.conv.b"), "out.conv.b"),
-    ], ids=["wrong shape", "extra", "missing"])
+        (lambda p: p.update({"stem.b": Tensor(p["stem.b"].data.copy())}), "stem.b"),
+    ], ids=["wrong shape", "extra", "missing", "not a view"])
     def test_params_off_spec_refused_before_writing(self, saved, tmp_path, edit, name):
         # the loader would refuse such a file, so the writer does not write it
         _, model, sched, norm, grid = saved

@@ -587,6 +587,18 @@ class TestInvariants:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             tz.add(big, big)
 
+    def test_finite_output_near_the_float32_limit_passes(self):
+        # its float32 sum overflows, but every element is finite
+        out = tz.add(Tensor(np.array([3e38, 3e38], np.float32)), Tensor(np.zeros(2, np.float32)))
+        assert out.data.tolist() == np.array([3e38, 3e38], np.float32).tolist()
+
+    def test_opposite_infinities_are_a_numeric_error(self):
+        # their sum is nan; the check raises NumericError and no numpy warning
+        a = Tensor(np.array([3e38, -3e38], np.float32))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^add produced non-finite values$"):
+            tz.add(a, a)
+
     def test_direct_op_under_no_grad_still_checks(self):
         # only a model evaluation defers the checks; a direct call never does
         big = Tensor(np.full((4,), 3e38, np.float32))

@@ -10,7 +10,7 @@ from trajdiff.errors import NumericError
 from trajdiff.rng import stream
 from trajdiff.tensor import Tensor
 from trajdiff.trajdata import ConditionBatch, ConditionVector
-from trajdiff.unet import (TrajUNet, TrajUNetConfig, attention, attention_weights, init_params,
+from trajdiff.unet import (TrajUNet, TrajUNetConfig, attention, attention_weights,
                            resnet_block, sinusoidal_time_embedding, time_mlp, wide_deep_embed)
 
 # groups=2 keeps multiple channels per normalization group, so the
@@ -28,10 +28,8 @@ def dense_model(config: TrajUNetConfig, seed: int) -> TrajUNet:
     """A model with every parameter drawn from N(0, 0.2^2): none is
     zero-initialized, so the output depends on every path, the condition
     encoder's included."""
-    rng = stream(seed)
-    return TrajUNet(config, params={
-        name: Tensor(rng.normal(0.0, 0.2, size=shape).astype(np.float32), requires_grad=True)
-        for name, shape, _ in unet.param_specs(config)})
+    n = sum(math.prod(shape) for _, shape, _ in unet.param_specs(config))
+    return TrajUNet(config, flat=stream(seed).normal(0.0, 0.2, size=n).astype(np.float32))
 
 
 class TestSinusoidalEmbedding:
@@ -79,7 +77,7 @@ class TestTimeMlp:
 
     def test_gradcheck(self):
         rng = stream(2)
-        params = init_params(TINY, rng)
+        params = TrajUNet(TINY, rng=rng).params
         emb = Tensor(sinusoidal_time_embedding(np.array([3, 40]), 128))
         proj = Tensor(rng.normal(size=(2, 128)).astype(np.float32))
 
@@ -98,14 +96,14 @@ class TestTimeMlp:
 
 class TestWideDeepEmbed:
     def test_null_condition_embeds_to_exact_zero(self):
-        params = init_params(TINY, stream(3))
+        params = TrajUNet(TINY, rng=stream(3)).params
         out1 = wide_deep_embed(null_batch(4), params)
         out2 = wide_deep_embed(null_batch(4), params)
         assert np.all(out1.data == 0)
         np.testing.assert_array_equal(out1.data, out2.data)
 
     def test_departure_slot_changes_embedding(self):
-        params = init_params(TINY, stream(4))
+        params = TrajUNet(TINY, rng=stream(4)).params
         a = ConditionVector(numeric=np.ones(4), departure_slot=10, origin_cell=5, dest_cell=9)
         b = ConditionVector(numeric=np.ones(4), departure_slot=11, origin_cell=5, dest_cell=9)
         out = wide_deep_embed(ConditionBatch.from_vectors([a, b]), params)
@@ -113,7 +111,7 @@ class TestWideDeepEmbed:
 
     def test_wide_path_is_plain_affine_map(self):
         # silence the deep path, then the output is numeric @ W + b
-        params = init_params(TINY, stream(5))
+        params = TrajUNet(TINY, rng=stream(5)).params
         params["cond.deep.fc2.W"] = Tensor(np.zeros((128, 128), np.float32))
         params["cond.deep.fc2.b"] = Tensor(np.zeros(128, np.float32))
         numeric = np.array([[0.5, -1.0, 0.0, 2.0], [1.5, 0.25, -0.75, 0.0]], np.float32)
@@ -149,14 +147,14 @@ class TestResnetBlock:
         np.testing.assert_array_equal(out.data.transpose(0, 2, 1), x)
 
     def test_length_preserved_and_channels_change(self):
-        params = init_params(TINY, stream(6))
+        params = TrajUNet(TINY, rng=stream(6)).params
         x = np.random.default_rng(2).normal(size=(2, 4, 16)).astype(np.float32)
         emb = Tensor(np.zeros((2, 128), np.float32))
         out = resnet_block(Tensor(x.transpose(0, 2, 1)), emb, params, "down1.block0", groups=8)
         assert out.shape == (2, 16, 8)
 
     def test_gradcheck_through_block(self):
-        params = init_params(TINY, stream(7))
+        params = TrajUNet(TINY, rng=stream(7)).params
         rng = np.random.default_rng(3)
         # contiguous, so numeric_grad perturbs the tensor's own storage
         x = Tensor(np.ascontiguousarray(rng.normal(size=(1, 4, 8)).astype(np.float32).transpose(0, 2, 1)),
@@ -223,6 +221,29 @@ class TestAttention:
         got = got.transpose(0, 2, 1)
         expect = attention_oracle(x, wq, wk, wv)
         assert np.abs(got - expect).max() < 1e-5
+
+
+class TestFlatStore:
+    @pytest.mark.parametrize("make", [
+        lambda n: np.zeros(n - 1, np.float32),
+        lambda n: np.zeros(n + 1, np.float32),
+        lambda n: np.zeros(n, np.float64),
+        lambda n: np.zeros((1, n), np.float32),
+    ], ids=["short", "long", "float64", "2-D"])
+    def test_wrong_flat_is_a_value_error(self, make):
+        n = TrajUNet(TINY, rng=stream(1)).flat.size
+        with pytest.raises(ValueError, match="flat parameters must be float32"):
+            TrajUNet(TINY, flat=make(n))
+
+    def test_needs_flat_or_rng(self):
+        with pytest.raises(ValueError, match="need either"):
+            TrajUNet(TINY)
+
+    def test_flat_is_wrapped_not_copied(self):
+        flat = dense_model(TINY, 2).flat
+        model = TrajUNet(TINY, flat=flat)
+        assert model.flat is flat
+        assert all(np.shares_memory(p.data, flat) for p in model.params.values())
 
 
 class TestForward:
