@@ -15,8 +15,11 @@ _forked: the caller runs the first contiguous block of units and one forked
 worker runs each other block, every process at one OpenBLAS thread. Workers
 report b".", b"N" (a NumericError) or b"E" (any other error) through a pipe
 and write their results into an anonymous shared mmap: sampled rows (see
-sample), or shard gradients that every process sums and applies to its own
-copy of the parameters (see train). No worker outlives the call.
+sample), or shard gradients and updated parameters (see train). Each
+training process owns one part of the parameter vector: it sums the shard
+gradients over that part and steps an Adam whose moments cover that part
+only, then hands the updated part to the others through the same mmap.
+No worker outlives the call.
 """
 
 from __future__ import annotations
@@ -196,8 +199,9 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
     gradient is their sum in shard order, so the bytes depend on the shard
     count only, never on workers. workers processes run the shards (None:
     train_workers); more than one means this process and forked workers, all
-    at one BLAS thread, that trade gradients through shared memory once a
-    step (see _run_shards).
+    at one BLAS thread, that each sum the gradient and step Adam over their
+    own part of model.flat, and trade gradients and updated parts through
+    shared memory (see _run_shards).
 
     Aborts with NumericError if an op's output, the loss included, goes
     non-finite; the message names the step, counted from 0. When several
@@ -209,47 +213,54 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
         raise ValueError("empty training dataset")
     if cond_data is not None and len(cond_data) != n:
         raise ValueError("condition count does not match dataset size")
-    job = _TrainJob(model, x0_data, cond_data, cfg, sched)
+    job = _TrainJob(model, x0_data, cond_data, cfg, sched, workers)
     history = np.empty(cfg.steps, dtype=np.float64)
-    shards = len(job.rows)
-    workers = train_workers(cfg.batch_size) if workers is None else max(1, min(workers, shards))
-    _run_shards(job, workers, history)
+    _run_shards(job, history)
     return history
 
 
 class _TrainJob:
-    """One training run's state, and its step as fixed shards of the batch.
+    """One training run's state, and its step as fixed shards of the batch
+    run by workers processes (None: train_workers; at most one per shard).
 
     Each shard's gradient goes into its own row of one float32 buffer
-    (grads[parity, shard]), laid out as model.flat (model.params holds views
-    of it in its order, as TrajUNet builds them), with zeros for a parameter
-    its loss did not reach; its loss goes into losses[parity, shard]. apply
-    sums the rows in shard order, whichever process wrote them, and steps
-    Adam over model.flat. Shared by several processes, the buffers hold one
-    copy per step parity, so that a process may write step k + 1's rows
-    while another still reads step k's.
+    (grads[shard]), laid out as model.flat (model.params holds views of it in
+    its order, as TrajUNet builds them), with zeros for a parameter its loss
+    did not reach; its loss goes into losses[shard]. Process p runs the
+    shards of blocks[p] and owns part p of model.flat, the values parts[p]:
+    apply sums the rows over that part only, in shard order, and steps an
+    Adam whose moments cover that part only, so each value's update is the
+    one a whole-vector step gives it. gather then brings the other parts in
+    (see _run_shards).
     """
 
-    def __init__(self, model, x0_data, cond_data, cfg: TrainConfig, sched: NoiseSchedule):
+    def __init__(self, model, x0_data, cond_data, cfg: TrainConfig, sched: NoiseSchedule,
+                 workers: int | None):
         self.model, self.x0_data, self.cond_data = model, x0_data, cond_data
         self.cfg, self.sched = cfg, sched
         self.rng = stream(cfg.seed)
-        self.opt = Adam(model.flat, lr=cfg.learning_rate)
         self.params = list(model.params.values())
         shards = min(TRAIN_SHARDS, cfg.batch_size)
-        B = cfg.batch_size
+        B, n = cfg.batch_size, model.flat.size
         self.rows = [(B * s // shards, B * (s + 1) // shards) for s in range(shards)]
+        workers = train_workers(B) if workers is None else max(1, min(workers, shards))
+        self.blocks = _blocks(shards, workers)
+        self.parts = [slice(n * p // workers, n * (p + 1) // workers) for p in range(workers)]
+        self.proc = self.opt = None  # set by own
         self.losses = self.grads = None  # set by lay_out_buffers
 
-    def lay_out_buffers(self, parities: int, alloc) -> None:
-        """Lay out losses [parities, shards] float64, then grads [parities,
-        shards, values] float32, in alloc(total bytes): a bytearray, or a
-        shared mmap."""
+    def lay_out_buffers(self, alloc) -> None:
+        """Lay out losses [shards] float64, then grads [shards, values]
+        float32, in alloc(total bytes): a bytearray, or a shared mmap."""
         shards, values = len(self.rows), self.model.flat.size
-        buf = alloc(8 * parities * shards + 4 * parities * shards * values)
-        self.losses = np.frombuffer(buf, np.float64, parities * shards).reshape(parities, shards)
-        self.grads = np.frombuffer(buf, np.float32, parities * shards * values,
-                                   8 * parities * shards).reshape(parities, shards, values)
+        buf = alloc(8 * shards + 4 * shards * values)
+        self.losses = np.frombuffer(buf, np.float64, shards)
+        self.grads = np.frombuffer(buf, np.float32, shards * values, 8 * shards).reshape(shards, values)
+
+    def own(self, p: int) -> None:
+        """Make this process the owner of part p, with an Adam over it only."""
+        self.proc = p
+        self.opt = Adam(self.model.flat[self.parts[p]], lr=self.cfg.learning_rate)
 
     def draw_batch(self) -> tuple[np.ndarray, ConditionBatch | None]:
         idx = self.rng.integers(0, self.x0_data.shape[0], size=self.cfg.batch_size)
@@ -274,80 +285,126 @@ class _TrainJob:
         """Draw step step_i's batch and run the given shards, each into its row.
         Each shard draws from the same stream state, so the stream ends where
         one whole-batch draw leaves it."""
-        parity = step_i % self.grads.shape[0]
         x0, cond = self.draw_batch()
         state = self.rng.bit_generator.state
         for k, s in enumerate(shards):
             if k:
                 self.rng.bit_generator.state = state
-            self.losses[parity, s] = self.backward(x0, cond, step_i, self.rows[s])
-            row, lo = self.grads[parity, s], 0
+            self.losses[s] = self.backward(x0, cond, step_i, self.rows[s])
+            row, lo = self.grads[s], 0
             for p in self.params:
                 row[lo:lo + p.data.size] = 0 if p.grad is None else p.grad.ravel()
                 lo += p.data.size
 
-    def apply(self, step_i: int) -> float:
-        """Step Adam with the sum of step step_i's rows, in shard order, a
-        fresh array that lives for this step only, and return the step's
-        loss, the sum of the shard losses in shard order."""
-        parity = step_i % self.grads.shape[0]
-        grads, losses = self.grads[parity], self.losses[parity]
-        total = grads[0].copy()
-        loss = losses[0]
+    def apply(self) -> float:
+        """Step Adam with the sum of the rows over this process's part, in
+        shard order, a fresh array that lives for this step only; write the
+        updated part into every other process's first row, at the part; and
+        return the step's loss, the sum of the shard losses in shard order."""
+        part = self.parts[self.proc]
+        total = self.grads[0, part].copy()
+        loss = self.losses[0]
         for s in range(1, len(self.rows)):
-            total += grads[s]
-            loss += losses[s]
+            total += self.grads[s, part]
+            loss += self.losses[s]
         self.opt.grad = total
         self.opt.step()
         self.opt.grad = None
+        for q, block in enumerate(self.blocks):
+            if q != self.proc:
+                self.grads[block[0], part] = self.model.flat[part]
         return float(loss)
 
+    def gather(self) -> None:
+        """Copy every other process's part from this process's first row into
+        model.flat, where apply in that process wrote it."""
+        first = self.grads[self.blocks[self.proc][0]]
+        for q, part in enumerate(self.parts):
+            if q != self.proc:
+                self.model.flat[part] = first[part]
 
-def _run_shards(job: _TrainJob, workers: int, history: np.ndarray) -> None:
-    """Run job's steps on this process and workers - 1 forked ones (see
-    _forked), each on a contiguous block of shards: the caller's come first,
-    so the lowest failing shard is the first failure seen.
 
-    With one worker, this process runs every shard, with its buffers in a
-    bytearray. With more, the buffers are one anonymous shared mmap, made
-    before the fork, with a copy per step parity. Each step every process
-    draws from its own copy of the stream, writes its shards' rows, and the
-    caller waits for one byte from each worker, then sends one back once
-    every row is in. Each process then sums the rows and steps Adam itself:
-    Adam is deterministic, so the parameter copies stay identical and no
-    parameter crosses a process boundary.
+def _run_shards(job: _TrainJob, history: np.ndarray) -> None:
+    """Run job's steps on this process and one forked worker per other block
+    of job.blocks (see _forked), process p on job.blocks[p]: the caller's
+    come first, so the lowest failing shard is the first failure seen.
+
+    With one worker, this process runs every shard and owns all of
+    model.flat, with its buffers in a bytearray. With more, the buffers are
+    one anonymous shared mmap, made before the fork. Each step every process
+    draws from its own copy of the stream, writes its shards' rows, and
+    passes a pipe barrier: the caller waits for one byte from each worker,
+    then sends one back. Then process p
+      1. sums the rows over part p, in shard order, and steps its Adam;
+      2. writes its updated part into the first row of every other process,
+         at part p;
+      3. passes a second barrier;
+      4. copies the other parts from its own first row into its model.flat.
+    No extra buffer is needed, and each hazard is ordered by a barrier or by
+    program order:
+      - process q's compute writes its rows between its step 4 and the first
+        barrier, and the others read them in step 1, between the first
+        barrier and the second;
+      - q's first row at part p is read in step 1 by p alone, which then
+        overwrites it in step 2, before the second barrier;
+      - q reads that slice back in step 4, after the second barrier and
+        before its own next compute overwrites the row.
+    So every process ends each step with the same model.flat, and the
+    caller's model ends training holding every part. A worker's failure is
+    heard at the next barrier, which names its step.
     """
-    if workers == 1:
-        job.lay_out_buffers(1, bytearray)
-    else:
-        job.lay_out_buffers(2, lambda size: mmap.mmap(-1, size))
+    workers = len(job.blocks)
+    job.lay_out_buffers(bytearray if workers == 1 else lambda size: mmap.mmap(-1, size))
     serve = functools.partial(_serve_shards, job)
     with _forked(len(job.rows), workers, serve, "training") as (own, procs):
+        job.own(0)
         for step_i in range(job.cfg.steps):
             job.compute(step_i, own)
-            for _, report_r, _ in procs:
-                _read_report(report_r, f"step {step_i}: a training worker ended without a report")
-            for _, _, go_w in procs:
-                os.write(go_w, b".")
-            history[step_i] = job.apply(step_i)
+            _meet(procs, step_i)
+            history[step_i] = job.apply()
+            _meet(procs, step_i)
+            job.gather()
+
+
+def _meet(procs, step_i: int) -> None:
+    """The caller's side of a barrier: wait for one byte from every worker,
+    raising the error one reports instead, then send each one byte back."""
+    for _, report_r, _ in procs:
+        _read_report(report_r, f"step {step_i}: a training worker ended without a report")
+    for _, _, go_w in procs:
+        os.write(go_w, b".")
 
 
 def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int):
-    """A training worker's work (see _forked): each step, run its block of
-    shards, send the caller b".", wait for b"." back, then sum the rows and
-    step Adam as the caller does. Yields each step's label before the step."""
+    """A training worker's work (see _forked): own the part of its block's
+    process, then each step run its block of shards and take steps 1-4 of
+    _run_shards as the caller does, sending the caller b"." and waiting for
+    b"." back at each barrier. Yields each step's label before the step."""
+    job.own(job.blocks.index(block))
+
+    def meet() -> bool:
+        os.write(report_w, b".")
+        return os.read(go_r, 1) == b"."  # b"": the caller stopped
+
     for step_i in range(job.cfg.steps):
         yield f"step {step_i}"
         job.compute(step_i, block)
-        os.write(report_w, b".")
-        if os.read(go_r, 1) != b".":
-            return  # the caller stopped
-        job.apply(step_i)
+        if not meet():
+            return
+        job.apply()
+        if not meet():
+            return
+        job.gather()
 
 
 # ---------------------------------------------------------------------------
 # forked workers
 # ---------------------------------------------------------------------------
+
+def _blocks(units: int, workers: int) -> list[range]:
+    """Units 0..units-1 split into workers contiguous blocks, in order."""
+    return [range(units * p // workers, units * (p + 1) // workers) for p in range(workers)]
+
 
 @contextlib.contextmanager
 def _forked(units: int, workers: int, serve, what: str):
@@ -364,7 +421,7 @@ def _forked(units: int, workers: int, serve, what: str):
     caller's count is restored on return or raise. No worker outlives the
     block: one still running at its end is killed, and every one is reaped.
     """
-    blocks = [range(units * p // workers, units * (p + 1) // workers) for p in range(workers)]
+    blocks = _blocks(units, workers)
     if workers == 1:
         yield blocks[0], []
         return

@@ -40,7 +40,10 @@ recorded as its slot (a tracked op output), as the Tensor itself (a
 requires_grad leaf) or as None. backward_fn(g) maps the output's gradient to
 one gradient per input, in the output's broadcast shape, touches no tensor
 and holds only the arrays it reads: sum_all and maxpool1d_k2 keep no more of
-their input than its shape. backward() is the one place that writes
+their input than its shape. An input recorded as None gets no gradient, so
+conv1d_cl and linear return None for an x that was not tracked when the op
+was recorded, and skip its product (the UNet's noisy input, time embedding
+and numeric conditions). backward() is the one place that writes
 gradients: it pops the records in exact reverse execution order, skips those
 whose slot got no gradient, casts each input's gradient to float32, sums it
 down to the input's shape, stores the first one as it is and adds later ones
@@ -406,10 +409,12 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {W.data.shape}")
     xd, Wd = x.data, W.data
     y = xd @ Wd + b.data
+    x_tracked = x.requires_grad
 
     def backward(g):
         gf = g.reshape(-1, g.shape[-1])
-        return (g @ Wd.T, xd.reshape(-1, xd.shape[-1]).T @ np.ascontiguousarray(gf),
+        return (g @ Wd.T if x_tracked else None,
+                xd.reshape(-1, xd.shape[-1]).T @ np.ascontiguousarray(gf),
                 gf.sum(axis=0, dtype=np.float64))
 
     return _make(y, (x, W, b), backward, "linear")
@@ -527,9 +532,10 @@ def conv1d_cl(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ValueError(f"conv1d bias must have shape [{Cout}] or [{B}, {Cout}]")
         y += b.data.reshape(-1, 1, Cout)
     bias_ndim = None if b is None else b.data.ndim
+    x_tracked = x.requires_grad
 
     def backward(g):
-        gx = _conv_taps(g, wd.transpose(1, 0, 2)[:, :, ::-1])
+        gx = _conv_taps(g, wd.transpose(1, 0, 2)[:, :, ::-1]) if x_tracked else None
         grads = (gx, _conv_weight_grad(xd, g, K))
         if bias_ndim is None:
             return grads

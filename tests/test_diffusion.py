@@ -415,11 +415,52 @@ class TestTrainShards:
     def in_worker(caller: int, opt, k: int) -> bool:
         return os.getpid() != caller and opt.t == k
 
+    @staticmethod
+    def in_worker_part(model, name: str) -> bool:
+        """Whether parameter name lies in the second half of model.flat, the
+        part that the worker of a two-process run owns and hands over."""
+        lo = (model.params[name].data.ctypes.data - model.flat.ctypes.data) // 4
+        return model.flat.size // 2 <= lo < model.flat.size
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_process_steps_adam_over_its_own_part(self, monkeypatch, tmp_path, deadline,
+                                                       workers):
+        # every process records the bounds of its Adam's part of model.flat
+        # and its moments' sizes; the parts tile model.flat in process order
+        model = TrajUNet(TINY, rng=stream(21))
+        n, base = model.flat.size, model.flat.ctypes.data
+        adam_step, run_shards, jobs = diffusion.Adam.step, diffusion._run_shards, []
+
+        def step_and_record(opt):
+            adam_step(opt)
+            lo = (opt.flat.ctypes.data - base) // 4
+            bounds = (lo, lo + opt.flat.size, opt._m.size, opt._v.size)
+            (tmp_path / str(os.getpid())).write_text(" ".join(map(str, bounds)))
+
+        def keep_job(job, history):
+            jobs.append(job)
+            run_shards(job, history)
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_and_record)
+        monkeypatch.setattr(diffusion, "_run_shards", keep_job)
+        self.run(workers, model=model)
+        seen = {int(f.name): tuple(map(int, f.read_text().split())) for f in tmp_path.iterdir()}
+        assert len(seen) == workers
+        caller = seen.pop(os.getpid())
+        parts = [caller, *seen.values()]
+        assert [(lo, hi) for lo, hi, _, _ in parts] == [(n * p // workers, n * (p + 1) // workers)
+                                                      for p in range(workers)]
+        assert all(m == v == hi - lo for lo, hi, m, v in parts)
+        assert jobs[0].grads.shape == (2, n) and jobs[0].losses.shape == (2,)
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_worker_numeric_error_names_its_step(self, monkeypatch, deadline, k):
-        # only the worker's model copy is poisoned, so only shard 1 fails
+        # the worker poisons stem.w in its part after step k - 1's Adam step;
+        # the poison reaches the caller's copy with the part, so both shards
+        # fail at step k and the caller's shard 0 error is raised
         caller, blas = os.getpid(), tz.blas_threads()
         model = TrajUNet(TINY, rng=stream(21))
+        assert self.in_worker_part(model, "stem.w")
         adam_step = diffusion.Adam.step
 
         def step_then_poison(opt):
@@ -433,9 +474,32 @@ class TestTrainShards:
         assert children() == []
         assert tz.blas_threads() == blas
 
+    def test_worker_forward_error_reaches_the_caller(self, monkeypatch, deadline):
+        # the worker poisons its own copy of stem.w just before step 2's
+        # forward, after the exchange: only shard 1 fails, and the caller
+        # raises the worker's error at that step's first barrier
+        caller, calls = os.getpid(), []
+        model = TrajUNet(TINY, rng=stream(21))
+        loss = diffusion.training_loss
+
+        def poison_then_loss(*args, **kwargs):
+            if os.getpid() != caller:
+                calls.append(1)
+                if len(calls) == 3:
+                    model.params["stem.w"].data[0, 0, 0] = np.nan
+            return loss(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "training_loss", poison_then_loss)
+        with pytest.raises(NumericError, match=r"^step 2: conv1d produced non-finite values$"):
+            self.run(2, model=model)
+        assert np.isfinite(model.flat).all()
+        assert children() == []
+
     def test_both_shards_failing_raise_shard_zero(self, monkeypatch, deadline):
-        # the caller's shard fails at the stem conv, the worker's at the loss:
-        # one process running both would meet shard 0's error first
+        # one process running both poisons fails at the stem conv. With two,
+        # both parameters lie in the worker's part, so the worker's update of
+        # them replaces the caller's poison of stem.w, and both shards fail at
+        # the out conv; shard 0's error is raised
         caller = os.getpid()
         adam_step = diffusion.Adam.step
         model = None
@@ -451,6 +515,7 @@ class TestTrainShards:
         monkeypatch.setattr(diffusion.Adam, "step", step_then_poison)
         for workers in (1, 2):
             model = TrajUNet(TINY, rng=stream(21))
+            assert self.in_worker_part(model, "stem.w") and self.in_worker_part(model, "out.conv.b")
             with pytest.raises(NumericError, match=r"^step 2: conv1d produced non-finite values$"):
                 self.run(workers, model=model)
         assert children() == []
@@ -465,11 +530,33 @@ class TestTrainShards:
                 os._exit(3)
 
         monkeypatch.setattr(diffusion.Adam, "step", step_then_exit)
-        # the worker dies in step 1's Adam step; the caller misses its report of step 2
-        with pytest.raises(WorkerError, match=r"^step 2: a training worker ended without a report$"):
+        # the worker dies in step 1's Adam step; the caller misses its report
+        # at that step's second barrier
+        with pytest.raises(WorkerError, match=r"^step 1: a training worker ended without a report$"):
             self.run(2)
         assert children() == []
         assert tz.blas_threads() == blas
+
+    def test_worker_failure_before_handing_over_its_part_stops_that_step(self, monkeypatch,
+                                                                        deadline):
+        # the worker raises after step 1's Adam step, before it writes its
+        # part for the caller: the caller raises the error as the worker
+        # reported it, at that step's second barrier, and takes no later step
+        caller = os.getpid()
+        adam_step, caller_steps = diffusion.Adam.step, []
+
+        def step_then_fail(opt):
+            adam_step(opt)
+            if os.getpid() == caller:
+                caller_steps.append(opt.t)
+            elif opt.t == 2:
+                raise NumericError("step 1: failed before handing over its part")
+
+        monkeypatch.setattr(diffusion.Adam, "step", step_then_fail)
+        with pytest.raises(NumericError, match=r"^step 1: failed before handing over its part$"):
+            self.run(2)
+        assert caller_steps == [1, 2]
+        assert children() == []
 
     def test_worker_exception_is_a_typed_error(self, monkeypatch, deadline):
         caller = os.getpid()
@@ -488,8 +575,8 @@ class TestTrainShards:
 
     def test_one_core_interleaving_keeps_the_bytes(self, deadline):
         # both processes on one core take turns inside every step: a row read
-        # before its writer finished, or a parity buffer reused too early,
-        # would change the bytes
+        # before its writer finished, or overwritten before its reader
+        # finished, would change the bytes
         cores = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(cores)})
         try:

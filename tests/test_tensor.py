@@ -337,6 +337,24 @@ class TestBackward:
             results.append((y.data.tobytes(), w.grad.tobytes()))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("op, shapes", [
+        (tz.conv1d_cl, ((2, 8, 3), (4, 3, 3), (4,))),
+        (tz.linear, ((2, 5, 3), (3, 4), (4,)))])
+    def test_untracked_x_gets_no_input_gradient(self, op, shapes):
+        # an x that was not tracked gets None from backward_fn, not a product
+        # that the driver drops; the weights' gradients keep their bytes
+        results = []
+        for tracked in (True, False):
+            tz.reset_tape()
+            x, w, b = (Tensor(rand(s, seed=i), requires_grad=i > 0 or tracked)
+                       for i, s in enumerate(shapes))
+            y = op(x, w, b)
+            gx = tz._tape[-1][2](np.ones_like(y.data))[0]
+            assert (gx is None) == (not tracked)
+            tz.backward(tz.sum_all(tz.mul(y, y)))
+            results.append((w.grad.tobytes(), b.grad.tobytes()))
+        assert results[0] == results[1]
+
 
 class TestAccumulation:
     """backward() is the one place that writes an op input's .grad: it sums
