@@ -291,10 +291,8 @@ class _TrainJob:
             if k:
                 self.rng.bit_generator.state = state
             self.losses[s] = self.backward(x0, cond, step_i, self.rows[s])
-            row, lo = self.grads[s], 0
-            for p in self.params:
-                row[lo:lo + p.data.size] = 0 if p.grad is None else p.grad.ravel()
-                lo += p.data.size
+            np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
+                            for p in self.params], axis=None, out=self.grads[s])
 
     def apply(self) -> float:
         """Step Adam with the sum of the rows over this process's part, in

@@ -5,14 +5,14 @@ softmax accumulate in float64 so finite-difference gradient checks stay
 meaningful. Normalization statistics start from float32 BLAS sums over the
 length, one per (batch, channel), and are float64 from there on.
 Every forward op verifies its output is finite and raises NumericError
-otherwise: NaN/Inf never propagates silently. One model evaluation under
-no_grad may defer these checks (the private _deferred_checks scope, which
-TrajUNet.forward alone enters): its ops skip them and run with numpy's
-floating-point warnings off, and the caller checks the final output once,
-replaying the evaluation with every check on when it is not finite, so the
-error still names the op. Inside the scope two ops, whose finite output can
-hide a non-finite input, check their input: softmax_lastdim (-inf becomes
-0) and maxpool1d_k2 (a NaN or -inf first of a pair is dropped).
+otherwise: NaN/Inf never propagates silently. One model evaluation, in grad
+mode as under no_grad, defers these checks (the private _deferred_checks
+scope, which TrajUNet.forward alone enters): its ops skip them and run with
+numpy's floating-point warnings off, and the caller checks the final output
+once, replaying the evaluation with every check on when it is not finite, so
+the error still names the op. Inside the scope two ops, whose finite output
+can hide a non-finite input, check their input: softmax_lastdim (-inf
+becomes 0) and maxpool1d_k2 (a NaN or -inf first of a pair is dropped).
 
 Ops take Tensors and read their .data; nothing is coerced. mul alone also
 takes a Python float as its second operand: a constant scale, multiplied in
@@ -102,11 +102,16 @@ class no_grad:
 
 @contextlib.contextmanager
 def _deferred_checks():
-    """Scope of one model evaluation under no_grad whose caller checks the
-    output once: _make skips its finite check and numpy's floating-point
-    warnings are off, so a non-finite value flows on to the output instead
-    of raising where it appears. softmax_lastdim and maxpool1d_k2 check
-    their input instead."""
+    """Scope of one model evaluation whose caller checks the output once:
+    _make skips its finite check and numpy's floating-point warnings are
+    off, so a non-finite value flows on to the output instead of raising
+    where it appears. softmax_lastdim and maxpool1d_k2 check their input
+    instead.
+
+    In grad mode the scope records onto the tape as usual. When the caller
+    finds the output non-finite and replays, the failed pass's records stay
+    on the tape until the next reset_tape; the replay's NumericError ends
+    the step, so no backward walks them."""
     global _checks_deferred
     prev, _checks_deferred = _checks_deferred, True
     try:
@@ -173,15 +178,14 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str,
-          check: bool = True) -> Tensor:
+def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     """Wrap an op result; record (slot, inputs, backward_fn) when tracking.
 
-    backward_fn(g) returns one gradient per input. check=False is for pure
-    data-movement ops that cannot create non-finite values from finite inputs.
-    Inside _deferred_checks no op checks here.
+    backward_fn(g) returns one gradient per input. The output is checked
+    finite, except inside _deferred_checks, whose caller checks the
+    evaluation's output once.
     """
-    if check and not _checks_deferred:
+    if not _checks_deferred:
         _finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data.astype(np.float32, copy=False)
@@ -235,12 +239,12 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = x.data.shape
-    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape", check=False)
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape")
 
 
 def transpose_last2(x: Tensor) -> Tensor:
     y = np.ascontiguousarray(x.data.swapaxes(-1, -2))
-    return _make(y, (x,), lambda g: (g.swapaxes(-1, -2),), "transpose_last2", check=False)
+    return _make(y, (x,), lambda g: (g.swapaxes(-1, -2),), "transpose_last2")
 
 
 def concat_channels(tensors: list[Tensor], axis: int = 1) -> Tensor:
@@ -249,8 +253,7 @@ def concat_channels(tensors: list[Tensor], axis: int = 1) -> Tensor:
         raise ValueError("concat_channels needs at least one tensor")
     y = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-    return _make(y, tuple(tensors), lambda g: np.split(g, splits, axis=axis), "concat_channels",
-                 check=False)
+    return _make(y, tuple(tensors), lambda g: np.split(g, splits, axis=axis), "concat_channels")
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -576,13 +579,10 @@ def maxpool1d_k2(x: Tensor, axis: int = -1) -> Tensor:
     y = np.where(take_first, first, second)
 
     def backward(g):
-        gp = np.zeros(shape, dtype=np.float32)
-        g_first, g_second = np.moveaxis(gp, pair_axis, 0)
-        np.copyto(g_first, g, where=take_first)
-        np.copyto(g_second, g, where=~take_first)
+        gp = np.stack([np.where(take_first, g, 0), np.where(take_first, 0, g)], axis=pair_axis)
         return (gp.reshape(in_shape),)
 
-    return _make(y, (x,), backward, "maxpool1d_k2", check=False)
+    return _make(y, (x,), backward, "maxpool1d_k2")
 
 
 def upsample_nearest_2x(x: Tensor, axis: int = -1) -> Tensor:
@@ -594,7 +594,7 @@ def upsample_nearest_2x(x: Tensor, axis: int = -1) -> Tensor:
         shape, pair_axis = _pairs(g.shape, axis, "upsample_nearest_2x")
         return (g.reshape(shape).sum(axis=pair_axis),)
 
-    return _make(y, (x,), backward, "upsample_nearest_2x", check=False)
+    return _make(y, (x,), backward, "upsample_nearest_2x")
 
 
 # ---------------------------------------------------------------------------

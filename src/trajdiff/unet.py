@@ -331,13 +331,11 @@ class TrajUNet:
         unconditional pass: the condition encoder is skipped and nothing is
         added to the step embedding, which is what a batch of null rows adds.
 
-        In grad mode every op checks its output is finite as it goes. Under
-        no_grad the ops' checks are deferred (tensor._deferred_checks) and the
-        output is checked once; if it is not finite, the pass runs again with
-        every check on, so the NumericError names the same op as in grad mode.
+        The ops' finite checks are deferred (tensor._deferred_checks), in
+        grad mode as under no_grad, and the output is checked once; if it is
+        not finite, the pass runs again with every check on, so the
+        NumericError names the first op whose output is not finite.
         """
-        if tz._grad_enabled:
-            return self._forward(x_t, t, cond)
         try:
             with tz._deferred_checks():
                 out = self._forward(x_t, t, cond)

@@ -190,11 +190,14 @@ class TestTrain:
         for name in p_null:
             assert p_none[name].data.tobytes() == p_null[name].data.tobytes(), name
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_op_failure_names_the_step(self, sched, monkeypatch, k):
-        # a NaN written into the stem conv's weights after k optimizer steps
-        # makes step k's forward fail at that conv
+    @pytest.mark.parametrize("k, workers", [(1, None), (3, None), (0, 1), (0, 2)],
+                             ids=["1", "3", "0-workers1", "0-workers2"])
+    def test_op_failure_names_the_step(self, sched, monkeypatch, k, workers):
+        # a NaN written into the stem conv's weights before training (k = 0)
+        # or after k optimizer steps makes step k's forward fail at that conv
         model = TrajUNet(TINY, rng=stream(15))
+        if k == 0:
+            model.params["stem.w"].data[0, 0, 0] = np.nan
         adam_step = diffusion.Adam.step
 
         def step_then_poison(opt):
@@ -205,7 +208,8 @@ class TestTrain:
         monkeypatch.setattr(diffusion.Adam, "step", step_then_poison)
         x0 = stream(16).normal(size=(6, 2, 16)).astype(np.float32)
         with pytest.raises(NumericError, match=rf"^step {k}: conv1d produced non-finite values$"):
-            train(model, x0, None, TrainConfig(steps=k + 5, batch_size=4, seed=0), sched)
+            train(model, x0, None, TrainConfig(steps=k + 5, batch_size=4, seed=0), sched,
+                  workers=workers)
 
     def test_loss_overflow_is_the_mse_check(self, sched):
         # float32 outputs of 1e20 are finite, but their mean square is not:

@@ -1,5 +1,8 @@
-import resource
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_grads_match, numeric_grad
-from trajdiff import diffusion, schedule, unet
 from trajdiff import tensor as tz
 from trajdiff.errors import NumericError
-from trajdiff.rng import stream
 from trajdiff.tensor import Tensor
 
 
@@ -489,26 +490,42 @@ class TestTapeMemory:
         assert h.grad is None and loss.grad is None and c.grad is None
         assert h.requires_grad and loss.requires_grad
 
+    # 13 desk-size steps (base 16, L 64, B 64) in a fresh interpreter that
+    # imports nothing else, printing the caller's minor page faults per step
+    # after the first three
+    STEPS = """
+import resource
+from trajdiff import diffusion, schedule, unet
+from trajdiff.rng import stream
+faults, adam_step = [], diffusion.Adam.step
+
+def step_and_count(opt):
+    adam_step(opt)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+diffusion.Adam.step = step_and_count
+model = unet.TrajUNet(unet.TrajUNetConfig(length=64, base_channels=16), rng=stream(0))
+x0 = stream(1).normal(size=(256, 2, 64)).astype("float32")
+diffusion.train(model, x0, None, diffusion.TrainConfig(steps=13, batch_size=64),
+                schedule.linear_beta_schedule(100, 1e-4, 0.15))
+print((faults[-1] - faults[2]) / (len(faults) - 3))
+"""
+
     @pytest.mark.skipif(tz.malloc_thresholds() is None,
                         reason="malloc thresholds are pinned only under glibc")
-    def test_training_steps_reuse_their_memory(self, monkeypatch):
-        # desk-size steps (base 16, L 64, B 64) free their activations during
-        # backward; with glibc's default thresholds each step handed about
-        # 12 000 pages back to the kernel and faulted them in again, pinned
-        # it faults a few dozen at most
-        faults = []
-        adam_step = diffusion.Adam.step
-
-        def step_and_count(opt):
-            adam_step(opt)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-
-        monkeypatch.setattr(diffusion.Adam, "step", step_and_count)
-        model = unet.TrajUNet(unet.TrajUNetConfig(length=64, base_channels=16), rng=stream(0))
-        x0 = stream(1).normal(size=(256, 2, 64)).astype(np.float32)
-        diffusion.train(model, x0, None, diffusion.TrainConfig(steps=13, batch_size=64),
-                        schedule.linear_beta_schedule(100, 1e-4, 0.15))
-        per_step = (faults[-1] - faults[2]) / (len(faults) - 3)
+    def test_training_steps_reuse_their_memory(self):
+        # desk-size steps free their activations during backward; with
+        # glibc's default thresholds each step handed about 12 000 pages back
+        # to the kernel and faulted them in again, pinned it faults a few
+        # dozen at most. The steps run in their own process, so no fault of
+        # the test runner's counts against them.
+        src = str(Path(tz.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", self.STEPS], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr[-2000:]
+        per_step = float(out.stdout)
         assert per_step < 256, f"{per_step:.0f} minor faults per training step"
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -315,8 +316,9 @@ class TestForward:
         assert calls == [2]
 
     def test_no_grad_pass_checks_its_output_once(self, monkeypatch):
-        # each op's finite check is deferred; the two ops that can hide a
-        # non-finite input check it, and the output is checked once
+        # each op's finite check is deferred, in grad mode as under no_grad;
+        # the two ops that can hide a non-finite input check it, and the
+        # output is checked once
         calls = []
         finite = tz._finite
 
@@ -327,13 +329,35 @@ class TestForward:
         monkeypatch.setattr(tz, "_finite", counting)
         model = dense_model(TINY, 12)
         x = np.random.default_rng(12).normal(size=(2, 2, 16)).astype(np.float32)
-        with tz.no_grad():
-            model(x, np.array([3, 70]), null_batch(2))
-        assert calls == ["maxpool1d_k2 input", "softmax_lastdim input", "model output"]
-        calls.clear()
-        model(x, np.array([3, 70]), null_batch(2))  # grad mode: every op checks
+        for grad_mode in (False, True):
+            calls.clear()
+            with contextlib.nullcontext() if grad_mode else tz.no_grad():
+                out = model(x, np.array([3, 70]), null_batch(2))
+            assert out.requires_grad == grad_mode
+            assert calls == ["maxpool1d_k2 input", "softmax_lastdim input", "model output"]
         tz.reset_tape()
-        assert len(calls) > 20 and "model output" not in calls
+
+    def test_failed_grad_mode_pass_leaves_no_trace_after_reset(self):
+        # a caught failure leaves the failed pass's records on the tape;
+        # once reset_tape drops them, a clean pass gives a fresh model's
+        # gradients, byte for byte
+        x = np.random.default_rng(14).normal(size=(2, 2, 16)).astype(np.float32)
+        t, proj = np.array([3, 70]), Tensor(np.random.default_rng(15).normal(
+            size=(2, 2, 16)).astype(np.float32))
+
+        def grads(model):
+            tz.reset_tape()
+            tz.backward(tz.sum_all(tz.mul(model(x, t, null_batch(2)), proj)))
+            return {name: p.grad.tobytes() for name, p in model.params.items()}
+
+        model = dense_model(TINY, 14)
+        w = model.params["stem.w"].data
+        kept, w.flat[0] = w.flat[0], np.nan
+        with pytest.raises(NumericError, match="^conv1d produced non-finite values$"):
+            model(x, t, null_batch(2))
+        assert tz._tape  # the failed pass's records, until the reset
+        w.flat[0] = kept
+        assert grads(model) == grads(dense_model(TINY, 14))
 
     @pytest.mark.parametrize("name, value, op", [("stem.w", np.nan, "conv1d"),
                                                  ("time_mlp.fc1.b", np.inf, "linear"),
