@@ -398,6 +398,7 @@ def cmd_generate(args) -> tuple:
 
     sampler = SamplerConfig(total_steps=sched.T, sample_steps=cfg["steps"], eta=cfg["eta"],
                             guidance_scale=cfg["omega"], seed=cfg["seed"])
+    blas = tz.blas_threads()
     batch, stats = sample(model, conds, sampler, sched, n=n, workers=workers,
                           micro_batch=cfg["batch"])
 
@@ -418,7 +419,7 @@ def cmd_generate(args) -> tuple:
     # processes, so their activations are not in peak_rss_mb
     return cfg, inputs, [args.out], {
         "model_evals": stats["model_evals"], "sample_steps": stats["steps"],
-        **_process_record(stats["workers"], stats["blas_threads"])}
+        **_process_record(stats["workers"], blas)}
 
 
 def _bbox_soft_check(point_lists, norm: NormStats) -> None:

@@ -11,21 +11,24 @@ batch splits into TRAIN_SHARDS fixed row ranges whose gradients are summed
 in shard order, so the trained bytes never depend on the worker count.
 
 Both run their fixed units (micro-batches, shards) through one fork helper,
-_forked: the caller runs the first contiguous block of units and one forked
-worker runs each other block, every process at one OpenBLAS thread. Workers
-report b".", b"N" (a NumericError) or b"E" (any other error) through a pipe
-and write their results into an anonymous shared mmap: sampled rows (see
-sample), or shard gradients and updated parameters (see train). Each
-training process owns one part of the parameter vector: it sums the shard
-gradients over that part and steps an Adam whose moments cover that part
-only, then hands the updated part to the others through the same mmap.
-No worker outlives the call.
+_forked: _blocks splits the units into contiguous blocks, one per process;
+the caller runs the first block and one forked worker runs each other
+block, every process at one OpenBLAS thread. Every process, the caller
+included, runs the job's one generator over its own block (sample's serve,
+_TrainJob.steps), and the caller differs from a worker only in how it
+meets the others: a worker reports b".", b"N" (a NumericError) or b"E"
+(any other error) through a pipe, and the caller reads those reports.
+Results go into _shared memory, an anonymous mmap made before the fork:
+sampled rows (see sample), or shard gradients and updated parameters (see
+_run_shards). Each training process owns one part of the parameter
+vector: it sums the shard gradients over that part and steps an Adam whose
+moments cover that part only, then hands the updated part to the others
+through the same mmap. No worker outlives the call.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import mmap
 import os
@@ -221,17 +224,17 @@ def train(model, x0_data: np.ndarray, cond_data: ConditionBatch | None,
 
 class _TrainJob:
     """One training run's state, and its step as fixed shards of the batch
-    run by workers processes (None: train_workers; at most one per shard).
+    run by workers processes (None: train_workers; _blocks clamps it to
+    at least one and at most one per shard).
 
     Each shard's gradient goes into its own row of one float32 buffer
     (grads[shard]), laid out as model.flat (model.params holds views of it in
     its order, as TrajUNet builds them), with zeros for a parameter its loss
-    did not reach; its loss goes into losses[shard]. Process p runs the
-    shards of blocks[p] and owns part p of model.flat, the values parts[p]:
-    apply sums the rows over that part only, in shard order, and steps an
-    Adam whose moments cover that part only, so each value's update is the
-    one a whole-vector step gives it. gather then brings the other parts in
-    (see _run_shards).
+    did not reach; its loss goes into losses[shard]. Both live in one
+    _shared buffer. Process p runs the shards of blocks[p] and owns part p
+    of model.flat, the values parts[p]. Every process, the caller included,
+    runs steps over its own block, and the caller differs from a worker
+    only in how it meets the others (see _run_shards).
     """
 
     def __init__(self, model, x0_data, cond_data, cfg: TrainConfig, sched: NoiseSchedule,
@@ -243,100 +246,88 @@ class _TrainJob:
         shards = min(TRAIN_SHARDS, cfg.batch_size)
         B, n = cfg.batch_size, model.flat.size
         self.rows = [(B * s // shards, B * (s + 1) // shards) for s in range(shards)]
-        workers = train_workers(B) if workers is None else max(1, min(workers, shards))
-        self.blocks = _blocks(shards, workers)
-        self.parts = [slice(n * p // workers, n * (p + 1) // workers) for p in range(workers)]
-        self.proc = self.opt = None  # set by own
-        self.losses = self.grads = None  # set by lay_out_buffers
-
-    def lay_out_buffers(self, alloc) -> None:
-        """Lay out losses [shards] float64, then grads [shards, values]
-        float32, in alloc(total bytes): a bytearray, or a shared mmap."""
-        shards, values = len(self.rows), self.model.flat.size
-        buf = alloc(8 * shards + 4 * shards * values)
+        self.blocks = _blocks(shards, train_workers(B) if workers is None else workers)
+        procs = len(self.blocks)
+        self.parts = [slice(n * p // procs, n * (p + 1) // procs) for p in range(procs)]
+        buf = _shared(8 * shards + 4 * shards * n, procs)
         self.losses = np.frombuffer(buf, np.float64, shards)
-        self.grads = np.frombuffer(buf, np.float32, shards * values, 8 * shards).reshape(shards, values)
-
-    def own(self, p: int) -> None:
-        """Make this process the owner of part p, with an Adam over it only."""
-        self.proc = p
-        self.opt = Adam(self.model.flat[self.parts[p]], lr=self.cfg.learning_rate)
-
-    def draw_batch(self) -> tuple[np.ndarray, ConditionBatch | None]:
-        idx = self.rng.integers(0, self.x0_data.shape[0], size=self.cfg.batch_size)
-        return self.x0_data[idx], (self.cond_data.take(idx) if self.cond_data is not None
-                                   else None)
-
-    def backward(self, x0, cond, step_i: int, rows) -> float:
-        """Forward and backward of one shard, rows = (lo, hi); its gradient is
-        left in each reached parameter's .grad, its loss returned."""
-        for p in self.params:
-            p.grad = None
-        tz.reset_tape()
-        try:
-            loss = training_loss(self.model, x0, cond, self.sched, self.rng,
-                                 cond_dropout_prob=self.cfg.cond_dropout_prob, rows=rows)
-        except NumericError as e:
-            raise NumericError(f"step {step_i}: {e}") from e
-        tz.backward(loss)
-        return loss.item()
+        self.grads = np.frombuffer(buf, np.float32, shards * n, 8 * shards).reshape(shards, n)
 
     def compute(self, step_i: int, shards) -> None:
-        """Draw step step_i's batch and run the given shards, each into its row.
-        Each shard draws from the same stream state, so the stream ends where
-        one whole-batch draw leaves it."""
-        x0, cond = self.draw_batch()
+        """Draw step step_i's batch and run the forward and backward of each
+        given shard, its loss into losses[shard] and its gradient into
+        grads[shard]. Each shard draws from the same stream state, so the
+        stream ends where one whole-batch draw leaves it."""
+        idx = self.rng.integers(0, self.x0_data.shape[0], size=self.cfg.batch_size)
+        x0 = self.x0_data[idx]
+        cond = self.cond_data.take(idx) if self.cond_data is not None else None
         state = self.rng.bit_generator.state
         for k, s in enumerate(shards):
             if k:
                 self.rng.bit_generator.state = state
-            self.losses[s] = self.backward(x0, cond, step_i, self.rows[s])
+            for p in self.params:
+                p.grad = None
+            tz.reset_tape()
+            try:
+                loss = training_loss(self.model, x0, cond, self.sched, self.rng,
+                                     cond_dropout_prob=self.cfg.cond_dropout_prob,
+                                     rows=self.rows[s])
+            except NumericError as e:
+                raise NumericError(f"step {step_i}: {e}") from e
+            tz.backward(loss)
+            self.losses[s] = loss.item()
             np.concatenate([np.zeros_like(p.data) if p.grad is None else p.grad
                             for p in self.params], axis=None, out=self.grads[s])
 
-    def apply(self) -> float:
-        """Step Adam with the sum of the rows over this process's part, in
-        shard order, a fresh array that lives for this step only; write the
-        updated part into every other process's first row, at the part; and
-        return the step's loss, the sum of the shard losses in shard order."""
-        part = self.parts[self.proc]
-        total = self.grads[0, part].copy()
-        loss = self.losses[0]
-        for s in range(1, len(self.rows)):
-            total += self.grads[s, part]
-            loss += self.losses[s]
-        self.opt.grad = total
-        self.opt.step()
-        self.opt.grad = None
-        for q, block in enumerate(self.blocks):
-            if q != self.proc:
-                self.grads[block[0], part] = self.model.flat[part]
-        return float(loss)
-
-    def gather(self) -> None:
-        """Copy every other process's part from this process's first row into
-        model.flat, where apply in that process wrote it."""
-        first = self.grads[self.blocks[self.proc][0]]
-        for q, part in enumerate(self.parts):
-            if q != self.proc:
-                self.model.flat[part] = first[part]
+    def steps(self, block: range, meet, history: np.ndarray):
+        """One process's whole run over its block of shards, as steps 1-4 of
+        _run_shards lay out; meet(step_i) passes a barrier and returns False
+        when the others have stopped. Makes the Adam over this process's
+        part, writes each step's loss, the sum of the shard losses in shard
+        order, into history, and yields each step's label before the step."""
+        p = self.blocks.index(block)
+        part, first = self.parts[p], self.grads[block[0]]
+        opt = Adam(self.model.flat[part], lr=self.cfg.learning_rate)
+        for step_i in range(self.cfg.steps):
+            yield f"step {step_i}"
+            self.compute(step_i, block)
+            if not meet(step_i):
+                return
+            opt.grad = self.grads[0, part].copy()  # a fresh array for this step only
+            loss = self.losses[0]
+            for s in range(1, len(self.rows)):
+                opt.grad += self.grads[s, part]
+                loss += self.losses[s]
+            opt.step()
+            opt.grad = None
+            history[step_i] = loss
+            for q, other in enumerate(self.blocks):
+                if q != p:
+                    self.grads[other[0], part] = self.model.flat[part]
+            if not meet(step_i):
+                return
+            for q, other in enumerate(self.parts):
+                if q != p:
+                    self.model.flat[other] = first[other]
 
 
 def _run_shards(job: _TrainJob, history: np.ndarray) -> None:
-    """Run job's steps on this process and one forked worker per other block
-    of job.blocks (see _forked), process p on job.blocks[p]: the caller's
-    come first, so the lowest failing shard is the first failure seen.
+    """Run job.steps on this process over job.blocks[0] and on one forked
+    worker per other block (see _forked), process p on job.blocks[p]. Every
+    process runs the same generator; the caller differs only in its meet,
+    which reads one byte from every worker (raising the error one reports
+    instead) and then sends each one byte back, where a worker's meet sends
+    one byte through its report pipe and waits for the answer on its go
+    pipe. The caller's shards come first, so the lowest failing shard is the
+    first failure seen.
 
-    With one worker, this process runs every shard and owns all of
-    model.flat, with its buffers in a bytearray. With more, the buffers are
-    one anonymous shared mmap, made before the fork. Each step every process
-    draws from its own copy of the stream, writes its shards' rows, and
-    passes a pipe barrier: the caller waits for one byte from each worker,
-    then sends one back. Then process p
+    With one process, it runs every shard and owns all of model.flat. With
+    more, each step every process draws from its own copy of the stream,
+    writes its shards' rows, and meets the others. Then process p
       1. sums the rows over part p, in shard order, and steps its Adam;
       2. writes its updated part into the first row of every other process,
          at part p;
-      3. passes a second barrier;
+      3. meets the others again;
       4. copies the other parts from its own first row into its model.flat.
     No extra buffer is needed, and each hazard is ordered by a barrier or by
     program order:
@@ -351,48 +342,22 @@ def _run_shards(job: _TrainJob, history: np.ndarray) -> None:
     caller's model ends training holding every part. A worker's failure is
     heard at the next barrier, which names its step.
     """
-    workers = len(job.blocks)
-    job.lay_out_buffers(bytearray if workers == 1 else lambda size: mmap.mmap(-1, size))
-    serve = functools.partial(_serve_shards, job)
-    with _forked(len(job.rows), workers, serve, "training") as (own, procs):
-        job.own(0)
-        for step_i in range(job.cfg.steps):
-            job.compute(step_i, own)
-            _meet(procs, step_i)
-            history[step_i] = job.apply()
-            _meet(procs, step_i)
-            job.gather()
+    def serve(block: range, report_w: int, go_r: int):
+        def meet(step_i: int) -> bool:
+            os.write(report_w, b".")
+            return os.read(go_r, 1) == b"."  # b"": the caller stopped
+        return job.steps(block, meet, history)
 
+    with _forked(job.blocks, serve, "training") as procs:
+        def meet(step_i: int) -> bool:
+            for _, report_r, _ in procs:
+                _read_report(report_r, f"step {step_i}: a training worker ended without a report")
+            for _, _, go_w in procs:
+                os.write(go_w, b".")
+            return True
 
-def _meet(procs, step_i: int) -> None:
-    """The caller's side of a barrier: wait for one byte from every worker,
-    raising the error one reports instead, then send each one byte back."""
-    for _, report_r, _ in procs:
-        _read_report(report_r, f"step {step_i}: a training worker ended without a report")
-    for _, _, go_w in procs:
-        os.write(go_w, b".")
-
-
-def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int):
-    """A training worker's work (see _forked): own the part of its block's
-    process, then each step run its block of shards and take steps 1-4 of
-    _run_shards as the caller does, sending the caller b"." and waiting for
-    b"." back at each barrier. Yields each step's label before the step."""
-    job.own(job.blocks.index(block))
-
-    def meet() -> bool:
-        os.write(report_w, b".")
-        return os.read(go_r, 1) == b"."  # b"": the caller stopped
-
-    for step_i in range(job.cfg.steps):
-        yield f"step {step_i}"
-        job.compute(step_i, block)
-        if not meet():
-            return
-        job.apply()
-        if not meet():
-            return
-        job.gather()
+        for _ in job.steps(job.blocks[0], meet, history):
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -400,52 +365,62 @@ def _serve_shards(job: _TrainJob, block: range, report_w: int, go_r: int):
 # ---------------------------------------------------------------------------
 
 def _blocks(units: int, workers: int) -> list[range]:
-    """Units 0..units-1 split into workers contiguous blocks, in order."""
+    """Units 0..units-1 split into contiguous blocks, in order, one per
+    process: workers of them, but at least one and at most one per unit."""
+    workers = max(1, min(workers, units))
     return [range(units * p // workers, units * (p + 1) // workers) for p in range(workers)]
 
 
-@contextlib.contextmanager
-def _forked(units: int, workers: int, serve, what: str):
-    """Split units 0..units-1 into workers contiguous blocks, the caller's
-    first, and fork one worker for each other block.
+def _shared(nbytes: int, processes: int) -> bytearray | mmap.mmap:
+    """nbytes of zeroed memory for a job run by processes processes: a
+    bytearray for one, else an anonymous mmap, which the workers forked
+    after this call share with the caller."""
+    return bytearray(nbytes) if processes == 1 else mmap.mmap(-1, nbytes)
 
-    Yields (the caller's block, [(block, report_r, go_w) per worker]). Each
-    worker runs serve(block, report_w, go_r), a generator that yields the
-    label of each piece of work before doing it (see _worker_life), and
-    reports to the caller through its pipes; its results go into shared
-    memory that the caller mapped before this call. With one worker nothing
-    is forked and BLAS is left alone. With more, every process runs BLAS at
-    one thread (set before the fork, so the workers inherit it) and the
-    caller's count is restored on return or raise. No worker outlives the
-    block: one still running at its end is killed, and every one is reaped.
+
+@contextlib.contextmanager
+def _forked(blocks: list[range], serve, what: str):
+    """Fork one worker for each block after the first, which is the caller's.
+
+    Every process runs the job's one generator over its own block: a worker
+    runs serve(block, report_w, go_r), a generator that yields the label of
+    each piece of work before doing it (see _worker_life) and meets the
+    caller through its pipes, and the caller runs the same generator with a
+    meet of its own. Yields [(block, report_r, go_w) per worker]; results go
+    into _shared memory that the caller made before this call. With one
+    block nothing is forked and BLAS is left alone. With more, every process
+    runs BLAS at one thread (set before the fork, so the workers inherit it)
+    and the caller's count is restored on return or raise. No worker
+    outlives the block: one still running at its end is killed, every one
+    is reaped, and every pipe end is closed, after a failed os.pipe or
+    os.fork too.
     """
-    blocks = _blocks(units, workers)
-    if workers == 1:
-        yield blocks[0], []
+    if len(blocks) == 1:
+        yield []
         return
     blas = tz.blas_threads()
     tz.set_blas_threads(1)
-    procs = []  # [pid, report_r, go_w] per worker, pid None until forked
+    fds, pids, procs = [], [], []  # fds: every pipe end this process holds
     try:
         for block in blocks[1:]:
-            report_r, report_w = os.pipe()
-            go_r, go_w = os.pipe()
-            procs.append([None, report_r, go_w])
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker_life(serve, block, report_w, go_r, what,
-                                 [fd for _, r, w in procs for fd in (r, w)])
-                procs[-1][0] = pid
-            finally:  # only the caller gets here: a worker never returns
-                os.close(report_w)
-                os.close(go_r)
-        yield blocks[0], [(block, r, w) for block, (_, r, w) in zip(blocks[1:], procs)]
+            fds += os.pipe()
+            fds += os.pipe()
+            report_r, report_w, go_r, go_w = fds[-4:]
+            pid = os.fork()
+            if pid == 0:
+                _worker_life(serve, block, report_w, go_r, what,
+                             [fd for fd in fds if fd not in (report_w, go_r)])
+            pids.append(pid)
+            procs.append((block, report_r, go_w))
+            for fd in (report_w, go_r):  # the worker's ends
+                fds.remove(fd)
+                os.close(fd)
+        yield procs
     finally:
-        for pid, report_r, go_w in procs:
-            os.close(report_r)
-            os.close(go_w)
-            if pid is not None and os.waitpid(pid, os.WNOHANG)[0] == 0:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         if blas is not None:
@@ -635,16 +610,19 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
     stream (seed, i); micro-batch boundaries depend only on the index, so any
     worker count yields identical bytes.
 
-    min(workers, micro-batches) processes run the micro-batches, each a
-    contiguous block of them by index (see _forked): this process runs the
-    first block, and forked workers run the rest, free of the interpreter
-    lock and seeing the model, conditions and schedule without pickling
-    them. With more than one, every process runs OpenBLAS at one thread and
-    the caller's count is restored on return or raise; the output array is
-    then an anonymous shared mapping that every process writes its rows
-    into. Between its own micro-batches the caller polls the workers, so the
-    first failure it sees stops the rest: a worker's NumericError keeps its
-    text, and a worker that fails otherwise, or ends without a report, is a
+    workers processes, at least one and at most one per micro-batch (see
+    _blocks), run the micro-batches, each a contiguous block of them by
+    index (see _forked): this process runs the first block, and forked
+    workers run the rest, free of the interpreter lock and seeing the model,
+    conditions and schedule without pickling them. Every process runs the
+    same serve generator over its block and writes its rows into the output
+    array, _shared memory; the caller differs only in its meet at the end,
+    which waits for every worker's report where a worker's sends one. With
+    more than one process, every process runs OpenBLAS at one thread and
+    the caller's count is restored on return or raise. Between its own
+    micro-batches the caller polls the workers, so the first failure it
+    sees stops the rest: a worker's NumericError keeps its text, and a
+    worker that fails otherwise, or ends without a report, is a
     WorkerError naming its trajectories. One worker runs everything in this
     process and leaves BLAS alone. An infeasible (eta, tau) step plan raises
     NumericError before any model pass or fork.
@@ -662,36 +640,33 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
     for t_prev, t in zip([0, *cfg.tau[:-1]], cfg.tau):
         _step_terms(int(t), int(t_prev), cfg.eta, sched)
     bounds = [(s, min(s + micro_batch, n)) for s in range(0, n, micro_batch)]
-    workers = max(1, min(workers, len(bounds)))
+    blocks = _blocks(len(bounds), workers)
     shape = (n, model.config.in_channels, model.config.length)
-    if workers == 1:
-        out = np.empty(shape, dtype=np.float32)
-    else:
-        out = np.frombuffer(mmap.mmap(-1, 4 * math.prod(shape)), np.float32).reshape(shape)
+    out = np.frombuffer(_shared(4 * math.prod(shape), len(blocks)), np.float32).reshape(shape)
 
-    def run(i: int) -> None:
-        lo, hi = bounds[i]
-        out[lo:hi] = _sample_micro_batch(model, cond_batch, cfg, sched, lo, hi)
-
-    def serve(block: range, report_w: int, go_r: int):
+    def serve(block: range, meet):
+        """Run block's micro-batches into out, then meet the others."""
         for i in block:
-            yield f"trajectories {bounds[i][0]}..{bounds[i][1] - 1}"
-            run(i)
-        os.write(report_w, b".")
+            lo, hi = bounds[i]
+            yield f"trajectories {lo}..{hi - 1}"
+            out[lo:hi] = _sample_micro_batch(model, cond_batch, cfg, sched, lo, hi)
+        meet()
 
-    blas = tz.blas_threads()
-    with _forked(len(bounds), workers, serve, "sampling") as (own, procs):
+    def report(block: range, report_w: int, go_r: int):
+        return serve(block, lambda: os.write(report_w, b"."))
+
+    with _forked(blocks, report, "sampling") as procs:
         pending = {report_r: f"trajectories {bounds[block[0]][0]}..{bounds[block[-1]][1] - 1}: "
                              f"a sampling worker ended without a report"
                    for block, report_r, _ in procs}
-        for i in own:
+
+        def meet() -> None:
+            for report_r, lost in pending.items():
+                _read_report(report_r, lost)
+
+        for _ in serve(blocks[0], meet):
             for report_r in select.select(list(pending), [], [], 0)[0]:
                 _read_report(report_r, pending.pop(report_r))
-            run(i)
-        for report_r, lost in pending.items():
-            _read_report(report_r, lost)
-    if workers > 1 and blas is not None:
-        blas = 1  # what every process ran at
 
     guided = cfg.guidance_scale != 0.0 and cond_batch is not None
     evals_per_traj = len(cfg.tau) * (2 if guided else 1)
@@ -699,7 +674,6 @@ def sample(model, cond_batch: ConditionBatch | None, cfg: SamplerConfig,
         "n": n,
         "steps": len(cfg.tau),
         "model_evals": n * evals_per_traj,
-        "workers": workers,
-        "blas_threads": blas,
+        "workers": len(blocks),
     }
     return out, stats

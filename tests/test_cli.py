@@ -479,6 +479,15 @@ class TestGenerate:
         # the workers are child processes: their peak shows apart from the caller's
         assert manifest["workers_peak_rss_mb"] > 0
 
+    def test_zero_trajectories_run_in_one_process(self, ckpt, tmp_path):
+        out = tmp_path / "none.jsonl"
+        assert run("generate", "--ckpt", ckpt, "--out", out, "--n", 0, "--uncond",
+                   "--workers", 2) == 0
+        assert len(out.read_text().splitlines()) == 1  # the header alone
+        manifest = json.loads((tmp_path / "none.jsonl.manifest.json").read_text())
+        assert manifest["workers"] == 1
+        assert manifest["workers_peak_rss_mb"] is None
+
     @pytest.mark.parametrize("flag, value", [("--batch", 0), ("--n", -1), ("--eta", -1),
                                              ("--eta", "nan"), ("--omega", "inf"),
                                              ("--workers", 0), ("--steps", 0)])

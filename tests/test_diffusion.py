@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import signal
@@ -910,6 +911,22 @@ class TestSample:
         assert len({out.tobytes() for out, _ in outs}) == 1
         assert children() == []
 
+    def test_blocks_clamp_the_process_count(self):
+        # at least one block, at most one per unit
+        assert diffusion._blocks(3, 8) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert diffusion._blocks(5, 2) == [range(0, 2), range(2, 5)]
+        assert diffusion._blocks(0, 4) == [range(0, 0)]
+
+    def test_zero_trajectories_fork_nothing(self, sched, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for no micro-batch")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = SamplerConfig(total_steps=100, sample_steps=2, eta=0.0, guidance_scale=0.0)
+        out, stats = sample(self._model(), None, cfg, sched, n=0, workers=2)
+        assert (out.shape, out.dtype) == ((0, 2, 16), np.float32)
+        assert stats["workers"] == 1
+
     def test_worker_exit_is_a_typed_error(self, sched, monkeypatch):
         caller = os.getpid()
         real = diffusion._sample_micro_batch
@@ -998,7 +1015,7 @@ class TestBlasThreads:
         assert seen(out) == [1, 1, 1]
         assert fake.sets == [1, 2]  # the caller samples at one thread, then gets its count back
         assert fake.count == 2
-        assert (stats["workers"], stats["blas_threads"]) == (2, 1)
+        assert stats["workers"] == 2
         assert children() == []
 
     @pytest.mark.parametrize("workers, micro_batch", [(1, 4), (4, 12)])
@@ -1008,7 +1025,7 @@ class TestBlasThreads:
                             micro_batch=micro_batch)
         assert fake.sets == []
         assert set(seen(out, micro_batch)) == {2}
-        assert (stats["workers"], stats["blas_threads"]) == (1, 2)
+        assert stats["workers"] == 1
 
     def test_worker_error_reaches_caller(self, sched, fake, monkeypatch):
         def failing(*args, **kwargs):
@@ -1021,6 +1038,26 @@ class TestBlasThreads:
         assert fake.count == 2
         assert fake.sets == [1, 2]
         assert children() == []
+
+    def test_failed_pipe_closes_every_pipe_end(self, sched, fake, monkeypatch):
+        # the second os.pipe of the worker fails, as at the fd limit (EMFILE):
+        # the first pipe's two ends are closed too
+        pipe, calls = os.pipe, []
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return pipe()
+
+        monkeypatch.setattr(os, "pipe", second_fails)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="Too many open files"):
+            sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
+        assert len(calls) == 2
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert children() == []
+        assert fake.sets == [1, 2] and fake.count == 2
 
     def test_failure_cancels_micro_batches_not_started(self, sched, monkeypatch, tmp_path):
         started = tmp_path / "started"
@@ -1065,7 +1102,7 @@ class TestBlasThreads:
         monkeypatch.setattr(tz, "_openblas", lambda: None)
         out, stats = sample(self._model(), None, self.CFG, sched, n=12, workers=2, micro_batch=4)
         assert seen(out) == [None, None, None]
-        assert (stats["workers"], stats["blas_threads"]) == (2, None)
+        assert stats["workers"] == 2
 
     def test_loaded_openblas(self, sched, seen):
         if tz.blas_threads() is None:
